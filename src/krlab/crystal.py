@@ -1,8 +1,16 @@
 """Classical crystal operators on letters, words, and tensor products.
 
-Tensors are tuples with the leftmost factor first; the tensor rule follows
-the convention where f_i prefers the left factor on ties.  Column words
-embed as v_k (x) ... (x) v_1 and row words as v_1 (x) ... (x) v_k.
+Tensors are tuples with the leftmost factor first.  Column words embed as
+v_k (x) ... (x) v_1 and row words as v_1 (x) ... (x) v_k.
+
+Every tensor operator goes through one signature rule, `signature`, and
+so does the affine 0-arrow on tensors of row factors in kr_row.  Reading
+left to right, each factor b writes +^phi(b) -^eps(b); a - cancels the
+nearest uncancelled + to its right, as an opening bracket a closing one.
+What is left reads +^phi -^eps and gives the tensor's phi and eps; f acts
+on the factor holding the rightmost uncancelled +, e on the factor holding
+the leftmost uncancelled -.  So in x (x) y with phi(y) = eps(x), f acts on
+x: f prefers the left factor on ties.
 
 A context fixes the letter crystal: ("inf", 0) is the unbounded large-rank
 alphabet used by column crystals, ("B", N) and ("C", N) are the rank-N
@@ -102,114 +110,114 @@ def letter_f(x, i, ctx):
     return None
 
 
-def letter_wtpair(x, i, ctx):
-    return letter_phi(x, i, ctx) - letter_eps(x, i, ctx)
+def signature(pairs):
+    """Kashiwara's tensor rule as a signature rule, in one pass.
+
+    pairs lists (phi, eps) of each factor, leftmost first.  Returns
+    (eps, phi, e_at, f_at): the tensor's eps and phi and the index of the
+    factor e and f act on, None where the operator annihilates.
+    """
+    phi = 0
+    f_at = None
+    minus = []  # uncancelled - runs, [factor index, count], left to right
+    for k, (p, e) in enumerate(pairs):
+        while p and minus:
+            run = minus[-1]
+            if run[1] > p:
+                run[1] -= p
+                p = 0
+            else:
+                p -= run[1]
+                minus.pop()
+        if p:
+            phi += p
+            f_at = k
+        if e:
+            minus.append([k, e])
+    e_at = minus[0][0] if minus else None
+    return sum(run[1] for run in minus), phi, e_at, f_at
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch: a factor is a letter, EMPTY, a tuple (sub-tensor), or an
-# object with crystal_* methods (ColumnKR / RowKR).
+# tensors: a factor is a letter, EMPTY, a tuple (sub-tensor), or a KR factor
+# (ColumnKR / RowKR) exposing letters() in tensor order and with_letters().
 
 
-def eps(b, i, ctx=CTX_INF):
+def _letters(b):
     if isinstance(b, tuple):
-        return _tensor_stat(b, i, ctx)[0]
-    if b is EMPTY or isinstance(b, int):
-        return letter_eps(b, i, ctx)
-    return b.crystal_eps(i, ctx)
-
-
-def phi(b, i, ctx=CTX_INF):
-    if isinstance(b, tuple):
-        return _tensor_stat(b, i, ctx)[1]
-    if b is EMPTY or isinstance(b, int):
-        return letter_phi(b, i, ctx)
-    return b.crystal_phi(i, ctx)
-
-
-def wtpair(b, i, ctx=CTX_INF):
-    if isinstance(b, tuple):
-        return sum(wtpair(x, i, ctx) for x in b)
-    if b is EMPTY or isinstance(b, int):
-        return letter_wtpair(b, i, ctx)
-    return b.crystal_wtpair(i, ctx)
-
-
-def _tensor_stat(t, i, ctx):
-    """(eps, phi, wtpair) of a tensor tuple, accumulated right to left."""
-    e = p = w = 0
-    for b in reversed(t):
-        be, bp, bw = _stat(b, i, ctx)
-        e = max(e, be - w)
-        p = max(bp, p + bw)
-        w += bw
-    return e, p, w
-
-
-def _stat(b, i, ctx):
-    if isinstance(b, tuple):
-        return _tensor_stat(b, i, ctx)
-    if b is EMPTY or isinstance(b, int):
-        return letter_eps(b, i, ctx), letter_phi(b, i, ctx), letter_wtpair(b, i, ctx)
-    return b.crystal_eps(i, ctx), b.crystal_phi(i, ctx), b.crystal_wtpair(i, ctx)
-
-
-def apply_e(b, i, ctx=CTX_INF):
-    """e_i, or None on annihilation."""
-    if isinstance(b, tuple):
-        if not b:
-            return None
-        x, rest = b[0], b[1:]
-        ey, py, wy = _tensor_stat(rest, i, ctx) if rest else (0, 0, 0)
-        ex = eps(x, i, ctx)
-        if py < ex:
-            nx = apply_e(x, i, ctx)
-            return None if nx is None else (nx,) + rest
-        nr = apply_e(rest, i, ctx)
-        return None if nr is None else (x,) + nr
-    if b is EMPTY or isinstance(b, int):
-        return letter_e(b, i, ctx)
-    return b.crystal_e(i, ctx)
-
-
-def apply_f(b, i, ctx=CTX_INF):
-    if isinstance(b, tuple):
-        if not b:
-            return None
-        x, rest = b[0], b[1:]
-        ey, py, wy = _tensor_stat(rest, i, ctx) if rest else (0, 0, 0)
-        ex = eps(x, i, ctx)
-        if py <= ex:
-            nx = apply_f(x, i, ctx)
-            return None if nx is None else (nx,) + rest
-        nr = apply_f(rest, i, ctx)
-        return None if nr is None else (x,) + nr
-    if b is EMPTY or isinstance(b, int):
-        return letter_f(b, i, ctx)
-    return b.crystal_f(i, ctx)
-
-
-def _max_index(b, ctx):
-    fam, n = ctx
-    if fam != "inf":
-        return n
-    mags = [abs(x) for x in flatten_letters(b) if x is not EMPTY and x != 0]
-    return (max(mags) + 1) if mags else 1
-
-
-def flatten_letters(b):
-    if isinstance(b, tuple):
-        out = []
-        for x in b:
-            out.extend(flatten_letters(x))
-        return out
+        return [x for f in b for x in _letters(f)]
     if b is EMPTY or isinstance(b, int):
         return [b]
     return list(b.letters())
 
 
+def _size(b):
+    if isinstance(b, tuple):
+        return sum(_size(f) for f in b)
+    if b is EMPTY or isinstance(b, int):
+        return 1
+    return len(b.letters())
+
+
+def _put(b, k, x):
+    """b with its k-th letter replaced by x; only the factor holding it is
+    rebuilt."""
+    if isinstance(b, tuple):
+        for j, f in enumerate(b):
+            size = _size(f)
+            if k < size:
+                return b[:j] + (_put(f, k, x),) + b[j + 1 :]
+            k -= size
+    if b is EMPTY or isinstance(b, int):
+        return x
+    letters = list(b.letters())
+    letters[k] = x
+    return b.with_letters(letters)
+
+
+def _rule(letters, i, ctx):
+    return signature(
+        [(letter_phi(x, i, ctx), letter_eps(x, i, ctx)) for x in letters]
+    )
+
+
+def eps(b, i, ctx=CTX_INF):
+    return _rule(_letters(b), i, ctx)[0]
+
+
+def phi(b, i, ctx=CTX_INF):
+    return _rule(_letters(b), i, ctx)[1]
+
+
+def wtpair(b, i, ctx=CTX_INF):
+    e, p, _, _ = _rule(_letters(b), i, ctx)
+    return p - e
+
+
+def apply_e(b, i, ctx=CTX_INF):
+    """e_i, or None on annihilation."""
+    letters = _letters(b)
+    k = _rule(letters, i, ctx)[2]
+    return None if k is None else _put(b, k, letter_e(letters[k], i, ctx))
+
+
+def apply_f(b, i, ctx=CTX_INF):
+    letters = _letters(b)
+    k = _rule(letters, i, ctx)[3]
+    return None if k is None else _put(b, k, letter_f(letters[k], i, ctx))
+
+
+def _max_index(letters, ctx):
+    fam, n = ctx
+    if fam != "inf":
+        return n
+    mags = [abs(x) for x in letters if x is not EMPTY and x != 0]
+    return (max(mags) + 1) if mags else 1
+
+
 def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
-    """Classical highest weight element of the component containing b.
+    """Classical highest weight element of the component containing b,
+    raising with the smallest available index first.
 
     With record a list, the applied raising indices are appended to it.
     In the unbounded context barred letters can climb forever on inputs
@@ -217,18 +225,17 @@ def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
     """
     steps = 0
     while True:
-        top = _max_index(b, ctx)
-        moved = False
-        for i in range(1, top + 1):
-            if eps(b, i, ctx) > 0:
-                b = apply_e(b, i, ctx)
-                if record is not None:
-                    record.append(i)
-                moved = True
-                steps += 1
+        letters = _letters(b)
+        for i in range(1, _max_index(letters, ctx) + 1):
+            k = _rule(letters, i, ctx)[2]
+            if k is not None:
                 break
-        if not moved:
+        else:
             return b
+        b = _put(b, k, letter_e(letters[k], i, ctx))
+        if record is not None:
+            record.append(i)
+        steps += 1
         if steps > max_steps:
             raise RuntimeError(
                 "raising did not terminate; use a finite-rank context"
@@ -236,7 +243,11 @@ def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
 
 
 def is_hw(b, ctx=CTX_INF):
-    return all(eps(b, i, ctx) == 0 for i in range(1, _max_index(b, ctx) + 1))
+    letters = _letters(b)
+    return all(
+        _rule(letters, i, ctx)[0] == 0
+        for i in range(1, _max_index(letters, ctx) + 1)
+    )
 
 
 def word_weight(letters, n):

@@ -8,12 +8,9 @@ leftmost factor first.
 
 from dataclasses import dataclass
 
-from .crystal import (
-    column_tensor,
-    is_hw,
-    tensor_word_e,
-    tensor_word_f,
-)
+from .crystal import column_tensor, is_hw
+# bench/tracing.py wraps these names in this module
+from .crystal import tensor_word_e, tensor_word_f  # noqa: F401
 from .letters import EMPTY, is_admissible, key, prec, red, sort_word, word_str
 from .polynomials import Poly
 
@@ -47,31 +44,11 @@ class ColumnKR:
         return self.cap - len(self.word)
 
     def letters(self):
-        return self.word
+        """The letters in tensor order: the column embedding."""
+        return column_tensor(self.word)
 
-    # classical crystal interface through the column embedding
-    def crystal_eps(self, i, ctx):
-        from .crystal import eps
-
-        return eps(column_tensor(self.word), i, ctx)
-
-    def crystal_phi(self, i, ctx):
-        from .crystal import phi
-
-        return phi(column_tensor(self.word), i, ctx)
-
-    def crystal_wtpair(self, i, ctx):
-        from .crystal import wtpair
-
-        return wtpair(column_tensor(self.word), i, ctx)
-
-    def crystal_e(self, i, ctx):
-        w = tensor_word_e(self.word, i, ctx, column=True)
-        return None if w is None else ColumnKR(self.kind, self.cap, w)
-
-    def crystal_f(self, i, ctx):
-        w = tensor_word_f(self.word, i, ctx, column=True)
-        return None if w is None else ColumnKR(self.kind, self.cap, w)
+    def with_letters(self, letters):
+        return ColumnKR(self.kind, self.cap, sort_word(letters))
 
     def __str__(self):
         return "%s^%d[%s]" % (self.kind, self.cap, word_str(self.word))

@@ -51,13 +51,6 @@ def sort_word(letters):
     return tuple(sorted(letters, key=key))
 
 
-def is_column_word(w):
-    """Strictly increasing, no zero-letter."""
-    if any(x == 0 for x in w):
-        return False
-    return all(prec(a, b) for a, b in zip(w, w[1:]))
-
-
 def is_admissible(w):
     """Column admissibility: for every i with i and bar-i both present,
     #(letters below i) + #(letters above bar-i) < i - 1."""

@@ -52,10 +52,6 @@ def is_horizontal_strip(lam, mu):
     return all(get(lam, i + 1) <= get(mu, i) for i in range(len(lam)))
 
 
-def is_vertical_strip(lam, mu):
-    return is_horizontal_strip(conjugate(lam), conjugate(mu))
-
-
 def dominates(lam, mu):
     """lam >= mu in dominance order (equal sizes assumed)."""
     s = t = 0

@@ -131,18 +131,6 @@ class Poly:
     __repr__ = __str__
 
 
-def q_one():
-    return Poly.one(1)
-
-
-def q_pow(k, coeff=1):
-    return Poly.mono((k,), coeff)
-
-
-def qt_pow(a, b, coeff=1):
-    return Poly.mono((a, b), coeff)
-
-
 def poly_str(p, names):
     """Render sparse, descending total degree then reverse-lex; stable."""
     if not p.c:

@@ -22,10 +22,6 @@ def dbl(vec):
     return tuple(out)
 
 
-def undbl(vec):
-    return tuple(Fraction(x, 2) for x in vec)
-
-
 def parse_weight(text, n=None):
     """Parse '1,1,0' or '3/2,1/2' into a doubled weight tuple."""
     if text.strip() == "":

@@ -155,14 +155,6 @@ def column_reading_word(t):
     return tuple(out)
 
 
-def row_reading_word(t):
-    """Rows bottom to top, each right to left."""
-    out = []
-    for row in reversed(t):
-        out.extend(reversed(row))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # two-line arrays
 
@@ -422,13 +414,6 @@ def bound_from_q(q, lam, two_g):
 # word rewriting for the vertical-domino filtration
 
 
-def _pm(x, n):
-    """Letter as (sign, magnitude) with validity for rank n."""
-    if x == 0 or abs(x) > n:
-        raise ValueError("letter out of range")
-    return x
-
-
 def plactic_rules(n):
     """The four families of length-three rewriting rules at rank n, as
     (name, lhs, rhs) triples over the letter alphabet of D_n."""
@@ -466,25 +451,15 @@ def plactic_rules(n):
 
 def same_position(v, w, n):
     """Whether two words sit at the same place of isomorphic classical
-    components of the rank-n type D letter crystal."""
-    from krlab.crystal import apply_e, ctx_D, eps, word_weight
+    components of the rank-n type D letter crystal: equal raising paths to
+    tops of equal weight."""
+    from krlab.crystal import ctx_D, hw, word_weight
 
     ctx = ctx_D(n)
-    v, w = tuple(v), tuple(w)
-    while True:
-        moved = False
-        for i in range(1, n + 1):
-            ev = eps(v, i, ctx)
-            ew = eps(w, i, ctx)
-            if (ev > 0) != (ew > 0):
-                return False
-            if ev > 0:
-                v = apply_e(v, i, ctx)
-                w = apply_e(w, i, ctx)
-                moved = True
-                break
-        if not moved:
-            return word_weight(v, n) == word_weight(w, n)
+    path_v, path_w = [], []
+    top_v = hw(tuple(v), ctx, record=path_v)
+    top_w = hw(tuple(w), ctx, record=path_w)
+    return path_v == path_w and word_weight(top_v, n) == word_weight(top_w, n)
 
 
 def plactic_rewrite(word, rule, pos, n):

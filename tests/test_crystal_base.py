@@ -7,13 +7,17 @@ from krlab.crystal import (
     apply_e,
     apply_f,
     column_tensor,
+    ctx_B,
+    ctx_C,
+    ctx_D,
     eps,
     hw,
     is_hw,
     phi,
     wtpair,
 )
-from krlab.kr_column import VDOM, ColumnKR
+from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR
+from krlab.kr_row import RowKR
 from krlab.letters import is_admissible, red, sort_word, unred
 
 
@@ -59,19 +63,72 @@ def test_tensor_e_example():
     assert apply_e((-1, 2, 1), 1) == (-2, 2, 1)
 
 
+def _flat(t):
+    """The factors of a nested tensor, left to right."""
+    if not isinstance(t, tuple):
+        return (t,)
+    return tuple(f for x in t for f in _flat(x))
+
+
+def _check_axioms(t, i, ctx=CTX_INF):
+    e, p = eps(t, i, ctx), phi(t, i, ctx)
+    assert p - e == wtpair(t, i, ctx)
+    ft, et = apply_f(t, i, ctx), apply_e(t, i, ctx)
+    assert (ft is None) == (p == 0)
+    assert (et is None) == (e == 0)
+    if ft is not None:
+        assert apply_e(ft, i, ctx) == t
+    if et is not None:
+        assert apply_f(et, i, ctx) == t
+    # eps and phi count the steps of e and f before annihilation
+    for op, steps in ((apply_e, e), (apply_f, p)):
+        cur = t
+        for _ in range(steps):
+            cur = op(cur, i, ctx)
+            assert cur is not None, (t, i, ctx)
+        assert op(cur, i, ctx) is None, (t, i, ctx)
+
+
 def test_axioms_on_tensors():
     letters = [1, 2, 3, -3, -2, -1]
     for t in itertools.product(letters, repeat=3):
         for i in range(1, 4):
-            e, p = eps(t, i), phi(t, i)
-            assert p - e == wtpair(t, i)
-            ft, et = apply_f(t, i), apply_e(t, i)
-            assert (ft is None) == (p == 0)
-            assert (et is None) == (e == 0)
-            if ft is not None:
-                assert apply_e(ft, i) == t
-            if et is not None:
-                assert apply_f(et, i) == t
+            _check_axioms(t, i)
+    # finite ranks; in type B at i = n the zero letter has eps = phi = 1
+    # and the letter -n has eps = 2
+    for ctx, letters in (
+        (ctx_B(2), [1, 2, 0, -2, -1]),
+        (ctx_C(2), [1, 2, -2, -1]),
+        (ctx_D(3), [1, 2, 3, -3, -2, -1]),
+    ):
+        for t in itertools.product(letters, repeat=3):
+            for i in range(1, ctx[1] + 1):
+                _check_axioms(t, i, ctx)
+    # letters, EMPTY, column and row KR factors; every bracketing of a
+    # triple gives the same statistics and, flattened, the same result
+    pools = (
+        (CTX_INF, [2, -1, None, ColumnKR(VDOM, 2, (1, 2)),
+                   ColumnKR(BOX, 3, (2, -2)), RowKR(BOX, 2, (1, 3))]),
+        (ctx_C(2), [1, -2, ColumnKR(BOX, 2, (1, -2)), ColumnKR(BOX, 2, (2, -2)),
+                    RowKR(HDOM, 2, (1, -1)), RowKR(HDOM, 3, (2, 2, -2))]),
+        (ctx_B(2), [0, -2, None, RowKR(BOX, 2, (0, -2)),
+                    RowKR(VDOM, 2, (2, 0)), RowKR(BOX, 3, (1, -1))]),
+    )
+    for ctx, pool in pools:
+        top = ctx[1] or 4
+        for a, b, c in itertools.product(pool, repeat=3):
+            flat = (a, b, c)
+            for i in range(1, top + 1):
+                _check_axioms(flat, i, ctx)
+                for nested in (((a, b), c), (a, (b, c))):
+                    _check_axioms(nested, i, ctx)
+                    assert eps(nested, i, ctx) == eps(flat, i, ctx)
+                    assert phi(nested, i, ctx) == phi(flat, i, ctx)
+                    for op in (apply_e, apply_f):
+                        got, want = op(nested, i, ctx), op(flat, i, ctx)
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert _flat(got) == want, (nested, i, ctx)
 
 
 def test_hw_by_search():

@@ -148,10 +148,10 @@ def test_r_matrix_anchor():
 def test_r_matrix_bfs_agrees():
     for kind in (BOX, HDOM, VDOM):
         s, n = 2, 3
-        bfs = RMatrixTable(kind, s, n, strategy="bfs")
+        bfs = RMatrixTable(kind, s, n).bfs_map()
         for u in enumerate_row(kind, s, n):
             for c in enumerate_row(kind, 1, n):
-                assert bfs.apply(u, c) == r_matrix_row(u, c, n=n), (u, c)
+                assert bfs[(u, c)] == r_matrix_row(u, c, n=n), (u, c)
 
 
 def test_yang_baxter():
