@@ -3,6 +3,8 @@ their Kirillov-Reshetikhin crystal formulas, and the level-restricted
 refinement, all over exact integer arithmetic.
 """
 
+import sys
+
 from .polynomials import Poly, WeightPoly, poly_str
 from .qweight import (
     kl_level_restricted,
@@ -73,4 +75,22 @@ from .identities import (
 )
 from .rsk import alpha, beta, burge, phi_bc, row_insert, theta_1n
 
+from . import kr_row, oscillating, qweight
+
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every memo table krlab keeps: each functools.lru_cache defined
+    in its modules, the chain layer's strip cache with its shape table, the
+    q-Kostant memo and the row R-matrix tables.  Later results are the same,
+    only computed afresh."""
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == name:
+                fn.cache_clear()
+    oscillating._shapes.clear()
+    qweight._memo.clear()
+    kr_row._tables.clear()

@@ -2,7 +2,7 @@
 energies, and run verification suites.
 
 Exit codes: 0 on success, 1 when a verification suite finds a mismatch,
-2 on usage errors.
+2 on usage errors and bad input, with a one-line message on stderr.
 """
 
 import argparse
@@ -29,10 +29,55 @@ from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
 from .letters import parse_word
 from .oscillating import GSSOT, SSOT, SSROT, enumerate_chains
-from .partitions import get, norm, partitions_upto
+from .partitions import get, is_partition, norm, partitions_upto
 from .polynomials import poly_str
 from .qweight import kl_poly, kl_qt_B
-from .roots import is_spin, parse_weight, weight_str
+from .roots import is_dominant, is_spin, parse_weight, weight_str
+
+
+class BadInput(Exception):
+    """Input the commands cannot take; main() prints it and exits 2."""
+
+
+def _rank(n):
+    if n < 1:
+        raise BadInput("--n must be a positive rank, got %d" % n)
+    return n
+
+
+def _weights(args, lie_type):
+    """--lambda and --mu as doubled weights of rank --n, each dominant."""
+    n = _rank(args.n)
+    out = []
+    for flag, text in (("--lambda", args.lam), ("--mu", args.mu)):
+        try:
+            w = parse_weight(text, n)
+        except (ValueError, ZeroDivisionError) as e:
+            raise BadInput("%s %s: %s" % (flag, text, e)) from None
+        if not is_dominant(lie_type, n, w):
+            raise BadInput("%s %s is not a dominant weight of type %s%d" % (flag, text, lie_type, n))
+        out.append(w)
+    if is_spin(out[0]) != is_spin(out[1]):
+        raise BadInput("--lambda and --mu must both be spin weights or neither")
+    return out
+
+
+def _two_g(text):
+    """Twice the bound given as --g; g must be a half-integer >= 0."""
+    try:
+        f = Fraction(text) * 2
+    except (ValueError, ZeroDivisionError):
+        f = None
+    if f is None or f.denominator != 1 or f < 0:
+        raise BadInput("--g %s must be a nonnegative half-integer" % text)
+    return int(f)
+
+
+def _ints(flag, text):
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise BadInput("%s %s must be comma-separated integers" % (flag, text)) from None
 
 
 def _default_two_g(lam_d, mu_d):
@@ -46,13 +91,9 @@ def _default_two_g(lam_d, mu_d):
 
 
 def _parse_g(text, spin):
-    f = Fraction(text) * 2
-    if f.denominator != 1:
-        raise SystemExit(2)
-    two_g = int(f)
+    two_g = _two_g(text)
     if (two_g % 2 == 1) != spin:
-        print("g must be %s-integral for these weights" % ("half" if spin else ""), file=sys.stderr)
-        raise SystemExit(2)
+        raise BadInput("--g %s must be %s for these weights" % (text, "half an odd integer" if spin else "an integer"))
     return two_g
 
 
@@ -66,8 +107,7 @@ def _emit_poly(args, rendered, params):
 
 def cmd_kl(args):
     n = args.n
-    lam = parse_weight(args.lam, n)
-    mu = parse_weight(args.mu, n)
+    lam, mu = _weights(args, args.type)
     tag = "levelA" if args.level else "one"
     p = kl_poly(args.type, n, lam, mu, tag)
     params = {
@@ -82,8 +122,7 @@ def cmd_kl(args):
 
 def cmd_kl_qt(args):
     n = args.n
-    lam = parse_weight(args.lam, n)
-    mu = parse_weight(args.mu, n)
+    lam, mu = _weights(args, "B")
     p = kl_qt_B(n, lam, mu)
     params = {"n": n, "lambda": weight_str(lam), "mu": weight_str(mu)}
     return _emit_poly(args, poly_str(p, ("q", "t")), params)
@@ -91,9 +130,10 @@ def cmd_kl_qt(args):
 
 def cmd_level(args):
     n = args.n
-    lam = parse_weight(args.lam, n)
-    mu = parse_weight(args.mu, n)
+    lam, mu = _weights(args, args.type)
     two_g = _parse_g(args.g, is_spin(lam)) if args.g else _default_two_g(lam, mu)
+    if two_g < max(lam[0], mu[0]):
+        raise BadInput("--g %s is below lambda_1 or mu_1" % args.g)
     lhs, mid, rhs = level_formula(args.type, n, lam, mu, two_g)
     payload = {
         "identity": "level-formula",
@@ -118,11 +158,13 @@ _KINDS = {"ssot": SSOT, "gssot": GSSOT, "ssrot": SSROT}
 
 def cmd_enumerate(args):
     kind = _KINDS[args.kind]
-    shape = tuple(int(x) for x in args.shape.split(",")) if args.shape else ()
-    weight = tuple(int(x) for x in args.weight.split(",")) if args.weight else ()
-    two_g = None
-    if args.g:
-        two_g = int(Fraction(args.g) * 2)
+    shape = _ints("--shape", args.shape)
+    weight = _ints("--weight", args.weight)
+    if not is_partition(shape):
+        raise BadInput("--shape %s is not a partition" % args.shape)
+    if any(w < 0 for w in weight):
+        raise BadInput("--weight %s has a negative entry" % args.weight)
+    two_g = _two_g(args.g) if args.g else None
     chains = enumerate_chains(kind, norm(shape), weight, two_g=two_g)
     out = [[[list(p) for p in strip] for strip in chain] for chain in chains]
     print(json.dumps({"kind": args.kind, "count": len(chains), "chains": out}))
@@ -317,6 +359,7 @@ SUITES = {
 
 def cmd_verify(args):
     suite = SUITES[args.suite]
+    _rank(args.n)
     jobs = args.jobs or int(os.environ.get("KRLAB_JOBS", "1"))
     tasks = list(suite(args.max_weight, args.n))
     if jobs > 1:
@@ -400,7 +443,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BadInput as e:
+        print("krlab %s: error: %s" % (args.command, e), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

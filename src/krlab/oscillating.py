@@ -7,6 +7,8 @@ shrink to the outer one, SSROT chains shrink first.  Chains are tuples of
 strips; weights are nonnegative integer vectors, one strip per entry.
 """
 
+from functools import lru_cache
+
 from .crystal import hw
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col
 from .letters import red, sort_word
@@ -63,8 +65,20 @@ def chain_c2(chain, kind, lengths):
     return out
 
 
+# Partitions inside cached strips, one tuple object per distinct value;
+# emptied together with the _strips_from cache by krlab.clear_caches().
+_shapes = {}
+
+
+@lru_cache(maxsize=None)
 def _strips_from(inner, r, kind, two_g):
-    """All strips of length r starting at inner, bounded by g (2g given)."""
+    """All strips of length r starting at inner, bounded by g (2g given).
+
+    Cached on (inner, r, kind, two_g) for the life of the process, or until
+    krlab.clear_caches(); the result is a tuple shared by every caller, and
+    equal mid and outer partitions across cached strips are one object.
+    """
+    intern = _shapes.setdefault
     out = []
     if kind in (SSOT, GSSOT):
         cap = two_g // 2 if two_g is not None else (get(inner, 0) + r)
@@ -86,7 +100,7 @@ def _strips_from(inner, r, kind, two_g):
                         need = 2 * get(mid, 0) + (0 if ln == r else 1)
                         if need > two_g:
                             continue
-                out.append((inner, mid, outer))
+                out.append((inner, intern(mid, mid), intern(outer, outer)))
     elif kind == SSROT:
         for mid in horizontal_strips_below(inner):
             down = size(inner) - size(mid)
@@ -99,11 +113,11 @@ def _strips_from(inner, r, kind, two_g):
                     continue
                 if two_g is not None and bound2((inner, mid, outer), kind) > two_g:
                     continue
-                out.append((inner, mid, outer))
+                out.append((inner, intern(mid, mid), intern(outer, outer)))
     else:
         raise ValueError(kind)
     out.sort(key=lambda s: (s[1], s[2]))
-    return out
+    return tuple(out)
 
 
 def enumerate_chains(kind, shape, weight, two_g=None):
@@ -111,17 +125,34 @@ def enumerate_chains(kind, shape, weight, two_g=None):
 
     two_g is twice the bound g (None enumerates the whole set); chains come
     in a deterministic order, outermost strip choices lexicographic.
+
+    A branch at strip i is cut before its strips are generated when the
+    size gap |shape| - |inner| exceeds the remaining weight sum, since a
+    strip of length r changes the size by at most r; for SSOT and SSROT
+    also when that sum minus the gap is odd, since the change has r's
+    parity.  GSSOT strips may have length r - 1, so only the size bound
+    applies to them.  Cutting only empty branches keeps the output order.
     """
     shape = norm(shape)
     weight = tuple(weight)
+    if kind not in (SSOT, GSSOT, SSROT):
+        raise ValueError(kind)
     if any(w < 0 for w in weight):
         return []
+    target = size(shape)
+    rem = [0] * (len(weight) + 1)  # rem[i]: weight sum of strips i, i+1, ...
+    for i in range(len(weight) - 1, -1, -1):
+        rem[i] = rem[i + 1] + weight[i]
+    exact = kind != GSSOT
     out = []
 
     def rec(i, inner, acc):
         if i == len(weight):
             if inner == shape:
                 out.append(tuple(acc))
+            return
+        gap = abs(target - size(inner))
+        if gap > rem[i] or (exact and (rem[i] - gap) % 2):
             return
         for strip in _strips_from(inner, weight[i], kind, two_g):
             acc.append(strip)

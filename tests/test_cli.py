@@ -43,6 +43,25 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kl", "--type", "C", "--n", "2", "--lambda", "1/3,0", "--mu", "0,0"],
+        ["kl", "--type", "C", "--n", "0", "--lambda", "1", "--mu", "0"],
+        ["level", "--type", "C", "--n", "2", "--lambda", "2,0", "--mu", "0,0", "--g", "1"],
+        ["kl", "--type", "C", "--n", "2", "--lambda", "1,2", "--mu", "0,0"],
+        ["enumerate", "--kind", "ssot", "--shape", "1,1", "--weight", "1,1,1,1", "--g", "0.3"],
+    ],
+    ids=["not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer"],
+)
+def test_bad_input_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("krlab %s: error: " % argv[0])
+
+
 def test_level_command(capsys):
     code, out = run(
         capsys,

@@ -3,9 +3,12 @@ partition, the level-restriction triple, the filtered expansion, the q = 1
 counts, and the symmetric-function identities behind them."""
 
 import itertools
+import sys
 
 import pytest
 
+import krlab
+from krlab import kr_row, oscillating, qweight
 from krlab.characters import (
     char_coeff,
     character,
@@ -36,6 +39,7 @@ from krlab.identities import (
     xk_rhs_unfiltered,
 )
 from krlab.kr_column import BOX, HDOM, VDOM
+from krlab.kr_row import RowKR, r_matrix_row
 from krlab.oscillating import (
     GSSOT,
     SSOT,
@@ -445,3 +449,39 @@ def test_spin_cauchy_type_D():
         lhs = {k: v for k, v in lhs.items() if v}
         rhs = {k: v for k, v in rhs.items() if v}
         assert lhs == rhs, (n, g)
+
+
+def _cache_sizes():
+    """Entries held by every krlab memo table, by name."""
+    out = {
+        "oscillating._shapes": len(oscillating._shapes),
+        "qweight._memo": len(qweight._memo),
+        "kr_row._tables": len(kr_row._tables),
+    }
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("krlab."):
+            for attr, fn in vars(mod).items():
+                if hasattr(fn, "cache_info") and fn.__module__ == name:
+                    out[name + "." + attr] = fn.cache_info().currsize
+    return out
+
+
+def test_clear_caches_empties_every_cache():
+    def compute():
+        return (
+            thm_c_rhs((2, 1), (1, 0), 2, 2),
+            thm_b_rhs((1, 1), (0, 0), 2, 1),
+            level_formula("B", 2, (3, 1), (1, 1), 3),
+            q1_count("D", 3, (2, 2, 0), (0, 0, 0), 2),
+            r_matrix_row(RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,)), n=3),
+        )
+
+    before = compute()
+    warm = _cache_sizes()
+    for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
+                 "krlab.oscillating._strips_from", "krlab.qweight.kl_poly",
+                 "krlab.charge.kostka_foulkes", "krlab.characters.twisted_branching"):
+        assert warm[name] > 0, name
+    krlab.clear_caches()
+    assert set(_cache_sizes().values()) == {0}
+    assert compute() == before

@@ -32,7 +32,18 @@ from krlab.oscillating import (
     std,
     strip_len,
 )
-from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto
+from krlab.partitions import (
+    flip,
+    get,
+    horizontal_strips_above,
+    horizontal_strips_below,
+    norm,
+    oc,
+    oc_bar,
+    partitions,
+    partitions_upto,
+    size,
+)
 from krlab.polynomials import Poly
 
 
@@ -67,6 +78,83 @@ def test_enumerate_worked_examples():
         enumerate_chains(SSOT, (), (0, 0))[0]
     ) == 2 or True
     assert len(enumerate_chains(SSOT, (), (0, 0, 0))) == 1
+
+
+def _reference_strips(inner, r, kind, two_g):
+    """Every strip of length r from inner, listed afresh on each call."""
+    out = []
+    if kind in (SSOT, GSSOT):
+        cap = two_g // 2 if two_g is not None else get(inner, 0) + r
+        for mid in horizontal_strips_above(inner, cap=cap):
+            for outer in horizontal_strips_below(mid):
+                strip = (inner, mid, outer)
+                ln = strip_len(strip)
+                lengths = (r,) if kind == SSOT else (r, r - 1)
+                if ln not in lengths:
+                    continue
+                if two_g is not None and 2 * get(mid, 0) + (ln != r) > two_g:
+                    continue
+                out.append(strip)
+    else:
+        for mid in horizontal_strips_below(inner):
+            for outer in horizontal_strips_above(mid, cap=get(mid, 0) + r):
+                strip = (inner, mid, outer)
+                if size(inner) + size(outer) - 2 * size(mid) != r:
+                    continue
+                if two_g is not None and osc.bound2(strip, SSROT) > two_g:
+                    continue
+                out.append(strip)
+    return sorted(out, key=lambda s: (s[1], s[2]))
+
+
+def _reference_chains(kind, shape, weight, two_g):
+    """Plain depth-first search: no strip cache, no pruning."""
+    if not weight:
+        return [()] if norm(shape) == () else []
+    out = []
+    for chain in _reference_chains_from((), kind, weight, two_g):
+        if chain[-1][2] == norm(shape):
+            out.append(chain)
+    return out
+
+
+def _reference_chains_from(inner, kind, weight, two_g):
+    if not weight:
+        yield ()
+        return
+    for strip in _reference_strips(inner, weight[0], kind, two_g):
+        for rest in _reference_chains_from(strip[2], kind, weight[1:], two_g):
+            yield (strip,) + rest
+
+
+@pytest.mark.parametrize("kind", [SSOT, GSSOT, SSROT])
+def test_enumerate_matches_reference_dfs(kind):
+    weights = [(1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2)]
+    bounds = [None, 2, 3, 4, 5]
+    total = 0
+    for weight in weights:
+        for shape in partitions_upto(sum(weight), max_len=3):
+            for two_g in bounds:
+                got = enumerate_chains(kind, shape, weight, two_g=two_g)
+                assert got == _reference_chains(kind, shape, weight, two_g), (shape, weight, two_g)
+                total += len(got)
+    assert total > 200
+
+
+def test_gssot_short_strips_survive_pruning():
+    # The size changes by r - 1 here, the only way to reach the shape.
+    for shape, weight in (((1,), (2,)), ((1,), (0, 2, 0)), ((2, 1), (2, 2)), ((1, 1), (1, 2))):
+        got = enumerate_chains(GSSOT, shape, weight, two_g=5)
+        assert got and got == _reference_chains(GSSOT, shape, weight, 5)
+        assert all(any(strip_len(s) == r - 1 for s, r in zip(c, weight)) for c in got)
+        assert enumerate_chains(SSOT, shape, weight, two_g=4) == []
+
+
+def test_strips_from_is_a_shared_tuple():
+    first = osc._strips_from((1,), 2, SSOT, None)
+    assert isinstance(first, tuple) and first
+    assert osc._strips_from((1,), 2, SSOT, None) is first
+    assert list(first) == _reference_strips((1,), 2, SSOT, None)
 
 
 def test_phi_c_phi_r_example_3_6():
