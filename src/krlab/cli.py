@@ -357,10 +357,25 @@ SUITES = {
 }
 
 
+def _jobs(flag):
+    """--jobs, else KRLAB_JOBS, else 1; a positive worker count."""
+    if flag is not None:
+        source, text = "--jobs", str(flag)
+    else:
+        source, text = "KRLAB_JOBS", os.environ.get("KRLAB_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise BadInput("%s %s must be a positive integer" % (source, text))
+    return jobs
+
+
 def cmd_verify(args):
     suite = SUITES[args.suite]
     _rank(args.n)
-    jobs = args.jobs or int(os.environ.get("KRLAB_JOBS", "1"))
+    jobs = _jobs(args.jobs)
     tasks = list(suite(args.max_weight, args.n))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -275,7 +275,9 @@ def phi_r(chain, kind, weight=None):
 
     row_kind = {SSOT: HDOM, GSSOT: BOX, SSROT: VDOM}[kind]
     if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
+        # strip_len measures an ohs; an rohs has the negated length
+        sign = -1 if kind == SSROT else 1
+        weight = tuple(sign * strip_len(s) for s in chain)
     factors = []
     for strip, cap in zip(reversed(chain), reversed(tuple(weight))):
         if kind == SSROT:

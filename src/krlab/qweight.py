@@ -7,7 +7,10 @@ These are the definitional oracles everything else is checked against.
 from functools import lru_cache
 
 from .polynomials import Poly
-from .roots import (
+
+# weyl_group and apply_w are unused here since weyl_terms walks the group
+# itself; bench/tracing.py still wraps both names in this module.
+from .roots import (  # noqa: F401
     apply_w,
     is_long_root_B,
     is_spin,
@@ -145,21 +148,58 @@ def _check_pair(lie_type, n, lam, mu):
         raise ValueError("mixed spin parity")
 
 
+def weyl_terms(lie_type, n, lam, mu, group):
+    """(beta, det) with beta = w(lam+rho) - (mu+rho), for the w in the Weyl
+    group of type `group` whose beta can be live in lie_type.
+
+    Signed permutations are walked depth-first, filling beta one coordinate
+    at a time.  Every prefix sum of beta is a nonnegative combination of its
+    simple-root coordinates in lie_type (twice c_k for k < n, except
+    2(c_{n-1} + c_n) at k = n-1 in type D; the full sum is 0, 2c_n or 4c_n),
+    so a negative one makes every completion a zero q_kostant term and its
+    branch is cut.  det is kept from the inversions and sign flips so far;
+    type D forces its last sign so that the number of flips is even.
+    """
+    r = rho(lie_type, n)
+    lam_rho = tuple(l + x for l, x in zip(lam, r))
+    target = tuple(m + x for m, x in zip(mu, r))
+    signs = (1,) if group == "A" else (1, -1)
+    beta = [0] * n
+    out = []
+
+    def walk(i, free, acc, par, sgn):
+        if i == n:
+            out.append((tuple(beta), par * sgn))
+            return
+        last_d = group == "D" and i == n - 1
+        for k, j in enumerate(free):
+            # the k unused sources below j each make one inversion
+            rest = free[:k] + free[k + 1:]
+            p = -par if k % 2 else par
+            for s in (sgn,) if last_d else signs:
+                b = s * lam_rho[j] - target[i]
+                if acc + b >= 0:
+                    beta[i] = b
+                    walk(i + 1, rest, acc + b, p, sgn * s)
+
+    walk(0, tuple(range(n)), 0, 1, 1)
+    return out
+
+
+def _alternating_sum(lie_type, n, lam, mu, tag, group):
+    _check_pair(lie_type, n, lam, mu)
+    out = Poly.zero(2 if tag == L_QT_B else 1)
+    for beta, det in weyl_terms(lie_type, n, lam, mu, group):
+        term = q_kostant(lie_type, n, beta, tag)
+        if term:
+            out = out + (term if det == 1 else -term)
+    return out
+
+
 @lru_cache(maxsize=None)
 def kl_poly(lie_type, n, lam, mu, tag=L_ONE):
     """KL^{g_n,L}_{lam,mu}(q) = sum_w (-1)^w P_q(w(lam+rho) - (mu+rho))."""
-    _check_pair(lie_type, n, lam, mu)
-    r = rho(lie_type, n)
-    target = tuple(m + x for m, x in zip(mu, r))
-    lam_rho = tuple(l + x for l, x in zip(lam, r))
-    nvars = 2 if tag == L_QT_B else 1
-    out = Poly.zero(nvars)
-    for w in weyl_group(lie_type, n):
-        beta = tuple(a - b for a, b in zip(apply_w(w, lam_rho), target))
-        term = q_kostant(lie_type, n, beta, tag)
-        if term:
-            out = out + (term if w[2] == 1 else -term)
-    return out
+    return _alternating_sum(lie_type, n, lam, mu, tag, lie_type)
 
 
 def kl_qt_B(n, lam, mu):
@@ -174,18 +214,7 @@ def kl_level_restricted(lie_type, n, lam, mu):
 
 def stable_kl(lie_type, n, lam, mu, tag=L_ONE):
     """Stable limit: the alternating sum runs over the symmetric group only."""
-    _check_pair(lie_type, n, lam, mu)
-    r = rho(lie_type, n)
-    target = tuple(m + x for m, x in zip(mu, r))
-    lam_rho = tuple(l + x for l, x in zip(lam, r))
-    nvars = 2 if tag == L_QT_B else 1
-    out = Poly.zero(nvars)
-    for w in weyl_group("A", n):
-        beta = tuple(a - b for a, b in zip(apply_w(w, lam_rho), target))
-        term = q_kostant(lie_type, n, beta, tag)
-        if term:
-            out = out + (term if w[2] == 1 else -term)
-    return out
+    return _alternating_sum(lie_type, n, lam, mu, tag, "A")
 
 
 @lru_cache(maxsize=None)

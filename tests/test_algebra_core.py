@@ -3,6 +3,7 @@ function, alternating sums, characters, and branching data."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from krlab.qweight import (
     kl_qt_B,
     q_kostant,
     stable_kl,
+    weyl_terms,
 )
 from krlab.roots import (
     apply_w,
@@ -153,6 +155,62 @@ def test_stable_kl():
             assert kl_poly("C", 2, shifted, mshift) == stable_kl(
                 "C", 2, dbl(lam, 2), dbl(mu, 2)
             )
+
+
+def _dominant_weights(lie_type, n, k):
+    """Doubled dominant weights from partitions of size <= k: spin shifts
+    in types B and D, and a negative last entry in type D."""
+    out = set()
+    for lam in partitions_upto(k, max_len=n):
+        base = dbl(lam, n)
+        for spin in (0, 1) if lie_type in ("B", "D") else (0,):
+            w = tuple(x + spin for x in base)
+            out.add(w)
+            if lie_type == "D":
+                out.add(w[:-1] + (-w[-1],))
+    return sorted(w for w in out if is_dominant(lie_type, n, w))
+
+
+def _full_sum(lie_type, n, lam, mu, tag, group):
+    """Every term of the unpruned alternating sum over weyl_group(group)."""
+    r = rho(lie_type, n)
+    lam_rho = tuple(a + b for a, b in zip(lam, r))
+    target = tuple(a + b for a, b in zip(mu, r))
+    terms = Counter()
+    total = Poly.zero(2 if tag == "qtB" else 1)
+    for w in weyl_group(group, n):
+        beta = tuple(a - b for a, b in zip(apply_w(w, lam_rho), target))
+        terms[(beta, w[2])] += 1
+        term = q_kostant(lie_type, n, beta, tag)
+        total = total + (term if w[2] == 1 else -term)
+    return terms, total
+
+
+def _live(terms, lie_type, n):
+    return Counter({t: m for t, m in terms.items() if q_kostant(lie_type, n, t[0])})
+
+
+@pytest.mark.parametrize("lie_type", ["A", "B", "C", "D"])
+def test_pruned_weyl_sum_matches_full_sum(lie_type):
+    tags = ("one", "levelA", "qtB") if lie_type == "B" else ("one", "levelA")
+    visited = full = 0
+    for n in range(1 if lie_type != "D" else 2, 5):
+        weights = _dominant_weights(lie_type, n, 4 if n < 4 else 3)
+        for lam, mu in itertools.product(weights, repeat=2):
+            if lam[0] % 2 != mu[0] % 2:
+                continue
+            for fn, group in ((kl_poly, lie_type), (stable_kl, "A")):
+                pruned = Counter(weyl_terms(lie_type, n, lam, mu, group))
+                for tag in tags:
+                    terms, want = _full_sum(lie_type, n, lam, mu, tag, group)
+                    assert fn(lie_type, n, lam, mu, tag) == want, (n, lam, mu, group, tag)
+                # every visited leaf is a group element with its own det,
+                # and every live term of the full sum is visited
+                assert not pruned - terms, (n, lam, mu, group)
+                assert _live(pruned, lie_type, n) == _live(terms, lie_type, n)
+                visited += sum(pruned.values())
+                full += sum(terms.values())
+    assert visited < full / 4
 
 
 def test_stable_kl_level_restricted_expansion():

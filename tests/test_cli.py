@@ -62,6 +62,24 @@ def test_bad_input_exit_code(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("krlab %s: error: " % argv[0])
 
 
+@pytest.mark.parametrize(
+    "env, flags",
+    [("abc", []), (None, ["--jobs", "-3"])],
+    ids=["env-not-integer", "jobs-negative"],
+)
+def test_bad_jobs_exit_code(capsys, monkeypatch, env, flags):
+    if env is None:
+        monkeypatch.delenv("KRLAB_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("KRLAB_JOBS", env)
+    argv = ["verify", "--suite", "thm-c", "--max-weight", "1", "--n", "2"] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("krlab verify: error: ")
+
+
 def test_level_command(capsys):
     code, out = run(
         capsys,

@@ -194,6 +194,15 @@ def test_phi_maps_land_on_hw_and_biject():
                 assert len(imgs) == len(chains)
 
 
+def test_phi_r_default_weight_ssrot():
+    # without a weight, each rohs is read at its own length
+    for lam, mu in [((1,), (1, 1, 1)), ((), (2, 1, 1)), ((2,), (1, 2, 1, 2))]:
+        chains = enumerate_chains(SSROT, lam, mu)
+        assert chains
+        for c in chains:
+            assert phi_r(c, SSROT) == phi_r(c, SSROT, mu)
+
+
 def test_gamma_roundtrip_and_fixed_points():
     tested = 0
     for inner in partitions_upto(5, max_len=3):
