@@ -80,17 +80,38 @@ from . import kr_row, oscillating, qweight
 __version__ = "0.1.0"
 
 
+def _lru_caches():
+    """Each functools.lru_cache defined in krlab's modules, by module.name."""
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for attr, fn in vars(mod).items():
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == name:
+                yield name[len(__name__) + 1 :] + "." + attr, fn
+
+
+_DICTS = {
+    "oscillating._shapes": oscillating._shapes,
+    "qweight._memo": qweight._memo,
+    "kr_row._tables": kr_row._tables,
+}
+
+
+def cache_sizes():
+    """Entries held by each memo table that clear_caches() empties, by
+    module.name: every lru_cache, the strip cache's shape table, the
+    q-Kostant memo and the row R-matrix tables."""
+    out = {name: fn.cache_info().currsize for name, fn in _lru_caches()}
+    out.update((name, len(table)) for name, table in _DICTS.items())
+    return out
+
+
 def clear_caches():
     """Empty every memo table krlab keeps: each functools.lru_cache defined
     in its modules, the chain layer's strip cache with its shape table, the
     q-Kostant memo and the row R-matrix tables.  Later results are the same,
     only computed afresh."""
-    for name, mod in list(sys.modules.items()):
-        if not name.startswith(__name__ + "."):
-            continue
-        for fn in vars(mod).values():
-            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == name:
-                fn.cache_clear()
-    oscillating._shapes.clear()
-    qweight._memo.clear()
-    kr_row._tables.clear()
+    for _, fn in _lru_caches():
+        fn.cache_clear()
+    for table in _DICTS.values():
+        table.clear()

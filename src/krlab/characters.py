@@ -5,12 +5,13 @@ level-restricted identities.
 All weight keys are doubled integers (see roots.py).
 """
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial, prod
 
 from .partitions import (
     get,
     horizontal_strips_above,
-    is_partition,
     norm,
     partitions_upto,
     size,
@@ -92,25 +93,29 @@ def schur(n, lam):
 
 
 def schur_expand(wp):
-    """Expand a symmetric polynomial with nonnegative exponents in the Schur
-    basis by leading-term subtraction; raises if a remainder survives."""
+    """Schur coefficients of a symmetric polynomial by straightening
+    (Macdonald I.3): x^alpha adds sign(sigma) f_alpha to kappa, where sigma
+    sorts alpha + delta into kappa + delta, and nothing if alpha + delta
+    repeats an entry.  Raises unless f is symmetric with even, nonnegative
+    keys: over n variables, exactly the Schur span."""
     n = wp.n
-    rem = WeightPoly(n, dict(wp.c))
     out = {}
-    guard = 0
-    while rem.c:
-        guard += 1
-        if guard > 100000:
-            raise ValueError("schur expansion did not terminate")
-        key = max(rem.c)
-        if any(a % 2 for a in key) or any(a < 0 for a in key):
+    rearrangements = 0
+    for key, c in wp.c.items():
+        top = tuple(sorted(key, reverse=True))
+        if any(a % 2 or a < 0 for a in key) or wp.c.get(top) != c:
             raise ValueError("not a polynomial in the Schur span")
-        lam = tuple(a // 2 for a in key)
-        if not is_partition(lam):
-            raise ValueError("leading term %r is not dominant" % (lam,))
-        c = rem.c[key]
-        out[norm(lam)] = out.get(norm(lam), 0) + c
-        rem = rem - c * schur(n, norm(lam))
+        if key == top:
+            rearrangements += factorial(n) // prod(map(factorial, Counter(key).values()))
+        shifted = [a // 2 + n - 1 - i for i, a in enumerate(key)]
+        if len(set(shifted)) < n:
+            continue
+        inv = sum(shifted[i] < shifted[j] for i in range(n) for j in range(i + 1, n))
+        shifted.sort(reverse=True)
+        kappa = norm(tuple(v - (n - 1 - i) for i, v in enumerate(shifted)))
+        out[kappa] = out.get(kappa, 0) + (-c if inv % 2 else c)
+    if rearrangements != len(wp.c):
+        raise ValueError("not a polynomial in the Schur span")
     return {k: v for k, v in out.items() if v}
 
 

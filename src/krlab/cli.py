@@ -29,7 +29,7 @@ from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
 from .letters import parse_word
 from .oscillating import GSSOT, SSOT, SSROT, enumerate_chains
-from .partitions import get, is_partition, norm, partitions_upto
+from .partitions import get, is_partition, norm, partitions, partitions_upto
 from .polynomials import poly_str
 from .qweight import kl_poly, kl_qt_B
 from .roots import is_dominant, is_spin, parse_weight, weight_str
@@ -205,16 +205,10 @@ def _dbl(lam, n, spin=False):
     return tuple(2 * get(lam, i) + (1 if spin else 0) for i in range(n))
 
 
-def _task_thm_c(n, lam, mu, gg):
-    lam_d, mu_d = _dbl(lam, n), _dbl(mu, n)
-    lhs = kl_poly("C", n, lam_d, mu_d)
-    rhs = thm_c_rhs(lam, mu, n, gg)
+def _compare(identity, params, lhs, rhs, variables):
+    """A report on lhs == rhs; each side is computed once, by the caller."""
     return IdentityReport(
-        "thm-c",
-        {"n": n, "lambda": list(lam), "mu": list(mu), "g": gg},
-        poly_str(lhs, ("q",)),
-        poly_str(rhs, ("q",)),
-        lhs == rhs,
+        identity, params, poly_str(lhs, variables), poly_str(rhs, variables), lhs == rhs
     )
 
 
@@ -222,47 +216,46 @@ def _suite_thm_c(max_weight, n):
     for lam, mu in _grid(max_weight, n):
         g = max(get(lam, 0), 1)
         for gg in (g, g + 1):
-            yield lambda n=n, lam=lam, mu=mu, gg=gg: _task_thm_c(n, lam, mu, gg)
-
-
-def _task_thm_b(n, lam, mu, g):
-    lam_d, mu_d = _dbl(lam, n, True), _dbl(mu, n, True)
-    lhs = kl_qt_B(n, lam_d, mu_d)
-    rhs = thm_b_rhs(lam, mu, n, g)
-    return IdentityReport(
-        "thm-b",
-        {"n": n, "lambda": list(lam), "mu": list(mu), "g": g},
-        poly_str(lhs, ("q", "t")),
-        poly_str(rhs, ("q", "t")),
-        lhs == rhs,
-    )
+            yield lambda n=n, lam=lam, mu=mu, gg=gg: _compare(
+                "thm-c",
+                {"n": n, "lambda": list(lam), "mu": list(mu), "g": gg},
+                kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)),
+                thm_c_rhs(lam, mu, n, gg),
+                ("q",),
+            )
 
 
 def _suite_thm_b(max_weight, n):
     for lam, mu in _grid(max_weight, n):
         g = max(get(lam, 0), 1)
-        yield lambda n=n, lam=lam, mu=mu, g=g: _task_thm_b(n, lam, mu, g)
+        yield lambda n=n, lam=lam, mu=mu, g=g: _compare(
+            "thm-b",
+            {"n": n, "lambda": list(lam), "mu": list(mu), "g": g},
+            kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)),
+            thm_b_rhs(lam, mu, n, g),
+            ("q", "t"),
+        )
 
 
 def _suite_morris_c(max_weight, n):
     for lam, mu in _grid(max_weight, n):
-        yield lambda n=n, lam=lam, mu=mu: IdentityReport(
+        yield lambda n=n, lam=lam, mu=mu: _compare(
             "morris-c",
             {"n": n, "lambda": list(lam), "mu": list(mu)},
-            poly_str(kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)), ("q",)),
-            poly_str(morris_c(lam, mu, n), ("q",)),
-            kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)) == morris_c(lam, mu, n),
+            kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)),
+            morris_c(lam, mu, n),
+            ("q",),
         )
 
 
 def _suite_morris_b(max_weight, n):
     for lam, mu in _grid(max_weight, n):
-        yield lambda n=n, lam=lam, mu=mu: IdentityReport(
+        yield lambda n=n, lam=lam, mu=mu: _compare(
             "morris-b",
             {"n": n, "lambda": list(lam), "mu": list(mu)},
-            poly_str(kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)), ("q", "t")),
-            poly_str(morris_b_qt(lam, mu, n), ("q", "t")),
-            kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)) == morris_b_qt(lam, mu, n),
+            kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)),
+            morris_b_qt(lam, mu, n),
+            ("q", "t"),
         )
 
 
@@ -302,17 +295,15 @@ def _suite_xk(max_weight, n):
             if not mu:
                 continue
             for m in range(0, sum(mu) + 1):
-                from .partitions import partitions
-
                 for lam in partitions(m, max_len=n):
                     if kind in (HDOM, VDOM) and (sum(mu) - m) % 2:
                         continue
-                    yield lambda kind=kind, name=name, mu=mu, lam=lam: IdentityReport(
+                    yield lambda kind=kind, name=name, mu=mu, lam=lam: _compare(
                         "xk",
                         {"kind": name, "mu": list(mu), "lambda": list(lam)},
-                        poly_str(xk_lhs(kind, mu, lam), ("q",)),
-                        poly_str(xk_rhs_unfiltered(kind, mu, lam), ("q",)),
-                        xk_lhs(kind, mu, lam) == xk_rhs_unfiltered(kind, mu, lam),
+                        xk_lhs(kind, mu, lam),
+                        xk_rhs_unfiltered(kind, mu, lam),
+                        ("q",),
                     )
 
 

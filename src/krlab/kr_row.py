@@ -250,8 +250,11 @@ class RMatrixTable:
         if self._hw_target is not None:
             return self._hw_target
         index = {}
+        # eps_i(c (x) u) = eps_i(u) + max(0, eps_i(c) - phi_i(u)) by the
+        # signature rule, so only highest weight rows u can pair into one
+        rows = [u for u in enumerate_row(self.kind, self.s, self.n) if is_hw(u, self.ctx)]
         for c in enumerate_row(self.kind, 1, self.n):
-            for u in enumerate_row(self.kind, self.s, self.n):
+            for u in rows:
                 t = (c, u)
                 if not is_hw(t, self.ctx):
                     continue

@@ -22,7 +22,7 @@ from krlab.characters import (
     twisted_branching_d,
 )
 from krlab.charge import charge, kostka_foulkes, reading_word, ssyt
-from krlab.partitions import get, partitions, partitions_upto
+from krlab.partitions import get, is_partition, norm, partitions, partitions_upto
 from krlab.polynomials import Poly, WeightPoly
 from krlab.qweight import (
     kl_A,
@@ -386,6 +386,53 @@ def test_pss_divisibility():
     for n in (2, 3):
         for lam in partitions_upto(2, max_len=n):
             pss_bar_D(n, tuple(get(lam, i) for i in range(n)))
+
+
+def _schur_expand_leading_term(wp):
+    """Reference: subtract c s_lam for the largest remaining monomial."""
+    rem = WeightPoly(wp.n, dict(wp.c))
+    out = {}
+    while rem.c:
+        key = max(rem.c)
+        lam = tuple(a // 2 for a in key)
+        assert all(a % 2 == 0 and a >= 0 for a in key) and is_partition(lam)
+        c = rem.c[key]
+        out[norm(lam)] = out.get(norm(lam), 0) + c
+        rem = rem - c * schur(wp.n, norm(lam))
+    return {k: v for k, v in out.items() if v}
+
+
+def test_schur_expand_matches_leading_term_reference():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        shapes = list(partitions_upto(5, max_len=n))
+        for _ in range(40):
+            wp = WeightPoly(n, {})
+            for lam in rng.sample(shapes, min(len(shapes), rng.randint(1, 4))):
+                wp = wp + rng.randint(-3, 3) * schur(n, lam)
+            assert schur_expand(wp) == _schur_expand_leading_term(wp)
+    # s_(2) - s_(1,1) = m_(2): kappa = (1,1) is not a key, yet has a coefficient
+    for n in (2, 3, 4):
+        wp = schur(n, (2,)) - schur(n, (1, 1))
+        assert (4,) + (0,) * (n - 1) in wp.c and (2, 2) + (0,) * (n - 2) not in wp.c
+        assert schur_expand(wp) == {(2,): 1, (1, 1): -1}
+        assert schur_expand(wp) == _schur_expand_leading_term(wp)
+    assert schur_expand(WeightPoly(3, {})) == {}
+    assert schur_expand(WeightPoly(2, {(0, 0): 7})) == {(): 7}
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(2, 0): 1},  # not symmetric: x_2 is missing
+        {(2, 0): 1, (0, 2): 2},  # not symmetric: unequal coefficients
+        {(1, 1): 1},  # odd exponent
+        {(2, -2): 1, (-2, 2): 1},  # negative exponent
+    ],
+)
+def test_schur_expand_rejects_outside_schur_span(coeffs):
+    with pytest.raises(ValueError):
+        schur_expand(WeightPoly(2, coeffs))
 
 
 def test_schur_expand_roundtrip():

@@ -1,9 +1,11 @@
 """Command-line surface: flags, formats, exit codes, byte stability."""
 
+import hashlib
 import json
 
 import pytest
 
+import krlab.cli
 from krlab.cli import main
 
 
@@ -143,3 +145,35 @@ def test_verify_jobs_stable(capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of `verify --suite S --n 2 --max-weight 3` as the suites printed it
+# while each side was still evaluated twice per instance
+_VERIFY_SHA256 = {
+    "xk": "ec7e55eb740f2433ce5cc7577a22d39efb68899ed3db8afb34d282d6c12a73f5",
+    "morris-c": "2687b9829bcd6bfa8e71d2f198706dda1cb4165d266293cafd9d94b0df76fceb",
+    "morris-b": "a7c80d9ae25376dc6a8f989fee2887f4b2292ccec8151e7d5a6c24a489660dfe",
+}
+
+
+@pytest.mark.parametrize(
+    "suite, sides",
+    [
+        ("xk", ("xk_lhs", "xk_rhs_unfiltered")),
+        ("morris-c", ("kl_poly", "morris_c")),
+        ("morris-b", ("kl_qt_B", "morris_b_qt")),
+    ],
+)
+def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
+    calls = dict.fromkeys(sides, 0)
+    for name in sides:
+        def counted(*args, _name=name, _fn=getattr(krlab.cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(krlab.cli, name, counted)
+    code, out = run(capsys, "verify", "--suite", suite, "--n", "2", "--max-weight", "3")
+    assert code == 0
+    tasks = len(json.loads(out)["reports"])
+    assert tasks > 0 and calls == dict.fromkeys(sides, tasks)
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]

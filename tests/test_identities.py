@@ -462,7 +462,7 @@ def _cache_sizes():
         if name.startswith("krlab."):
             for attr, fn in vars(mod).items():
                 if hasattr(fn, "cache_info") and fn.__module__ == name:
-                    out[name + "." + attr] = fn.cache_info().currsize
+                    out[name[len("krlab."):] + "." + attr] = fn.cache_info().currsize
     return out
 
 
@@ -479,9 +479,22 @@ def test_clear_caches_empties_every_cache():
     before = compute()
     warm = _cache_sizes()
     for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
-                 "krlab.oscillating._strips_from", "krlab.qweight.kl_poly",
-                 "krlab.charge.kostka_foulkes", "krlab.characters.twisted_branching"):
+                 "oscillating._strips_from", "qweight.kl_poly",
+                 "charge.kostka_foulkes", "characters.twisted_branching"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
     assert compute() == before
+
+
+def test_cache_sizes_reports_every_cleared_table():
+    krlab.clear_caches()
+    level_formula("C", 2, (2, 2), (0, 0), 4)
+    sizes = krlab.cache_sizes()
+    assert sizes == _cache_sizes()
+    for name in ("oscillating._shapes", "oscillating._strips_from", "qweight._memo",
+                 "kr_row._tables", "characters.character", "characters.twisted_branching",
+                 "charge.kostka_foulkes"):
+        assert sizes[name] > 0, name
+    krlab.clear_caches()
+    assert set(krlab.cache_sizes().values()) == {0}

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from krlab.crystal import apply_e, apply_f, word_weight
+from krlab.crystal import apply_e, apply_f, is_hw, word_weight
 from krlab.kr_column import BOX, HDOM, VDOM
 from krlab.kr_row import (
     RMatrixTable,
@@ -152,6 +152,23 @@ def test_r_matrix_bfs_agrees():
         for u in enumerate_row(kind, s, n):
             for c in enumerate_row(kind, 1, n):
                 assert bfs[(u, c)] == r_matrix_row(u, c, n=n), (u, c)
+
+
+def test_target_index_matches_full_scan():
+    # only highest weight rows are paired; the full scan pairs every row
+    for kind in (BOX, HDOM, VDOM):
+        for n in (2, 3, 4):
+            ctx = row_ctx(kind, n)
+            for s in (1, 2, 3, 4):
+                full = {}
+                for c in enumerate_row(kind, 1, n):
+                    for u in enumerate_row(kind, s, n):
+                        if is_hw((c, u), ctx):
+                            key = (word_weight(c.word + u.word, n), eps0((c, u)))
+                            full.setdefault(key, set()).add((c, u))
+                index = RMatrixTable(kind, s, n)._target_index()
+                assert {k: set(v) for k, v in index.items()} == full, (kind, s, n)
+                assert all(len(v) == len(set(v)) for v in index.values())
 
 
 def test_yang_baxter():
