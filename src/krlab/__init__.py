@@ -5,7 +5,7 @@ refinement, all over exact integer arithmetic.
 
 import sys
 
-from .polynomials import Poly, WeightPoly, poly_str
+from .polynomials import Poly, poly_str
 from .qweight import (
     kl_level_restricted,
     kl_poly,

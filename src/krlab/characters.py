@@ -16,7 +16,7 @@ from .partitions import (
     partitions_upto,
     size,
 )
-from .polynomials import WeightPoly
+from .polynomials import Poly
 from .qweight import weight_multiplicity
 from .roots import apply_w, is_dominant, is_spin, weyl_group
 
@@ -52,7 +52,7 @@ def _dominant_candidates(lie_type, n, lam):
 
 @lru_cache(maxsize=None)
 def character(lie_type, n, lam):
-    """Weyl character as a WeightPoly, assembled from orbit sums of the
+    """Weyl character as a Poly, assembled from orbit sums of the
     weight multiplicities given by the q-analog at q = 1."""
     lam = tuple(lam)
     if not is_dominant(lie_type, n, lam):
@@ -64,7 +64,7 @@ def character(lie_type, n, lam):
             continue
         for w in orbit(lie_type, n, nu):
             out[w] = out.get(w, 0) + m
-    return WeightPoly(n, out)
+    return Poly(n, out)
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +74,7 @@ def schur(n, lam):
 
     lam = norm(lam)
     if len(lam) > n:
-        return WeightPoly(n, {})
+        return Poly(n, {})
     out = {}
 
     def rec(i, mu, acc):
@@ -89,7 +89,7 @@ def schur(n, lam):
             rec(i + 1, nu, acc + [size(nu) - size(mu)])
 
     rec(0, (), [])
-    return WeightPoly(n, out)
+    return Poly(n, out)
 
 
 def schur_expand(wp):
@@ -98,7 +98,7 @@ def schur_expand(wp):
     sorts alpha + delta into kappa + delta, and nothing if alpha + delta
     repeats an entry.  Raises unless f is symmetric with even, nonnegative
     keys: over n variables, exactly the Schur span."""
-    n = wp.n
+    n = wp.nvars
     out = {}
     rearrangements = 0
     for key, c in wp.c.items():
@@ -142,12 +142,8 @@ def twisted_branching(lie_type, n, lam, two_g):
     return schur_expand(ch)
 
 
-def twisted_branching_d(lie_type, n, lam, nu, two_g=None):
+def twisted_branching_d(lie_type, n, lam, nu, two_g):
     """Single twisted branching coefficient d^{g_n}_{lam,nu}."""
-    if two_g is None:
-        two_g = max(lam[0], 2)
-        if two_g % 2 != lam[0] % 2:
-            two_g += 1
     if two_g < lam[0]:
         raise ValueError("need g >= lam_1")
     table = twisted_branching(lie_type, n, lam, two_g)
@@ -179,13 +175,13 @@ def e_poly(n, r):
                     key[j] -= 2
                 key = tuple(key)
                 out[key] = out.get(key, 0) + 1
-    return WeightPoly(n, out)
+    return Poly(n, out)
 
 
 @lru_cache(maxsize=None)
 def m_hyperoct(n, lam):
     """Orbit sum of x^lam under the hyperoctahedral group (types B/C)."""
-    return WeightPoly(n, {w: 1 for w in orbit("B", n, tuple(lam))})
+    return Poly(n, {w: 1 for w in orbit("B", n, tuple(lam))})
 
 
 def ps_D(n, lam):
@@ -206,7 +202,7 @@ def ns_D(n, lam):
     p = character("D", n, lam)
     if neg != lam:
         return p - character("D", n, neg)
-    return WeightPoly(n, {})
+    return Poly(n, {})
 
 
 def pss_bar_D(n, lam):
@@ -217,20 +213,20 @@ def pss_bar_D(n, lam):
     lam = tuple(lam)
     sharp = tuple(2 * get(lam, i) + 1 for i in range(n))
     p = ps_D(n, sharp)
-    factor = WeightPoly(n, {(0,) * n: 1})
+    factor = Poly.one(n)
     for i in range(n):
         key_p = [0] * n
         key_p[i] = 1
         key_m = [0] * n
         key_m[i] = -1
-        factor = factor * WeightPoly(n, {tuple(key_p): 1, tuple(key_m): 1})
+        factor = factor * Poly(n, {tuple(key_p): 1, tuple(key_m): 1})
     return _exact_divide(p, factor)
 
 
 def _exact_divide(num, den):
-    """Exact division of WeightPolys; raises if not divisible."""
-    n = num.n
-    rem = WeightPoly(n, dict(num.c))
+    """Exact division of Polys; raises if not divisible."""
+    n = num.nvars
+    rem = num
     out = {}
     lead_d = max(den.c)
     cd = den.c[lead_d]
@@ -241,8 +237,8 @@ def _exact_divide(num, den):
         if r:
             raise ValueError("not divisible")
         out[q] = out.get(q, 0) + c
-        rem = rem - WeightPoly(n, {q: c}) * den
-    return WeightPoly(n, out)
+        rem = rem - Poly(n, {q: c}) * den
+    return Poly(n, out)
 
 
 def char_coeff(lie_type, n, lam, mu):

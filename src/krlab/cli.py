@@ -259,34 +259,35 @@ def _suite_morris_b(max_weight, n):
         )
 
 
-def _task_level(lie_type, n, lam, mu, spin):
-    lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
-    two_g = _default_two_g(lam_d, mu_d)
-    lhs, mid, rhs = level_formula(lie_type, n, lam_d, mu_d, two_g)
-    return IdentityReport(
-        "level",
-        {
-            "type": lie_type,
-            "n": n,
-            "lambda": weight_str(lam_d),
-            "mu": weight_str(mu_d),
-            "g": str(Fraction(two_g, 2)),
-        },
-        poly_str(lhs, ("q",)),
-        "%s / %s" % (poly_str(mid, ("q",)), poly_str(rhs, ("q",))),
-        lhs == mid == rhs,
-    )
-
-
-def _suite_level(max_weight, n):
+def _bcd_grid(max_weight, n):
+    """(lie_type, n, lam_d, mu_d, two_g, params) for the level and q1 suites:
+    types B, C and D (D from rank 2), spin weights too in B and D, at the
+    default bound."""
     for lie_type in ("B", "C", "D"):
         if lie_type == "D" and n < 2:
             continue
         for lam, mu in _grid(max_weight, n):
             for spin in ((False, True) if lie_type in ("B", "D") else (False,)):
-                yield lambda lt=lie_type, n=n, lam=lam, mu=mu, spin=spin: _task_level(
-                    lt, n, lam, mu, spin
-                )
+                lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
+                two_g = _default_two_g(lam_d, mu_d)
+                params = {
+                    "type": lie_type,
+                    "n": n,
+                    "lambda": weight_str(lam_d),
+                    "mu": weight_str(mu_d),
+                    "g": str(Fraction(two_g, 2)),
+                }
+                yield lie_type, n, lam_d, mu_d, two_g, params
+
+
+def _report_level(params, lhs, mid, rhs):
+    mid_rhs = "%s / %s" % (poly_str(mid, ("q",)), poly_str(rhs, ("q",)))
+    return IdentityReport("level", params, poly_str(lhs, ("q",)), mid_rhs, lhs == mid == rhs)
+
+
+def _suite_level(max_weight, n):
+    for *args, params in _bcd_grid(max_weight, n):
+        yield lambda args=args, params=params: _report_level(params, *level_formula(*args))
 
 
 def _suite_xk(max_weight, n):
@@ -307,34 +308,13 @@ def _suite_xk(max_weight, n):
                     )
 
 
-def _task_q1(lie_type, n, lam, mu, spin):
-    lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
-    two_g = _default_two_g(lam_d, mu_d)
-    cnt, mult = q1_count(lie_type, n, lam_d, mu_d, two_g)
-    return IdentityReport(
-        "q1",
-        {
-            "type": lie_type,
-            "n": n,
-            "lambda": weight_str(lam_d),
-            "mu": weight_str(mu_d),
-            "g": str(Fraction(two_g, 2)),
-        },
-        str(cnt),
-        str(mult),
-        cnt == mult,
-    )
+def _report_q1(params, cnt, mult):
+    return IdentityReport("q1", params, str(cnt), str(mult), cnt == mult)
 
 
 def _suite_q1(max_weight, n):
-    for lie_type in ("B", "C", "D"):
-        if lie_type == "D" and n < 2:
-            continue
-        for lam, mu in _grid(max_weight, n):
-            for spin in ((False, True) if lie_type in ("B", "D") else (False,)):
-                yield lambda lt=lie_type, n=n, lam=lam, mu=mu, spin=spin: _task_q1(
-                    lt, n, lam, mu, spin
-                )
+    for *args, params in _bcd_grid(max_weight, n):
+        yield lambda args=args, params=params: _report_q1(params, *q1_count(*args))
 
 
 SUITES = {
@@ -373,7 +353,7 @@ def cmd_verify(args):
             work = list(pool.map(lambda t: t(), tasks))
     else:
         work = [t() for t in tasks]
-    reports = [r.as_dict(args.witnesses) for r in work]
+    reports = [r.as_dict() for r in work]
     ok = all(r["equal"] for r in reports)
     if args.format == "csv":
         buf = io.StringIO()
@@ -438,7 +418,6 @@ def build_parser():
     vf.add_argument("--n", type=int, default=2)
     vf.add_argument("--jobs", type=int, default=None)
     vf.add_argument("--format", default="json", choices=("json", "csv"))
-    vf.add_argument("--witnesses", action="store_true")
     vf.set_defaults(fn=cmd_verify)
     return p
 

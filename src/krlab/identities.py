@@ -5,7 +5,7 @@ data on the combinatorial side is plain.  Bounds called two_g hold twice
 the (possibly half-integral) bound g.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import (
@@ -37,7 +37,7 @@ from .partitions import (
     partitions,
     size,
 )
-from .polynomials import Poly, poly_str
+from .polynomials import Poly
 from .qweight import kl_level_restricted, kl_poly, kl_qt_B
 
 
@@ -48,26 +48,22 @@ class IdentityReport:
     lhs: str
     rhs: str
     equal: bool
-    witnesses: list = field(default_factory=list)
 
-    def as_dict(self, with_witnesses=False):
-        out = {
+    def as_dict(self):
+        return {
             "identity": self.identity,
             "params": self.params,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "equal": self.equal,
         }
-        if with_witnesses and self.witnesses:
-            out["witnesses"] = self.witnesses
-        return out
 
 
 # ---------------------------------------------------------------------------
 # Lusztig side: combinatorial right-hand sides
 
 
-def thm_c_rhs(lam, mu, n, g, witnesses=None):
+def thm_c_rhs(lam, mu, n, g):
     """Energy generating function over bounded chains for type C."""
     lam = tuple(get(lam, i) for i in range(n))
     mu = tuple(get(mu, i) for i in range(n))
@@ -75,14 +71,11 @@ def thm_c_rhs(lam, mu, n, g, witnesses=None):
     wt = oc_bar(mu, g, n)
     out = Poly.zero(1)
     for chain in enumerate_chains(SSOT, shape, wt, two_g=2 * g):
-        d = energy_of_chain(chain, SSOT, wt)
-        out = out + Poly.mono((d,))
-        if witnesses is not None:
-            witnesses.append({"chain": chain, "energy": d})
+        out = out + Poly.mono((energy_of_chain(chain, SSOT, wt),))
     return out
 
 
-def thm_b_rhs(lam, mu, n, g, witnesses=None):
+def thm_b_rhs(lam, mu, n, g):
     """q,t-energy generating function over generalized chains for type B
     spin weights."""
     lam = tuple(get(lam, i) for i in range(n))
@@ -91,10 +84,7 @@ def thm_b_rhs(lam, mu, n, g, witnesses=None):
     wt = oc_bar(mu, g, n)
     out = Poly.zero(2)
     for chain in enumerate_chains(GSSOT, shape, wt, two_g=2 * g + 1):
-        mono = vac_qt_energy(phi_c(chain, GSSOT, wt))
-        out = out + mono
-        if witnesses is not None:
-            witnesses.append({"chain": chain, "qt": poly_str(mono, ("q", "t"))})
+        out = out + vac_qt_energy(phi_c(chain, GSSOT, wt))
     return out
 
 

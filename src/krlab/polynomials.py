@@ -1,9 +1,9 @@
-"""Sparse exact-integer polynomials in one or two variables, and Laurent
-characters indexed by weight vectors.
+"""Sparse exact-integer Laurent polynomials.
 
-Poly keys are exponent tuples (length = nvars), values are ints; zero
-coefficients are never stored.  WeightPoly keys are doubled-integer weight
-vectors so half-integer weights stay exact.
+Keys are exponent tuples (length = nvars), values are ints; zero
+coefficients are never stored.  One type serves q and q,t polynomials and
+Weyl characters, whose keys are doubled-integer weight vectors so
+half-integer weights stay exact.
 """
 
 
@@ -15,9 +15,12 @@ class Poly:
         self.c = {}
         if coeffs:
             for k, v in coeffs.items():
-                if v:
-                    self.c[tuple(k)] = self.c.get(tuple(k), 0) + v
-            self.c = {k: v for k, v in self.c.items() if v}
+                k = tuple(k)
+                w = self.c.get(k, 0) + v
+                if w:
+                    self.c[k] = w
+                elif k in self.c:
+                    del self.c[k]
 
     @classmethod
     def zero(cls, nvars=1):
@@ -103,6 +106,12 @@ class Poly:
         p.c = {tuple(a + b for a, b in zip(k, exps)): v for k, v in self.c.items()}
         return p
 
+    def invert_vars(self):
+        """Substitute x_i -> 1/x_i."""
+        p = Poly(self.nvars)
+        p.c = {tuple(-a for a in k): v for k, v in self.c.items()}
+        return p
+
     def coeff(self, exps):
         return self.c.get(tuple(exps), 0)
 
@@ -126,7 +135,8 @@ class Poly:
         return p
 
     def __str__(self):
-        return poly_str(self, ("q", "t")[: self.nvars])
+        names = ("q", "t") if self.nvars <= 2 else ["x%d" % i for i in range(1, self.nvars + 1)]
+        return poly_str(self, names)
 
     __repr__ = __str__
 
@@ -157,96 +167,3 @@ def poly_str(p, names):
     for sign, term in parts[1:]:
         out += sign + term
     return out
-
-
-class WeightPoly:
-    """Sparse Laurent character: doubled weight vector -> integer coefficient."""
-
-    __slots__ = ("n", "c")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v:
-                    k = tuple(k)
-                    w = self.c.get(k, 0) + v
-                    if w:
-                        self.c[k] = w
-                    elif k in self.c:
-                        del self.c[k]
-
-    @classmethod
-    def mono(cls, key, coeff=1):
-        key = tuple(key)
-        return cls(len(key), {key: coeff})
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(0,) * n: 1})
-
-    def __eq__(self, other):
-        return self.n == other.n and self.c == other.c
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        p = WeightPoly(self.n)
-        p.c = out
-        return p
-
-    def __neg__(self):
-        p = WeightPoly(self.n)
-        p.c = {k: -v for k, v in self.c.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            p = WeightPoly(self.n)
-            if other:
-                p.c = {k: v * other for k, v in self.c.items()}
-            return p
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        p = WeightPoly(self.n)
-        p.c = out
-        return p
-
-    __rmul__ = __mul__
-
-    def invert_vars(self):
-        """Substitute x_i -> 1/x_i."""
-        p = WeightPoly(self.n)
-        p.c = {tuple(-a for a in k): v for k, v in self.c.items()}
-        return p
-
-    def shift(self, key):
-        key = tuple(key)
-        p = WeightPoly(self.n)
-        p.c = {tuple(a + b for a, b in zip(k, key)): v for k, v in self.c.items()}
-        return p
-
-    def coeff(self, key):
-        return self.c.get(tuple(key), 0)
-
-    def eval_all_one(self):
-        return sum(self.c.values())
-
-    def __repr__(self):
-        return "WeightPoly(%d, %d terms)" % (self.n, len(self.c))

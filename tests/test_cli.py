@@ -148,12 +148,24 @@ def test_verify_jobs_stable(capsys):
 
 
 # sha256 of `verify --suite S --n 2 --max-weight 3` as the suites printed it
-# while each side was still evaluated twice per instance
+# while each side was still evaluated twice per instance (xk, morris-c,
+# morris-b) and while characters had a polynomial class of their own (all)
 _VERIFY_SHA256 = {
-    "xk": "ec7e55eb740f2433ce5cc7577a22d39efb68899ed3db8afb34d282d6c12a73f5",
+    "thm-c": "1fc26e3edff137bb485b87745727467b8d36ec2653823744dd3eeb56eb7d7e03",
+    "thm-b": "839ba901b99ffce08f1dbd71d640a659121016e3ef90dea4402150039e556917",
     "morris-c": "2687b9829bcd6bfa8e71d2f198706dda1cb4165d266293cafd9d94b0df76fceb",
     "morris-b": "a7c80d9ae25376dc6a8f989fee2887f4b2292ccec8151e7d5a6c24a489660dfe",
+    "level": "4916a27eafc0117fed9b7691e689aa73933d6a354d57521a8e7988ad63831ca4",
+    "xk": "ec7e55eb740f2433ce5cc7577a22d39efb68899ed3db8afb34d282d6c12a73f5",
+    "q1": "567a0c378717ca334f619102b63e758270445bbb2bb5ed3525f0f4901f6240f5",
 }
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_SHA256))
+def test_verify_output_pinned(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite, "--n", "2", "--max-weight", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ from krlab.oscillating import (
     strip_len,
 )
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
-from krlab.polynomials import Poly, WeightPoly
+from krlab.polynomials import Poly
 from krlab.qweight import kl_level_restricted, kl_poly, kl_qt_B
 from krlab.charge import kostka_foulkes
 
@@ -358,7 +358,7 @@ def test_dual_pieri_type_B():
             for mu in partitions_upto(2, max_len=n):
                 mu_d = dbl(mu, n)
                 lhs = character("B", n, dbl((1,) * r, n)) * character("B", n, mu_d)
-                rhs = WeightPoly(n, {})
+                rhs = Poly(n, {})
                 for m in range(size(mu) + r + 1):
                     for lam in partitions(m, max_len=n):
                         c = okada_K_B(lam, mu, r, n)
@@ -372,7 +372,7 @@ def test_dual_pieri_type_D():
         for r in range(1, n + 1):
             for mu in partitions_upto(2, max_len=n):
                 lhs = e_poly(n, r) * ps_D(n, dbl(mu, n))
-                rhs = WeightPoly(n, {})
+                rhs = Poly(n, {})
                 for m in range(size(mu) + r + 1):
                     for lam in partitions(m, max_len=n):
                         c = okada_M(lam, mu, n) * okada_K_D(lam, mu, r, n)
@@ -397,7 +397,7 @@ def test_cauchy_type_B():
             tilde = conjugate(oc(tuple(get(lam, i) for i in range(n)), g, n))
             sign = (-1) ** size(tilde)
             mx = m_hyperoct(n, dbl(lam, n))
-            ep = WeightPoly.one(g)
+            ep = Poly.one(g)
             for i in range(n):
                 ep = ep * e_poly(g, g - get(lam, i))
             for kx, vx in mx.c.items():
@@ -433,7 +433,7 @@ def test_spin_cauchy_type_D():
             tilde_v = tuple(get(tilde, i) for i in range(g))
             sign = (-1) ** size(tilde)
             mx = m_hyperoct(n, dbl(lam, n))
-            ep = WeightPoly.one(g)
+            ep = Poly.one(g)
             for i in range(n):
                 ep = ep * e_poly(g, g - get(lam, i))
             for kx, vx in mx.c.items():

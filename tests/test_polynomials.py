@@ -1,4 +1,4 @@
-from krlab.polynomials import Poly, WeightPoly, poly_str
+from krlab.polynomials import Poly, poly_str
 
 
 def test_ring_axioms():
@@ -31,10 +31,17 @@ def test_subs():
     assert qt.subs_all_one() == 2
 
 
-def test_weightpoly():
-    x = WeightPoly.mono((2, 0))
-    y = WeightPoly.mono((0, 2))
+def test_laurent():
+    x = Poly.mono((2, 0))
+    y = Poly.mono((0, 2))
     p = (x + y) * (x + y)
     assert p.coeff((2, 2)) == 2
     assert p.invert_vars().coeff((-4, 0)) == 1
     assert (p - p).c == {}
+
+
+def test_three_variables():
+    p = Poly(3, {(2, -1, 3): 2, (0, 0, 1): -1})
+    assert str(p) == "2*x1^2*x2^-1*x3^3-x3"
+    assert p.invert_vars() == Poly(3, {(-2, 1, -3): 2, (0, 0, -1): -1})
+    assert p.invert_vars().invert_vars() == p
