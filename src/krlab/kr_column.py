@@ -7,6 +7,7 @@ leftmost factor first.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crystal import column_tensor, is_hw
 # bench/tracing.py wraps these names in this module
@@ -30,6 +31,8 @@ class ColumnKR:
     word: tuple
 
     def __post_init__(self):
+        # a tuple word keeps the factor hashable for the R-matrix cache
+        object.__setattr__(self, "word", tuple(self.word))
         if self.kind not in COLUMN_KINDS:
             raise ValueError("no column rules for kind %r" % (self.kind,))
         if not is_admissible(self.word):
@@ -58,11 +61,13 @@ def _largest(word):
     return max(word, key=key)
 
 
+@lru_cache(maxsize=None)
 def r_matrix_col(u: ColumnKR, c):
     """R: B^{a,1} (x) B^{1,1} -> B^{1,1} (x) B^{a,1}, by the case rules.
 
     c is a letter, or EMPTY for the single-box kind.  Returns (letter, u')
-    and the case tag that fired, for golden tests.
+    and the case tag that fired, for golden tests.  Memoized: splitting
+    meets the same few hundred pairs thousands of times.
     """
     kind, a, w = u.kind, u.cap, u.word
     if a < 2:

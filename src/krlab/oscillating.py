@@ -256,16 +256,22 @@ def gamma_inv(strip, r):
     return out
 
 
+@lru_cache(maxsize=None)
+def _col_factor(col_kind, cap, strip):
+    """The column factor of one strip; chains share a few hundred strips."""
+    return ColumnKR(col_kind, cap, red(cind(strip)))
+
+
 def phi_c(chain, kind=SSOT, weight=None):
     """Column-index image: a classical highest weight tensor of ColumnKR
     factors, last strip leftmost."""
     col_kind = VDOM if kind == SSOT else BOX
     if weight is None:
         weight = tuple(strip_len(s) for s in chain)
-    factors = []
-    for strip, cap in zip(reversed(chain), reversed(tuple(weight))):
-        factors.append(ColumnKR(col_kind, cap, red(cind(strip))))
-    return tuple(factors)
+    return tuple(
+        _col_factor(col_kind, cap, strip)
+        for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
+    )
 
 
 def phi_r(chain, kind, weight=None):

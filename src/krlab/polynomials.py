@@ -76,6 +76,8 @@ class Poly:
             if other:
                 p.c = {k: v * other for k, v in self.c.items()}
             return p
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         out = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
@@ -102,6 +104,8 @@ class Poly:
     def shift(self, exps):
         """Multiply by the monomial with the given exponents."""
         exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError("variable count mismatch")
         p = Poly(self.nvars)
         p.c = {tuple(a + b for a, b in zip(k, exps)): v for k, v in self.c.items()}
         return p

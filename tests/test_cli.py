@@ -168,6 +168,25 @@ def test_verify_output_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
 
 
+# The crystal-side suites on grids that reach many capacity >= 2 columns, so
+# that the R-matrix and the splitting run on more than a handful of factors
+_VERIFY_SHA256_LARGE = {
+    ("thm-c", 4, 4): (288, "586e70eae78ca17115dc435602615902e850d1dab7ddeabd1a6043009c3576b1"),
+    ("thm-b", 3, 4): (121, "9f2dd9bf030c026f56a0618eaa6a74b2ce58783a059de417995add46ec8b33f5"),
+}
+
+
+@pytest.mark.parametrize("suite, n, max_weight", sorted(_VERIFY_SHA256_LARGE))
+def test_verify_output_pinned_larger_grid(capsys, suite, n, max_weight):
+    code, out = run(
+        capsys, "verify", "--suite", suite, "--n", str(n), "--max-weight", str(max_weight)
+    )
+    assert code == 0
+    reports, digest = _VERIFY_SHA256_LARGE[suite, n, max_weight]
+    assert len(json.loads(out)["reports"]) == reports
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "suite, sides",
     [

@@ -480,7 +480,8 @@ def test_clear_caches_empties_every_cache():
     warm = _cache_sizes()
     for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
                  "oscillating._strips_from", "qweight.kl_poly",
-                 "charge.kostka_foulkes", "characters.twisted_branching"):
+                 "charge.kostka_foulkes", "characters.twisted_branching",
+                 "kr_column.r_matrix_col", "oscillating._col_factor"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}

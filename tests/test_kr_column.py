@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import krlab
+from krlab import kr_column
 from krlab.crystal import hw, is_hw, word_weight
 from krlab.kr_column import (
     BOX,
@@ -22,7 +24,9 @@ from krlab.kr_column import (
     vac,
     vac_qt_energy,
 )
+from krlab.identities import thm_c_rhs
 from krlab.letters import EMPTY, is_admissible, sort_word
+from krlab.partitions import partitions_upto
 from krlab.polynomials import Poly
 
 
@@ -252,3 +256,44 @@ def test_iota():
                 for chain in enumerate_chains(SSOT, lam, mu):
                     t = phi_c(chain, SSOT, mu)
                     assert energy_col(t) == energy_col(iota_col(t)), (mu, lam)
+
+
+def test_column_word_stored_as_tuple():
+    # a list word still hashes, so the memoized R-matrix accepts the factor
+    u = ColumnKR(BOX, 2, [1, 2])
+    assert u == C(BOX, 2, (1, 2)) and hash(u) == hash(C(BOX, 2, (1, 2)))
+    want = energy_col((C(BOX, 2, (1, 2)), C(BOX, 1, (1,))))
+    assert energy_col((u, ColumnKR(BOX, 1, [1]))) == want
+
+
+def test_r_matrix_col_raises_on_every_call():
+    # errors are not memoized: a bad pair raises each time it is asked for
+    bad = C(BOX, 1, (1,))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="capacity >= 2"):
+            r_matrix_col(bad, 1)
+
+
+def test_r_matrix_col_cache_matches_fresh(monkeypatch):
+    """Every pair the splitting reaches in Theorem C on C3, |lam|,|mu| <= 4:
+    the memoized image equals the one computed again on empty caches."""
+    krlab.clear_caches()
+    seen = set()
+
+    def recording(u, c):
+        seen.add((u, c))
+        return r_matrix_col(u, c)
+
+    monkeypatch.setattr(kr_column, "r_matrix_col", recording)
+    for lam in partitions_upto(4, max_len=3):
+        for mu in partitions_upto(4, max_len=3):
+            g = max(lam[0] if lam else 0, 1)
+            for gg in (g, g + 1):
+                thm_c_rhs(lam, mu, 3, gg)
+    assert len(seen) > 50
+    assert r_matrix_col.cache_info().currsize == len(seen)
+    warm = {pair: r_matrix_col(*pair) for pair in seen}
+    krlab.clear_caches()
+    for pair, image in warm.items():
+        assert r_matrix_col(*pair) == image, pair
+    assert r_matrix_col.cache_info().misses == len(seen)

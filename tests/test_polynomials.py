@@ -1,3 +1,5 @@
+import pytest
+
 from krlab.polynomials import Poly, poly_str
 
 
@@ -45,3 +47,14 @@ def test_three_variables():
     assert str(p) == "2*x1^2*x2^-1*x3^3-x3"
     assert p.invert_vars() == Poly(3, {(-2, 1, -3): 2, (0, 0, -1): -1})
     assert p.invert_vars().invert_vars() == p
+
+
+def test_variable_count_mismatch_raises():
+    q = Poly(1, {(1,): 1})
+    qt = Poly(2, {(1, 1): 1})
+    for bad in (lambda: q * qt, lambda: qt * q, lambda: q + qt, lambda: qt.shift((1,)),
+                lambda: q.shift((1, 1))):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            bad()
+    assert qt.shift((1, 0)) == Poly(2, {(2, 1): 1})
+    assert q * 3 == 3 * q == Poly(1, {(1,): 3})
