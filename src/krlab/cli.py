@@ -11,25 +11,17 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from fractions import Fraction
 
-from .identities import (
-    IdentityReport,
-    level_formula,
-    morris_b_qt,
-    morris_c,
-    q1_count,
-    thm_b_rhs,
-    thm_c_rhs,
-    xk_lhs,
-    xk_rhs_unfiltered,
-)
+from .identities import SUITES, default_two_g, level_formula, run_task, suite_tasks
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
 from .letters import parse_word
 from .oscillating import GSSOT, SSOT, SSROT, enumerate_chains
-from .partitions import get, is_partition, norm, partitions, partitions_upto
+from .partitions import is_partition, norm
 from .polynomials import poly_str
 from .qweight import kl_poly, kl_qt_B
 from .roots import is_dominant, is_spin, parse_weight, weight_str
@@ -80,16 +72,6 @@ def _ints(flag, text):
         raise BadInput("%s %s must be comma-separated integers" % (flag, text)) from None
 
 
-def _default_two_g(lam_d, mu_d):
-    """Twice the default bound: max(lam_1, mu_1), at least 1, bumped to the
-    right parity for spin weights."""
-    two_g = max(lam_d[0] if lam_d else 0, mu_d[0] if mu_d else 0, 2)
-    spin = is_spin(lam_d)
-    if (two_g % 2 == 1) != spin:
-        two_g += 1
-    return two_g
-
-
 def _parse_g(text, spin):
     two_g = _two_g(text)
     if (two_g % 2 == 1) != spin:
@@ -131,7 +113,7 @@ def cmd_kl_qt(args):
 def cmd_level(args):
     n = args.n
     lam, mu = _weights(args, args.type)
-    two_g = _parse_g(args.g, is_spin(lam)) if args.g else _default_two_g(lam, mu)
+    two_g = _parse_g(args.g, is_spin(lam)) if args.g else default_two_g(lam, mu)
     if two_g < max(lam[0], mu[0]):
         raise BadInput("--g %s is below lambda_1 or mu_1" % args.g)
     lhs, mid, rhs = level_formula(args.type, n, lam, mu, two_g)
@@ -173,20 +155,18 @@ def cmd_enumerate(args):
 
 def cmd_energy(args):
     kind = {"box": BOX, "hdom": HDOM, "vdom": VDOM}[args.kind]
-    words = [parse_word(p) for p in args.element.split("|")]
-    caps = None
-    if args.caps:
-        caps = [int(c) for c in args.caps.split(",")]
+    factor = RowKR if args.row else ColumnKR
+    try:
+        words = [parse_word(p) for p in args.element.split("|")]
+        caps = _ints("--caps", args.caps) or [len(w) for w in words]
+        if len(caps) != len(words):
+            raise BadInput("--caps %s gives %d capacities for %d factors" % (args.caps, len(caps), len(words)))
+        factors = tuple(factor(kind, c, w) for c, w in zip(caps, words))
+    except ValueError as e:
+        raise BadInput("--element %s: %s" % (args.element, e)) from None
     if args.row:
-        if caps is None:
-            caps = [len(w) for w in words]
-        factors = tuple(RowKR(kind, c, w) for c, w in zip(caps, words))
-        d = energy_row(factors)
-        print(d)
+        print(energy_row(factors))
         return 0
-    if caps is None:
-        caps = [len(w) for w in words]
-    factors = tuple(ColumnKR(kind, c, w) for c, w in zip(caps, words))
     d = energy_col(factors)
     if kind == BOX:
         print("%d vac=%d qt=%s" % (d, vac(factors), poly_str(vac_qt_energy(factors), ("q", "t"))))
@@ -195,141 +175,9 @@ def cmd_energy(args):
     return 0
 
 
-def _grid(max_weight, n):
-    for lam in partitions_upto(max_weight, max_len=n):
-        for mu in partitions_upto(max_weight, max_len=n):
-            yield lam, mu
-
-
-def _dbl(lam, n, spin=False):
-    return tuple(2 * get(lam, i) + (1 if spin else 0) for i in range(n))
-
-
-def _compare(identity, params, lhs, rhs, variables):
-    """A report on lhs == rhs; each side is computed once, by the caller."""
-    return IdentityReport(
-        identity, params, poly_str(lhs, variables), poly_str(rhs, variables), lhs == rhs
-    )
-
-
-def _suite_thm_c(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        g = max(get(lam, 0), 1)
-        for gg in (g, g + 1):
-            yield lambda n=n, lam=lam, mu=mu, gg=gg: _compare(
-                "thm-c",
-                {"n": n, "lambda": list(lam), "mu": list(mu), "g": gg},
-                kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)),
-                thm_c_rhs(lam, mu, n, gg),
-                ("q",),
-            )
-
-
-def _suite_thm_b(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        g = max(get(lam, 0), 1)
-        yield lambda n=n, lam=lam, mu=mu, g=g: _compare(
-            "thm-b",
-            {"n": n, "lambda": list(lam), "mu": list(mu), "g": g},
-            kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)),
-            thm_b_rhs(lam, mu, n, g),
-            ("q", "t"),
-        )
-
-
-def _suite_morris_c(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        yield lambda n=n, lam=lam, mu=mu: _compare(
-            "morris-c",
-            {"n": n, "lambda": list(lam), "mu": list(mu)},
-            kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)),
-            morris_c(lam, mu, n),
-            ("q",),
-        )
-
-
-def _suite_morris_b(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        yield lambda n=n, lam=lam, mu=mu: _compare(
-            "morris-b",
-            {"n": n, "lambda": list(lam), "mu": list(mu)},
-            kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)),
-            morris_b_qt(lam, mu, n),
-            ("q", "t"),
-        )
-
-
-def _bcd_grid(max_weight, n):
-    """(lie_type, n, lam_d, mu_d, two_g, params) for the level and q1 suites:
-    types B, C and D (D from rank 2), spin weights too in B and D, at the
-    default bound."""
-    for lie_type in ("B", "C", "D"):
-        if lie_type == "D" and n < 2:
-            continue
-        for lam, mu in _grid(max_weight, n):
-            for spin in ((False, True) if lie_type in ("B", "D") else (False,)):
-                lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
-                two_g = _default_two_g(lam_d, mu_d)
-                params = {
-                    "type": lie_type,
-                    "n": n,
-                    "lambda": weight_str(lam_d),
-                    "mu": weight_str(mu_d),
-                    "g": str(Fraction(two_g, 2)),
-                }
-                yield lie_type, n, lam_d, mu_d, two_g, params
-
-
-def _report_level(params, lhs, mid, rhs):
-    mid_rhs = "%s / %s" % (poly_str(mid, ("q",)), poly_str(rhs, ("q",)))
-    return IdentityReport("level", params, poly_str(lhs, ("q",)), mid_rhs, lhs == mid == rhs)
-
-
-def _suite_level(max_weight, n):
-    for *args, params in _bcd_grid(max_weight, n):
-        yield lambda args=args, params=params: _report_level(params, *level_formula(*args))
-
-
-def _suite_xk(max_weight, n):
-    for kind, name in ((BOX, "box"), (HDOM, "hdom"), (VDOM, "vdom")):
-        for mu in partitions_upto(max_weight, max_len=n):
-            if not mu:
-                continue
-            for m in range(0, sum(mu) + 1):
-                for lam in partitions(m, max_len=n):
-                    if kind in (HDOM, VDOM) and (sum(mu) - m) % 2:
-                        continue
-                    yield lambda kind=kind, name=name, mu=mu, lam=lam: _compare(
-                        "xk",
-                        {"kind": name, "mu": list(mu), "lambda": list(lam)},
-                        xk_lhs(kind, mu, lam),
-                        xk_rhs_unfiltered(kind, mu, lam),
-                        ("q",),
-                    )
-
-
-def _report_q1(params, cnt, mult):
-    return IdentityReport("q1", params, str(cnt), str(mult), cnt == mult)
-
-
-def _suite_q1(max_weight, n):
-    for *args, params in _bcd_grid(max_weight, n):
-        yield lambda args=args, params=params: _report_q1(params, *q1_count(*args))
-
-
-SUITES = {
-    "thm-c": _suite_thm_c,
-    "thm-b": _suite_thm_b,
-    "morris-c": _suite_morris_c,
-    "morris-b": _suite_morris_b,
-    "level": _suite_level,
-    "xk": _suite_xk,
-    "q1": _suite_q1,
-}
-
-
 def _jobs(flag):
-    """--jobs, else KRLAB_JOBS, else 1; a positive worker count."""
+    """--jobs, else KRLAB_JOBS, else 1; a positive worker count, capped at
+    the number of CPUs."""
     if flag is not None:
         source, text = "--jobs", str(flag)
     else:
@@ -340,20 +188,26 @@ def _jobs(flag):
         jobs = 0
     if jobs < 1:
         raise BadInput("%s %s must be a positive integer" % (source, text))
-    return jobs
+    return min(jobs, os.cpu_count() or 1)
 
 
 def cmd_verify(args):
-    suite = SUITES[args.suite]
     _rank(args.n)
+    if args.max_weight < 0:
+        raise BadInput("--max-weight %d must be nonnegative" % args.max_weight)
     jobs = _jobs(args.jobs)
-    tasks = list(suite(args.max_weight, args.n))
+    tasks = suite_tasks(args.suite, args.max_weight, args.n)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            work = list(pool.map(lambda t: t(), tasks))
+        # Spawned workers start from a fresh import and fill their own
+        # tables.  Four contiguous chunks per worker keep neighbouring
+        # instances, which share tables, in one worker and still balance
+        # the load.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
+            work = list(pool.map(run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
-        work = [t() for t in tasks]
-    reports = [r.as_dict() for r in work]
+        work = [run_task(t) for t in tasks]
+    reports = [asdict(r) for r in work]
     ok = all(r["equal"] for r in reports)
     if args.format == "csv":
         buf = io.StringIO()

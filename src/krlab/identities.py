@@ -1,4 +1,5 @@
-"""Both sides of every theorem and recurrence, evaluated exactly.
+"""Both sides of every theorem and recurrence, evaluated exactly, and the
+registry of verification suites that checks them over grids.
 
 Weights entering the Weyl-group oracle are doubled integers; partition
 data on the combinatorial side is plain.  Bounds called two_g hold twice
@@ -35,10 +36,12 @@ from .partitions import (
     oc,
     oc_bar,
     partitions,
+    partitions_upto,
     size,
 )
-from .polynomials import Poly
+from .polynomials import Poly, poly_str
 from .qweight import kl_level_restricted, kl_poly, kl_qt_B
+from .roots import is_spin, weight_str
 
 
 @dataclass
@@ -48,15 +51,6 @@ class IdentityReport:
     lhs: str
     rhs: str
     equal: bool
-
-    def as_dict(self):
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +443,153 @@ def _vertical_strip_covers(lam, mu, n):
 
     rec(0, [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the verification registry: for each suite, its grid of instances and the
+# check that computes both sides of one instance.  A grid yields (params,
+# args) as plain data, so that a task (check, params, args) can be sent to
+# a worker process.
+
+Q = ("q",)
+QT = ("q", "t")
+
+
+def _grid(max_weight, n):
+    for lam in partitions_upto(max_weight, max_len=n):
+        for mu in partitions_upto(max_weight, max_len=n):
+            yield lam, mu
+
+
+def _dbl(lam, n, spin=False):
+    return tuple(2 * get(lam, i) + (1 if spin else 0) for i in range(n))
+
+
+def default_two_g(lam_d, mu_d):
+    """Twice the default bound for doubled weights: max(lam_1, mu_1), at
+    least 1, bumped to the right parity for spin weights."""
+    two_g = max(lam_d[0], mu_d[0], 2)
+    if (two_g % 2 == 1) != is_spin(lam_d):
+        two_g += 1
+    return two_g
+
+
+def _compare(identity, params, lhs, rhs, variables):
+    """A report on lhs == rhs; each side is computed once, by the caller."""
+    lhs_str, rhs_str = poly_str(lhs, variables), poly_str(rhs, variables)
+    return IdentityReport(identity, params, lhs_str, rhs_str, lhs == rhs)
+
+
+def _thm_c_grid(max_weight, n):
+    for lam, mu in _grid(max_weight, n):
+        g = max(get(lam, 0), 1)
+        for gg in (g, g + 1):
+            params = {"n": n, "lambda": list(lam), "mu": list(mu), "g": gg}
+            yield params, (n, lam, mu, gg)
+
+
+def _thm_b_grid(max_weight, n):
+    for lam, mu in _grid(max_weight, n):
+        g = max(get(lam, 0), 1)
+        params = {"n": n, "lambda": list(lam), "mu": list(mu), "g": g}
+        yield params, (n, lam, mu, g)
+
+
+def _morris_grid(max_weight, n):
+    for lam, mu in _grid(max_weight, n):
+        yield {"n": n, "lambda": list(lam), "mu": list(mu)}, (n, lam, mu)
+
+
+def _bcd_grid(max_weight, n):
+    """Types B, C and D (D from rank 2), spin weights too in B and D, at
+    the default bound; args (lie_type, n, lam_d, mu_d, two_g)."""
+    for lie_type in ("B", "C", "D"):
+        if lie_type == "D" and n < 2:
+            continue
+        spins = (False, True) if lie_type in ("B", "D") else (False,)
+        for lam, mu in _grid(max_weight, n):
+            for spin in spins:
+                lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
+                two_g = default_two_g(lam_d, mu_d)
+                params = {
+                    "type": lie_type,
+                    "n": n,
+                    "lambda": weight_str(lam_d),
+                    "mu": weight_str(mu_d),
+                    "g": str(Fraction(two_g, 2)),
+                }
+                yield params, (lie_type, n, lam_d, mu_d, two_g)
+
+
+def _xk_grid(max_weight, n):
+    for kind, name in ((BOX, "box"), (HDOM, "hdom"), (VDOM, "vdom")):
+        for mu in partitions_upto(max_weight, max_len=n):
+            if not mu:
+                continue
+            for m in range(0, sum(mu) + 1):
+                if kind in (HDOM, VDOM) and (sum(mu) - m) % 2:
+                    continue
+                for lam in partitions(m, max_len=n):
+                    params = {"kind": name, "mu": list(mu), "lambda": list(lam)}
+                    yield params, (kind, mu, lam)
+
+
+def check_thm_c(params, n, lam, mu, g):
+    oracle = kl_poly("C", n, _dbl(lam, n), _dbl(mu, n))
+    return _compare("thm-c", params, oracle, thm_c_rhs(lam, mu, n, g), Q)
+
+
+def check_thm_b(params, n, lam, mu, g):
+    oracle = kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True))
+    return _compare("thm-b", params, oracle, thm_b_rhs(lam, mu, n, g), QT)
+
+
+def check_morris_c(params, n, lam, mu):
+    oracle = kl_poly("C", n, _dbl(lam, n), _dbl(mu, n))
+    return _compare("morris-c", params, oracle, morris_c(lam, mu, n), Q)
+
+
+def check_morris_b(params, n, lam, mu):
+    oracle = kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True))
+    return _compare("morris-b", params, oracle, morris_b_qt(lam, mu, n), QT)
+
+
+def check_level(params, *args):
+    lhs, mid, rhs = level_formula(*args)
+    mid_rhs = "%s / %s" % (poly_str(mid, Q), poly_str(rhs, Q))
+    equal = lhs == mid == rhs
+    return IdentityReport("level", params, poly_str(lhs, Q), mid_rhs, equal)
+
+
+def check_xk(params, kind, mu, lam):
+    lhs, rhs = xk_lhs(kind, mu, lam), xk_rhs_unfiltered(kind, mu, lam)
+    return _compare("xk", params, lhs, rhs, Q)
+
+
+def check_q1(params, *args):
+    cnt, mult = q1_count(*args)
+    return IdentityReport("q1", params, str(cnt), str(mult), cnt == mult)
+
+
+SUITES = {
+    "thm-c": (_thm_c_grid, check_thm_c),
+    "thm-b": (_thm_b_grid, check_thm_b),
+    "morris-c": (_morris_grid, check_morris_c),
+    "morris-b": (_morris_grid, check_morris_b),
+    "level": (_bcd_grid, check_level),
+    "xk": (_xk_grid, check_xk),
+    "q1": (_bcd_grid, check_q1),
+}
+
+
+def suite_tasks(suite, max_weight, n):
+    """The suite's instances at rank n and |lambda|, |mu| <= max_weight, as
+    (check, params, args) tasks in a fixed order."""
+    grid, check = SUITES[suite]
+    return [(check, params, args) for params, args in grid(max_weight, n)]
+
+
+def run_task(task):
+    """The IdentityReport of one task from suite_tasks."""
+    check, params, args = task
+    return check(params, *args)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import krlab.cli
+import krlab.identities
 from krlab.cli import main
 
 
@@ -53,8 +54,19 @@ def test_usage_error_exit_code(capsys):
         ["level", "--type", "C", "--n", "2", "--lambda", "2,0", "--mu", "0,0", "--g", "1"],
         ["kl", "--type", "C", "--n", "2", "--lambda", "1,2", "--mu", "0,0"],
         ["enumerate", "--kind", "ssot", "--shape", "1,1", "--weight", "1,1,1,1", "--g", "0.3"],
+        ["energy", "--kind", "box", "--element", "1|x"],
+        ["energy", "--kind", "box", "--element", "1|1", "--caps", "a,b"],
+        ["energy", "--kind", "hdom", "--element", "1|1"],
+        ["energy", "--kind", "box", "--element", "1,2|1", "--caps", "1,1"],
+        ["energy", "--row", "--kind", "vdom", "--element", "1|1", "--caps", "2"],
+        ["energy", "--kind", "box", "--element", "1|1", "--caps", "1"],
+        ["verify", "--suite", "thm-c", "--n", "2", "--max-weight", "-1"],
     ],
-    ids=["not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer"],
+    ids=[
+        "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
+        "element-not-integer", "caps-not-integer", "hdom-column", "word-over-capacity",
+        "row-caps-short", "caps-short", "max-weight-negative",
+    ],
 )
 def test_bad_input_exit_code(capsys, argv):
     assert main(argv) == 2
@@ -137,14 +149,31 @@ def test_verify_json_and_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_verify_jobs_stable(capsys):
+def test_verify_jobs_stable(capsys, monkeypatch):
+    monkeypatch.delenv("KRLAB_JOBS", raising=False)
     code1, out1 = run(capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2")
-    code2, out2 = run(
-        capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2",
-        "--jobs", "3",
-    )
+    monkeypatch.setenv("KRLAB_JOBS", "3")
+    code2, out2 = run(capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("suite", ["thm-c", "thm-b", "morris-c", "morris-b", "level", "xk", "q1"])
+def test_verify_jobs_matches_serial(capsys, suite):
+    argv = ["verify", "--suite", suite, "--n", "2", "--max-weight", "3"]
+    code1, out1 = run(capsys, *argv, "--jobs", "1")
+    code2, out2 = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(krlab.cli.os, "cpu_count", lambda: 2)
+    assert [krlab.cli._jobs(j) for j in (1, 2, 64)] == [1, 2, 2]
+    monkeypatch.setenv("KRLAB_JOBS", "64")
+    assert krlab.cli._jobs(None) == 2
+    monkeypatch.setattr(krlab.cli.os, "cpu_count", lambda: None)
+    assert krlab.cli._jobs(None) == 1
 
 
 # sha256 of `verify --suite S --n 2 --max-weight 3` as the suites printed it
@@ -196,13 +225,22 @@ def test_verify_output_pinned_larger_grid(capsys, suite, n, max_weight):
     ],
 )
 def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
+    # count only outermost calls: morris_c and morris_b_qt call kl_poly and
+    # kl_qt_B themselves, through the same module globals
     calls = dict.fromkeys(sides, 0)
+    depth = [0]
     for name in sides:
-        def counted(*args, _name=name, _fn=getattr(krlab.cli, name)):
-            calls[_name] += 1
-            return _fn(*args)
+        def counted(*args, _name=name, _fn=getattr(krlab.identities, name)):
+            if not depth[0]:
+                calls[_name] += 1
+            depth[0] += 1
+            try:
+                return _fn(*args)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(krlab.cli, name, counted)
+        monkeypatch.setattr(krlab.identities, name, counted)
+    monkeypatch.delenv("KRLAB_JOBS", raising=False)
     code, out = run(capsys, "verify", "--suite", suite, "--n", "2", "--max-weight", "3")
     assert code == 0
     tasks = len(json.loads(out)["reports"])

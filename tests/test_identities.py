@@ -2,10 +2,7 @@
 partition, the level-restriction triple, the filtered expansion, the q = 1
 counts, and the symmetric-function identities behind them."""
 
-import itertools
 import sys
-
-import pytest
 
 import krlab
 from krlab import kr_row, oscillating, qweight
@@ -14,7 +11,6 @@ from krlab.characters import (
     character,
     e_poly,
     m_hyperoct,
-    ns_D,
     ps_D,
     pss_bar_D,
 )
@@ -25,8 +21,6 @@ from krlab.identities import (
     kappa_C,
     kappa_D,
     level_formula,
-    morris_b_qt,
-    morris_c,
     okada_K_B,
     okada_K_D,
     okada_M,
@@ -40,33 +34,15 @@ from krlab.identities import (
 )
 from krlab.kr_column import BOX, HDOM, VDOM
 from krlab.kr_row import RowKR, r_matrix_row
-from krlab.oscillating import (
-    GSSOT,
-    SSOT,
-    aug,
-    enumerate_chains,
-    energy_of_chain,
-    phi_c,
-    strip_len,
-)
+from krlab.oscillating import SSOT, enumerate_chains, energy_of_chain
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
 from krlab.polynomials import Poly
-from krlab.qweight import kl_level_restricted, kl_poly, kl_qt_B
+from krlab.qweight import kl_qt_B
 from krlab.charge import kostka_foulkes
 
 
 def dbl(v, n, spin=False):
     return tuple(2 * get(v, i) + (1 if spin else 0) for i in range(n))
-
-
-def test_thm_c_small_grid_and_g_independence():
-    for n in (1, 2, 3):
-        for lam in partitions_upto(3, max_len=n):
-            for mu in partitions_upto(3, max_len=n):
-                oracle = kl_poly("C", n, dbl(lam, n), dbl(mu, n))
-                g = max(get(lam, 0), 1)
-                assert thm_c_rhs(lam, mu, n, g) == oracle
-                assert thm_c_rhs(lam, mu, n, g + 1) == oracle
 
 
 def test_thm_b_small_grid():
@@ -79,16 +55,6 @@ def test_thm_b_small_grid():
     # t := q collapse has nonnegative coefficients
     p = thm_b_rhs((2, 1), (1,), 2, 2).subs_t_q()
     assert all(c > 0 for c in p.c.values())
-
-
-def test_morris_matches_oracle():
-    for n in (2, 3):
-        for lam in partitions_upto(3, max_len=n):
-            for mu in partitions_upto(3, max_len=n):
-                assert morris_c(lam, mu, n) == kl_poly("C", n, dbl(lam, n), dbl(mu, n))
-                assert morris_b_qt(lam, mu, n) == kl_qt_B(
-                    n, dbl(lam, n, True), dbl(mu, n, True)
-                )
 
 
 def test_lambda_shift_vectors():
