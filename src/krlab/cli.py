@@ -16,10 +16,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
-from .identities import SUITES, default_two_g, level_formula, run_task, suite_tasks
+from .identities import MIN_RANK, SUITES, default_two_g, level_formula, run_task, suite_tasks
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
-from .letters import parse_word
+from .letters import parse_word, sort_word, word_str
 from .oscillating import GSSOT, SSOT, SSROT, enumerate_chains
 from .partitions import is_partition, norm
 from .polynomials import poly_str
@@ -165,6 +165,9 @@ def cmd_energy(args):
     except ValueError as e:
         raise BadInput("--element %s: %s" % (args.element, e)) from None
     if args.row:
+        for w in words:
+            if w != sort_word(w):
+                raise BadInput("--element %s: row word %s is not weakly increasing" % (args.element, word_str(w)))
         print(energy_row(factors))
         return 0
     d = energy_col(factors)
@@ -193,6 +196,9 @@ def _jobs(flag):
 
 def cmd_verify(args):
     _rank(args.n)
+    low = MIN_RANK.get(args.suite, 1)
+    if args.n < low:
+        raise BadInput("--suite %s needs --n >= %d, got %d" % (args.suite, low, args.n))
     if args.max_weight < 0:
         raise BadInput("--max-weight %d must be nonnegative" % args.max_weight)
     jobs = _jobs(args.jobs)

@@ -234,17 +234,12 @@ def level_formula(lie_type, n, lam_d, mu_d, two_g):
             mid = mid + d * kostka_foulkes(kappa, mu_hat)
 
     kind = DIAMOND[lie_type]
-    dd = DSIZE[kind]
-    rhs = Poly.zero(1)
-    shape = norm(lam_hat)
-    for chain, tensor, e0 in hw_row_elements(kind, mu_hat, shape):
+    # the g-bounded chains are exactly the elements with 2 eps_0 <= zeta 2g
+    elements = hw_row_elements(kind, mu_hat, norm(lam_hat), two_g)
+    for _, _, e0 in elements:
         if 2 * e0 > ZETA[lie_type] * two_g:
-            continue
-        d = energy_row(tensor)
-        num = 2 * nn(mu_hat) + (size(mu_hat) - size(lam_hat)) - dd * d
-        if num % 2:
-            raise ValueError("odd exponent in the filtered sum")
-        rhs = rhs + Poly.mono((num // 2,))
+            raise ValueError("a g-bounded element has eps_0 %d over the level bound" % e0)
+    rhs = _energy_sum(kind, mu_hat, lam_hat, elements)
     return lhs, mid, rhs
 
 
@@ -256,19 +251,26 @@ def p_diamond_member(kind, gamma):
     return all(x % 2 == 0 for x in conjugate(gamma))
 
 
+def _energy_sum(kind, mu, lam, elements):
+    """The normalized energy sum over (chain, tensor, eps_0) elements, each
+    exponent counted in a dict and one Poly built at the end."""
+    dd = DSIZE[kind]
+    base = 2 * nn(mu) + size(mu) - size(lam)
+    counts = {}
+    for _, tensor, _ in elements:
+        num = base - dd * energy_row(tensor)
+        if num % 2:
+            raise ValueError("odd exponent in the energy sum")
+        counts[num // 2] = counts.get(num // 2, 0) + 1
+    return Poly(1, {(e,): c for e, c in counts.items()})
+
+
 def xk_lhs(kind, mu, lam, max_eps0=None):
     """The (filtered) normalized energy sum over highest weight elements."""
-    dd = DSIZE[kind]
-    out = Poly.zero(1)
-    for chain, tensor, e0 in hw_row_elements(kind, tuple(mu), norm(lam)):
-        if max_eps0 is not None and e0 > max_eps0:
-            continue
-        d = energy_row(tensor)
-        num = 2 * nn(mu) + (size(mu) - size(lam)) - dd * d
-        if num % 2:
-            raise ValueError("odd exponent")
-        out = out + Poly.mono((num // 2,))
-    return out
+    elements = hw_row_elements(kind, tuple(mu), norm(lam))
+    if max_eps0 is not None:
+        elements = [el for el in elements if el[2] <= max_eps0]
+    return _energy_sum(kind, mu, lam, elements)
 
 
 def xk_rhs_unfiltered(kind, mu, lam):
@@ -580,6 +582,9 @@ SUITES = {
     "xk": (_xk_grid, check_xk),
     "q1": (_bcd_grid, check_q1),
 }
+
+# the lowest rank of each suite above 1: the recurrences peel one row off mu
+MIN_RANK = {"morris-c": 2, "morris-b": 2}
 
 
 def suite_tasks(suite, max_weight, n):

@@ -12,20 +12,20 @@ closed forms, and the level-restriction identities.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .crystal import (
     apply_e,
     apply_f,
     ctx_B,
     ctx_C,
-    hw,
     is_hw,
     row_tensor,
     signature,
     word_weight,
 )
 # bench/tracing.py wraps these names in this module
-from .crystal import eps, tensor_word_e, tensor_word_f  # noqa: F401
+from .crystal import eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
 from .kr_column import BOX, HDOM, VDOM, energy_chain
 from .letters import EMPTY, sort_word, word_str
 
@@ -45,6 +45,8 @@ class RowKR:
     word: tuple
 
     def __post_init__(self):
+        # a tuple word keeps the factor hashable for the energy memo
+        object.__setattr__(self, "word", tuple(self.word))
         if self.kind not in ROW_KINDS:
             raise ValueError("unknown row kind %r" % (self.kind,))
         k = len(self.word)
@@ -235,7 +237,9 @@ class RMatrixTable:
     Components are matched by the classical weight and eps_0 of their
     highest weight elements; an ambiguous match falls back to the affine
     propagation from the anchor 1^s (x) 1, `bfs_map`, which the tests also
-    use as the reference.
+    use as the reference.  `map` holds every image found so far: each query
+    stores the images along its raising path, so a component is matched
+    once.
     """
 
     def __init__(self, kind, s, n):
@@ -266,24 +270,46 @@ class RMatrixTable:
         self._hw_target = index
         return index
 
+    def _raise(self, t):
+        """(i, e_i t) for the smallest i with e_i t defined, as crystal.hw
+        raises, or None at a highest weight element."""
+        for i in range(1, self.n + 1):
+            up = apply_e(t, i, self.ctx)
+            if up is not None:
+                return i, up
+        return None
+
     def apply(self, u: RowKR, c: RowKR):
+        """The image of u (x) c.  The element is raised until it reaches one
+        whose image is known or its highest weight element, whose image is
+        matched; that image is lowered back along the path, and the image
+        of every element passed is stored."""
         t = (u, c)
-        if t in self.map:
-            return self.map[t]
+        img = self.map.get(t)
+        if img is not None:
+            return img
         path = []
-        top = hw(t, self.ctx, record=path)
-        keyv = (word_weight(top[0].word + top[1].word, self.n), eps0(top))
-        matches = self._target_index().get(keyv, [])
-        if len(matches) != 1:
-            self.map.update(self.bfs_map())
-            return self.map[t]
-        img = matches[0]
-        self.map[top] = img
-        for i in reversed(path):
+        top = t
+        while top not in self.map:
+            step = self._raise(top)
+            if step is None:
+                break
+            path.append((top, step[0]))
+            top = step[1]
+        img = self.map.get(top)
+        if img is None:
+            keyv = (word_weight(top[0].word + top[1].word, self.n), eps0(top))
+            matches = self._target_index().get(keyv, [])
+            if len(matches) != 1:
+                self.map.update(self.bfs_map())
+                return self.map[t]
+            img = matches[0]
+            self.map[top] = img
+        for b, i in reversed(path):
             img = apply_f(img, i, self.ctx)
             if img is None:
                 raise ValueError("target component is shorter than source")
-        self.map[t] = img
+            self.map[b] = img
         return img
 
     def bfs_map(self):
@@ -394,24 +420,36 @@ def split_row(factors, n=None):
 
 
 def energy_row(factors, n=None):
-    """Energy of a tensor of row factors, through the splitting map."""
+    """Energy of a tensor of row factors, through the splitting map; with
+    the default n it is memoized on the factor tuple."""
     factors = tuple(factors)
     if not factors:
         return 0
-    kind = factors[0].kind
-    return energy_chain(split_row(factors, n=n), kind)
+    if n is None:
+        return _energy_row(factors)
+    return energy_chain(split_row(factors, n=n), factors[0].kind)
 
 
-def hw_row_elements(kind, mu, lam):
+@lru_cache(maxsize=None)
+def _energy_row(factors):
+    return energy_chain(split_row(factors), factors[0].kind)
+
+
+def hw_row_elements(kind, mu, lam, two_g=None):
     """Classical highest weight elements of B_mu of the given kind and
     classical weight lam, listed through the oscillating bijections with
     their affine statistic; eps_0 is cross-checked against the tensor
-    closed forms."""
+    closed forms.
+
+    two_g bounds the chains' statistic c2 (None lists every element): the
+    elements with eps_0 <= two_g / 2 for the horizontal-domino kind, and
+    with eps_0 <= two_g for the other two.
+    """
     from .oscillating import GSSOT, SSOT, SSROT, chain_c2, enumerate_chains, phi_r
 
     osc_kind = {HDOM: SSOT, BOX: GSSOT, VDOM: SSROT}[kind]
     out = []
-    for chain in enumerate_chains(osc_kind, lam, mu):
+    for chain in enumerate_chains(osc_kind, lam, mu, two_g):
         t = phi_r(chain, osc_kind, mu)
         c2 = chain_c2(chain, osc_kind, mu)
         e0 = c2 // 2 if kind == HDOM else c2

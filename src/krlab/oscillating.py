@@ -72,7 +72,9 @@ _shapes = {}
 
 @lru_cache(maxsize=None)
 def _strips_from(inner, r, kind, two_g):
-    """All strips of length r starting at inner, bounded by g (2g given).
+    """All strips of length r (r or r - 1 for GSSOT) starting at inner,
+    bounded by g (2g given); only mid and outer shapes of those lengths are
+    generated.
 
     Cached on (inner, r, kind, two_g) for the life of the process, or until
     krlab.clear_caches(); the result is a tuple shared by every caller, and
@@ -82,35 +84,20 @@ def _strips_from(inner, r, kind, two_g):
     out = []
     if kind in (SSOT, GSSOT):
         cap = two_g // 2 if two_g is not None else (get(inner, 0) + r)
-        for mid in horizontal_strips_above(inner, cap=cap):
+        short = 1 if kind == GSSOT else 0  # a GSSOT strip may have length r - 1
+        for mid in horizontal_strips_above(inner, cap=cap, cells=(0, r)):
             up = size(mid) - size(inner)
-            if up > r:
-                continue
-            for outer in horizontal_strips_below(mid):
-                ln = up + (size(mid) - size(outer))
-                if kind == SSOT:
-                    if ln != r:
+            for outer in horizontal_strips_below(mid, cells=(max(r - short - up, 0), r - up)):
+                if two_g is not None:
+                    full = up + size(mid) - size(outer) == r
+                    if 2 * get(mid, 0) + (0 if full else 1) > two_g:
                         continue
-                    if two_g is not None and 2 * get(mid, 0) > two_g:
-                        continue
-                else:
-                    if ln not in (r, r - 1):
-                        continue
-                    if two_g is not None:
-                        need = 2 * get(mid, 0) + (0 if ln == r else 1)
-                        if need > two_g:
-                            continue
                 out.append((inner, intern(mid, mid), intern(outer, outer)))
     elif kind == SSROT:
-        for mid in horizontal_strips_below(inner):
+        for mid in horizontal_strips_below(inner, cells=(0, r)):
             down = size(inner) - size(mid)
-            if down > r:
-                continue
             cap = get(mid, 0) + r  # outer_1 - mid_1 <= r
-            for outer in horizontal_strips_above(mid, cap=cap):
-                ln = down + (size(outer) - size(mid))
-                if ln != r:
-                    continue
+            for outer in horizontal_strips_above(mid, cap=cap, cells=(r - down, r - down)):
                 if two_g is not None and bound2((inner, mid, outer), kind) > two_g:
                     continue
                 out.append((inner, intern(mid, mid), intern(outer, outer)))

@@ -89,50 +89,62 @@ def partitions_upto(n, max_len=None, max_part=None):
     return out
 
 
-def horizontal_strips_above(mu, cap=None):
-    """All partitions nu with nu/mu a horizontal strip, nu_1 <= cap.
+def horizontal_strips_above(mu, cap=None, cells=None):
+    """All partitions nu with nu/mu a horizontal strip, nu_1 <= cap, and,
+    with cells = (lo, hi), lo <= |nu| - |mu| <= hi.
 
     Enumeration is finite only with a cap; rows indexed so that
-    nu_{i+1} <= mu_i keeps the strip condition.
+    nu_{i+1} <= mu_i keeps the strip condition.  The rows after row i can
+    add at most mu_i cells, so each row's range is cut to the parts that
+    can still land in the window; the order is that of the full list.
     """
+    if cap is None:
+        raise ValueError("cap required")
     mu = norm(mu)
     rows = len(mu) + 1
+    lo, hi = cells if cells is not None else (0, cap)  # a strip adds <= cap cells
     out = []
 
-    def rec(i, acc):
+    def rec(i, acc, added):
         if i == rows:
             out.append(norm(tuple(acc)))
             return
-        lo = get(mu, i)
-        hi = cap if i == 0 else min(get(mu, i - 1), acc[i - 1])
-        for v in range(lo, hi + 1):
+        m = get(mu, i)
+        top = cap if i == 0 else min(get(mu, i - 1), acc[i - 1])
+        for v in range(max(m, lo - added), min(top, m + hi - added) + 1):
             acc.append(v)
-            rec(i + 1, acc)
+            rec(i + 1, acc, added + v - m)
             acc.pop()
 
-    if cap is None:
-        raise ValueError("cap required")
-    rec(0, [])
+    rec(0, [], 0)
     return out
 
 
-def horizontal_strips_below(nu):
-    """All partitions lam with nu/lam a horizontal strip."""
+def horizontal_strips_below(nu, cells=None):
+    """All partitions lam with nu/lam a horizontal strip and, with
+    cells = (lo, hi), lo <= |nu| - |lam| <= hi.
+
+    The rows after row i can remove at most nu_{i+1} cells, so each row's
+    range is cut as in horizontal_strips_above.
+    """
     nu = norm(nu)
+    lo, hi = cells if cells is not None else (0, size(nu))
+    if not nu:
+        return [()] if lo <= 0 else []
     out = []
 
-    def rec(i, acc):
+    def rec(i, acc, removed):
         if i == len(nu):
             out.append(norm(tuple(acc)))
             return
-        lo = get(nu, i + 1)
-        hi = min(nu[i], acc[i - 1]) if i > 0 else nu[i]
-        for v in range(lo, hi + 1):
+        p, below = nu[i], get(nu, i + 1)
+        top = min(p, acc[i - 1]) if i > 0 else p
+        for v in range(max(below, p - hi + removed), min(top, p + below + removed - lo) + 1):
             acc.append(v)
-            rec(i + 1, acc)
+            rec(i + 1, acc, removed + p - v)
             acc.pop()
 
-    rec(0, [])
+    rec(0, [], 0)
     return out
 
 

@@ -61,11 +61,15 @@ def test_usage_error_exit_code(capsys):
         ["energy", "--row", "--kind", "vdom", "--element", "1|1", "--caps", "2"],
         ["energy", "--kind", "box", "--element", "1|1", "--caps", "1"],
         ["verify", "--suite", "thm-c", "--n", "2", "--max-weight", "-1"],
+        ["energy", "--row", "--kind", "box", "--element", "1|2,1"],
+        ["verify", "--suite", "morris-c", "--n", "1"],
+        ["verify", "--suite", "morris-b", "--n", "1"],
     ],
     ids=[
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
         "element-not-integer", "caps-not-integer", "hdom-column", "word-over-capacity",
-        "row-caps-short", "caps-short", "max-weight-negative",
+        "row-caps-short", "caps-short", "max-weight-negative", "row-word-unsorted",
+        "morris-c-rank-1", "morris-b-rank-1",
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
@@ -202,6 +206,8 @@ def test_verify_output_pinned(capsys, suite):
 _VERIFY_SHA256_LARGE = {
     ("thm-c", 4, 4): (288, "586e70eae78ca17115dc435602615902e850d1dab7ddeabd1a6043009c3576b1"),
     ("thm-b", 3, 4): (121, "9f2dd9bf030c026f56a0618eaa6a74b2ce58783a059de417995add46ec8b33f5"),
+    # recorded while the level sum still listed every element and filtered
+    ("level", 4, 4): (720, "a00ba5991b998752bd5659805e7e5cabf20a53cd7998c537caa1d1bc4c276f60"),
 }
 
 

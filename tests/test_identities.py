@@ -4,6 +4,8 @@ counts, and the symmetric-function identities behind them."""
 
 import sys
 
+import pytest
+
 import krlab
 from krlab import kr_row, oscillating, qweight
 from krlab.characters import (
@@ -15,6 +17,10 @@ from krlab.characters import (
     pss_bar_D,
 )
 from krlab.identities import (
+    DIAMOND,
+    SUITES,
+    ZETA,
+    _hat,
     add_rohs_phi,
     involution_partition,
     kappa_B,
@@ -33,7 +39,7 @@ from krlab.identities import (
     xk_rhs_unfiltered,
 )
 from krlab.kr_column import BOX, HDOM, VDOM
-from krlab.kr_row import RowKR, r_matrix_row
+from krlab.kr_row import RowKR, hw_row_elements, r_matrix_row
 from krlab.oscillating import SSOT, enumerate_chains, energy_of_chain
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
 from krlab.polynomials import Poly
@@ -164,6 +170,23 @@ def test_level_q1_is_weight_multiplicity():
                 g = max(get(lam, 0), get(mu, 0), 1)
                 _, _, rhs = level_formula(lie_type, n, lam_d, mu_d, 2 * g)
                 assert rhs.subs_all_one() == char_coeff(lie_type, n, lam_d, mu_d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounded_hw_row_elements_match_filtered(n):
+    # the level suite's grid, spin weights included: listing only g-bounded
+    # chains gives the unbounded list filtered by the level bound, in order
+    grid, _ = SUITES["level"]
+    checked = 0
+    for _, (lie_type, _, lam_d, mu_d, two_g) in grid(4, n):
+        kind = DIAMOND[lie_type]
+        lam_hat, mu_hat = _hat(lam_d, two_g, n), _hat(mu_d, two_g, n)
+        bounded = hw_row_elements(kind, mu_hat, norm(lam_hat), two_g)
+        unbounded = hw_row_elements(kind, mu_hat, norm(lam_hat))
+        kept = [el for el in unbounded if 2 * el[2] <= ZETA[lie_type] * two_g]
+        assert bounded == kept, (lie_type, lam_d, mu_d, two_g)
+        checked += len(unbounded) > len(kept)
+    assert n == 1 or checked > 0
 
 
 def test_xk_filter_table():
@@ -447,7 +470,8 @@ def test_clear_caches_empties_every_cache():
     for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
                  "oscillating._strips_from", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
-                 "kr_column.r_matrix_col", "oscillating._col_factor"):
+                 "kr_column.r_matrix_col", "oscillating._col_factor",
+                 "kr_row._energy_row"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}

@@ -2,6 +2,7 @@
 splitting, energy, and the X = K identity."""
 
 import itertools
+import random
 
 import pytest
 
@@ -154,6 +155,23 @@ def test_r_matrix_bfs_agrees():
                 assert bfs[(u, c)] == r_matrix_row(u, c, n=n), (u, c)
 
 
+@pytest.mark.parametrize("kind", [BOX, HDOM, VDOM])
+def test_r_matrix_table_matches_bfs_in_any_order(kind):
+    # path filling stores images met on earlier queries; a fresh table
+    # queried in shuffled order must still give the reference map, without
+    # falling back to it
+    for s in (2, 3, 4):
+        for n in (3, 4):
+            ref = RMatrixTable(kind, s, n).bfs_map()
+            table = RMatrixTable(kind, s, n)
+            table.bfs_map = lambda: pytest.fail("fell back to bfs_map")
+            pairs = list(ref)
+            random.Random(10 * s + n).shuffle(pairs)
+            for u, c in pairs:
+                assert table.apply(u, c) == ref[u, c], (u, c)
+            assert table.map == ref
+
+
 def test_target_index_matches_full_scan():
     # only highest weight rows are paired; the full scan pairs every row
     for kind in (BOX, HDOM, VDOM):
@@ -219,6 +237,8 @@ def test_energy_row_minimal_on_ones():
             for lam, tensors in _all_hw(kind, mu):
                 for t in tensors:
                     assert energy_row(t) >= 0
+    # a list word is stored as a tuple, so the memoized energy still hashes it
+    assert energy_row((RowKR(BOX, 2, [1, 2]),)) == energy_row((RowKR(BOX, 2, (1, 2)),)) == 0
 
 
 def _all_hw(kind, mu):

@@ -36,6 +36,22 @@ def test_strips():
     assert all(is_horizontal_strip((3, 2), lam) for lam in downs)
 
 
+def test_strips_cell_window_matches_filtered():
+    for mu in partitions_upto(6, max_len=4):
+        first = mu[0] if mu else 0
+        downs = horizontal_strips_below(mu)
+        ups = {cap: horizontal_strips_above(mu, cap=cap) for cap in range(first, first + 3)}
+        for lo in range(0, 5):
+            for hi in range(lo, 6):
+                for cap in ups:
+                    assert horizontal_strips_above(mu, cap=cap, cells=(lo, hi)) == [
+                        nu for nu in ups[cap] if lo <= size(nu) - size(mu) <= hi
+                    ], (mu, cap, lo, hi)
+                assert horizontal_strips_below(mu, cells=(lo, hi)) == [
+                    lam for lam in downs if lo <= size(mu) - size(lam) <= hi
+                ], (mu, lo, hi)
+
+
 def test_oc():
     assert oc((1, 1, 0, 0), 1) == (1, 1, 0, 0)
     assert oc_bar((0, 0, 0, 0), 1) == (1, 1, 1, 1)
