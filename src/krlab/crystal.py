@@ -215,9 +215,20 @@ def _max_index(letters, ctx):
     return (max(mags) + 1) if mags else 1
 
 
+def raise_step(b, ctx=CTX_INF):
+    """(i, e_i b) for the smallest i with e_i b defined, or None at a
+    highest weight element."""
+    letters = _letters(b)
+    for i in range(1, _max_index(letters, ctx) + 1):
+        k = _rule(letters, i, ctx)[2]
+        if k is not None:
+            return i, _put(b, k, letter_e(letters[k], i, ctx))
+    return None
+
+
 def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
     """Classical highest weight element of the component containing b,
-    raising with the smallest available index first.
+    raising with the smallest available index first (raise_step).
 
     With record a list, the applied raising indices are appended to it.
     In the unbounded context barred letters can climb forever on inputs
@@ -225,14 +236,10 @@ def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
     """
     steps = 0
     while True:
-        letters = _letters(b)
-        for i in range(1, _max_index(letters, ctx) + 1):
-            k = _rule(letters, i, ctx)[2]
-            if k is not None:
-                break
-        else:
+        step = raise_step(b, ctx)
+        if step is None:
             return b
-        b = _put(b, k, letter_e(letters[k], i, ctx))
+        i, b = step
         if record is not None:
             record.append(i)
         steps += 1

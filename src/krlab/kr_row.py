@@ -20,6 +20,7 @@ from .crystal import (
     ctx_B,
     ctx_C,
     is_hw,
+    raise_step,
     row_tensor,
     signature,
     word_weight,
@@ -270,20 +271,12 @@ class RMatrixTable:
         self._hw_target = index
         return index
 
-    def _raise(self, t):
-        """(i, e_i t) for the smallest i with e_i t defined, as crystal.hw
-        raises, or None at a highest weight element."""
-        for i in range(1, self.n + 1):
-            up = apply_e(t, i, self.ctx)
-            if up is not None:
-                return i, up
-        return None
-
     def apply(self, u: RowKR, c: RowKR):
-        """The image of u (x) c.  The element is raised until it reaches one
-        whose image is known or its highest weight element, whose image is
-        matched; that image is lowered back along the path, and the image
-        of every element passed is stored."""
+        """The image of u (x) c.  The element is raised, smallest index first
+        as crystal.hw raises, until it reaches one whose image is known or
+        its highest weight element, whose image is matched; that image is
+        lowered back along the path, and the image of every element passed
+        is stored."""
         t = (u, c)
         img = self.map.get(t)
         if img is not None:
@@ -291,7 +284,7 @@ class RMatrixTable:
         path = []
         top = t
         while top not in self.map:
-            step = self._raise(top)
+            step = raise_step(top, self.ctx)
             if step is None:
                 break
             path.append((top, step[0]))
@@ -419,15 +412,13 @@ def split_row(factors, n=None):
     # not reached
 
 
-def energy_row(factors, n=None):
-    """Energy of a tensor of row factors, through the splitting map; with
-    the default n it is memoized on the factor tuple."""
+def energy_row(factors):
+    """Energy of a tensor of row factors, through the splitting map,
+    memoized on the factor tuple."""
     factors = tuple(factors)
     if not factors:
         return 0
-    if n is None:
-        return _energy_row(factors)
-    return energy_chain(split_row(factors, n=n), factors[0].kind)
+    return _energy_row(factors)
 
 
 @lru_cache(maxsize=None)

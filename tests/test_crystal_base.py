@@ -14,6 +14,7 @@ from krlab.crystal import (
     hw,
     is_hw,
     phi,
+    raise_step,
     wtpair,
 )
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR
@@ -174,6 +175,28 @@ def test_hw_column_tensor_example():
     )
     top = hw(t)
     assert tuple(f.word for f in top) == ((4,), (1, 2), (1, 2, 3))
+
+
+def test_raise_step_is_smallest_index_raising():
+    # raise_step applies e_i for the smallest i that acts, and iterating it
+    # walks the path hw records
+    for ctx, letters in (
+        (ctx_C(3), [1, 2, 3, -3, -2, -1]),
+        (ctx_B(3), [1, 2, 3, 0, -3, -2, -1]),
+    ):
+        for t in itertools.product(letters, repeat=3):
+            step = raise_step(t, ctx)
+            ups = [(i, apply_e(t, i, ctx)) for i in range(1, 4)]
+            ups = [(i, up) for i, up in ups if up is not None]
+            assert step == (ups[0] if ups else None)
+            record = []
+            top = hw(t, ctx, record=record)
+            b, walked = t, []
+            while step is not None:
+                walked.append(step[0])
+                b = step[1]
+                step = raise_step(b, ctx)
+            assert (b, walked) == (top, record)
 
 
 def test_red_commutes_with_operators():
