@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from .partitions import contains, get, horizontal_strips_above, is_partition, norm, size
+from .partitions import contains, get, horizontal_strips_above, is_partition, norm
 from .polynomials import Poly
 
 
@@ -67,9 +67,8 @@ def ssyt_chains(shape, content):
             if norm(cur) == shape:
                 out.append(tuple(chain))
             return
-        for nxt in horizontal_strips_above(cur, cap=get(shape, 0)):
-            if size(nxt) - size(cur) != content[level]:
-                continue
+        r = content[level]
+        for nxt in horizontal_strips_above(cur, cap=get(shape, 0), cells=(r, r)):
             if not contains(shape, nxt):
                 continue
             rec(level + 1, chain + [nxt])

@@ -13,9 +13,13 @@ the leftmost uncancelled -.  So in x (x) y with phi(y) = eps(x), f acts on
 x: f prefers the left factor on ties.
 
 A context fixes the letter crystal: ("inf", 0) is the unbounded large-rank
-alphabet used by column crystals, ("B", N) and ("C", N) are the rank-N
-vector crystals (type B has the middle chain N -> 0 -> bar N).
+alphabet used by column crystals, ("B", N), ("C", N) and ("D", N) are the
+rank-N vector crystals.  Each is one crystal graph, stated once as the
+table of its i-arrows (`letter_table`); a letter's phi, eps, e and f are
+read off that table.
 """
+
+from functools import lru_cache
 
 from .letters import EMPTY, sort_word
 
@@ -34,80 +38,37 @@ def ctx_D(n):
     return ("D", n)
 
 
-def letter_eps(x, i, ctx):
+@lru_cache(maxsize=None)
+def letter_table(i, ctx):
+    """The i-arrows of the letter crystal, as {letter: ((phi, eps), e, f)}.
+
+    The arrows form i-strings: i -> i+1 and bar(i+1) -> bar i, except at
+    i = n of a finite rank, where they are n -> bar n (type C), n-1 -> bar n
+    and n -> bar(n-1) (type D), and n -> 0 -> bar n (type B).  A letter's
+    eps and phi are its distance from either end of its string, and e and
+    f its neighbours (None past the end).  A letter on no string, EMPTY
+    included, has phi = eps = 0 and is annihilated by e and f.
+    """
     fam, n = ctx
-    if x is EMPTY:
-        return 0
-    if fam != "inf" and i == n:
-        if fam == "C":
-            return 1 if x == -n else 0
-        if fam == "D":
-            return 1 if x in (-n, -(n - 1)) else 0
-        return (0, 1, 2)[(x == 0) + 2 * (x == -n)]
-    return 1 if (x == i + 1 or x == -i) else 0
+    if fam == "inf" or i != n:
+        strings = ((i, i + 1), (-(i + 1), -i))
+    elif fam == "C":
+        strings = ((n, -n),)
+    elif fam == "D":
+        strings = ((n - 1, -n), (n, -(n - 1)))
+    else:
+        strings = ((n, 0, -n),)
+    table = {}
+    for string in strings:
+        last = len(string) - 1
+        for p, x in enumerate(string):
+            e = string[p - 1] if p else None
+            f = string[p + 1] if p < last else None
+            table[x] = ((last - p, p), e, f)
+    return table
 
 
-def letter_phi(x, i, ctx):
-    fam, n = ctx
-    if x is EMPTY:
-        return 0
-    if fam != "inf" and i == n:
-        if fam == "C":
-            return 1 if x == n else 0
-        if fam == "D":
-            return 1 if x in (n, n - 1) else 0
-        return (0, 1, 2)[(x == 0) + 2 * (x == n)]
-    return 1 if (x == i or x == -(i + 1)) else 0
-
-
-def letter_e(x, i, ctx):
-    fam, n = ctx
-    if x is EMPTY:
-        return None
-    if fam != "inf" and i == n:
-        if fam == "C":
-            return n if x == -n else None
-        if fam == "D":
-            if x == -n:
-                return n - 1
-            if x == -(n - 1):
-                return n
-            return None
-        if x == 0:
-            return n
-        if x == -n:
-            return 0
-        return None
-    if x == i + 1:
-        return i
-    if x == -i:
-        return -(i + 1)
-    return None
-
-
-def letter_f(x, i, ctx):
-    fam, n = ctx
-    if x is EMPTY:
-        return None
-    if fam != "inf" and i == n:
-        if fam == "C":
-            return -n if x == n else None
-        if fam == "D":
-            if x == n - 1:
-                return -n
-            if x == n:
-                return -(n - 1)
-            return None
-        if x == 0:
-            return -n
-        if x == n:
-            return 0
-        return None
-    if x == i:
-        return i + 1
-    if x == -(i + 1):
-        return -i
-    return None
+_OFF = ((0, 0), None, None)  # a letter on no i-string
 
 
 def signature(pairs):
@@ -176,9 +137,8 @@ def _put(b, k, x):
 
 
 def _rule(letters, i, ctx):
-    return signature(
-        [(letter_phi(x, i, ctx), letter_eps(x, i, ctx)) for x in letters]
-    )
+    table = letter_table(i, ctx)
+    return signature([table.get(x, _OFF)[0] for x in letters])
 
 
 def eps(b, i, ctx=CTX_INF):
@@ -198,13 +158,13 @@ def apply_e(b, i, ctx=CTX_INF):
     """e_i, or None on annihilation."""
     letters = _letters(b)
     k = _rule(letters, i, ctx)[2]
-    return None if k is None else _put(b, k, letter_e(letters[k], i, ctx))
+    return None if k is None else _put(b, k, letter_table(i, ctx)[letters[k]][1])
 
 
 def apply_f(b, i, ctx=CTX_INF):
     letters = _letters(b)
     k = _rule(letters, i, ctx)[3]
-    return None if k is None else _put(b, k, letter_f(letters[k], i, ctx))
+    return None if k is None else _put(b, k, letter_table(i, ctx)[letters[k]][2])
 
 
 def _max_index(letters, ctx):
@@ -215,46 +175,51 @@ def _max_index(letters, ctx):
     return (max(mags) + 1) if mags else 1
 
 
+def _first_raising(letters, ctx):
+    """(i, k) for the smallest i with e_i defined, k the position of the
+    letter it acts on; None at a highest weight element."""
+    for i in range(1, _max_index(letters, ctx) + 1):
+        k = _rule(letters, i, ctx)[2]
+        if k is not None:
+            return i, k
+    return None
+
+
 def raise_step(b, ctx=CTX_INF):
     """(i, e_i b) for the smallest i with e_i b defined, or None at a
     highest weight element."""
     letters = _letters(b)
-    for i in range(1, _max_index(letters, ctx) + 1):
-        k = _rule(letters, i, ctx)[2]
-        if k is not None:
-            return i, _put(b, k, letter_e(letters[k], i, ctx))
-    return None
+    found = _first_raising(letters, ctx)
+    if found is None:
+        return None
+    i, k = found
+    return i, _put(b, k, letter_table(i, ctx)[letters[k]][1])
 
 
-def hw(b, ctx=CTX_INF, record=None, max_steps=100000):
+def is_hw(b, ctx=CTX_INF):
+    return _first_raising(_letters(b), ctx) is None
+
+
+# In the unbounded context barred letters can climb forever on inputs
+# outside the anchored families, so hw gives up after this many steps.
+MAX_RAISE_STEPS = 100000
+
+
+def hw(b, ctx=CTX_INF, record=None):
     """Classical highest weight element of the component containing b,
     raising with the smallest available index first (raise_step).
 
     With record a list, the applied raising indices are appended to it.
-    In the unbounded context barred letters can climb forever on inputs
-    outside the anchored families, so runaway raising fails loudly.
+    Raising that needs more than MAX_RAISE_STEPS steps fails loudly.
     """
-    steps = 0
-    while True:
+    for _ in range(MAX_RAISE_STEPS + 1):
         step = raise_step(b, ctx)
         if step is None:
             return b
         i, b = step
         if record is not None:
             record.append(i)
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                "raising did not terminate; use a finite-rank context"
-            )
-
-
-def is_hw(b, ctx=CTX_INF):
-    letters = _letters(b)
-    return all(
-        _rule(letters, i, ctx)[0] == 0
-        for i in range(1, _max_index(letters, ctx) + 1)
-    )
+    raise RuntimeError("raising did not terminate; use a finite-rank context")
 
 
 def word_weight(letters, n):

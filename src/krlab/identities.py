@@ -266,10 +266,12 @@ def _energy_sum(kind, mu, lam, elements):
 
 
 def xk_lhs(kind, mu, lam, max_eps0=None):
-    """The (filtered) normalized energy sum over highest weight elements."""
-    elements = hw_row_elements(kind, tuple(mu), norm(lam))
+    """The normalized energy sum over highest weight elements, with
+    max_eps0 over those with eps_0 <= max_eps0 only."""
+    two_g = None
     if max_eps0 is not None:
-        elements = [el for el in elements if el[2] <= max_eps0]
+        two_g = 2 * max_eps0 if kind == HDOM else max_eps0
+    elements = hw_row_elements(kind, tuple(mu), norm(lam), two_g)
     return _energy_sum(kind, mu, lam, elements)
 
 

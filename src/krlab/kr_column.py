@@ -35,6 +35,8 @@ class ColumnKR:
         object.__setattr__(self, "word", tuple(self.word))
         if self.kind not in COLUMN_KINDS:
             raise ValueError("no column rules for kind %r" % (self.kind,))
+        if 0 in self.word:
+            raise ValueError("column words have no zero letter")
         if not is_admissible(self.word):
             raise ValueError("inadmissible column word %r" % (self.word,))
         k = len(self.word)
@@ -175,48 +177,37 @@ def split_factor(u: ColumnKR):
     return tuple(chain)
 
 
-def split_col(factors):
-    """Split a tensor of ColumnKR factors into a (B^{1,1}) chain.
+def split_tensor(factors, r_matrix, split):
+    """Split a tensor of KR factors into a (B^{1,1}) chain of letters.
 
-    Repeatedly move the rightmost unsplit factor to the right end with the
-    R-matrix and apply the one-column splitting; capacity-1 and capacity-0
-    factors are already chains.
+    Right to left, each factor of capacity above one passes the letters
+    already split to its right, one R-matrix step r_matrix(u, letter) ->
+    (letter, u', ...) per letter, and is then replaced by its one-factor
+    splitting split(u); a capacity-1 factor is its own splitting and a
+    capacity-0 factor drops out.
     """
-    kind = None
-    state = []
-    for f in factors:
-        if kind is None:
-            kind = f.kind
-        elif f.kind != kind:
-            raise ValueError("mixed kinds")
-        if f.cap == 0:
+    if len({f.kind for f in factors}) > 1:
+        raise ValueError("mixed kinds")
+    chain = []
+    for u in reversed(factors):
+        if u.cap == 0:
             continue
-        if f.cap == 1:
-            if f.word:
-                state.append(f.word[0])
-            elif f.kind == BOX:
-                state.append(EMPTY)
-            else:
-                raise ValueError("empty vertical-domino one-box factor")
-        else:
-            state.append(f)
-    while True:
-        idx = None
-        for j in range(len(state) - 1, -1, -1):
-            if isinstance(state[j], ColumnKR):
-                idx = j
-                break
-        if idx is None:
-            return tuple(state)
-        u = state[idx]
-        j = idx
-        while j + 1 < len(state):
-            c, u2, _ = r_matrix_col(u, state[j + 1])
-            state[j] = c
-            state[j + 1] = u2
-            u = u2
-            j += 1
-        state[j : j + 1] = list(split_factor(u))
+        if u.cap == 1:
+            chain[:0] = split(u)
+            continue
+        passed = []
+        for x in chain:
+            step = r_matrix(u, x)
+            passed.append(step[0])
+            u = step[1]
+        chain = passed + list(split(u))
+    return tuple(chain)
+
+
+def split_col(factors):
+    """Split a tensor of ColumnKR factors into a (B^{1,1}) chain, with the
+    column R-matrix and the one-column splitting."""
+    return split_tensor(factors, r_matrix_col, split_factor)
 
 
 def local_H(x, y, kind):

@@ -27,7 +27,7 @@ from .crystal import (
 )
 # bench/tracing.py wraps these names in this module
 from .crystal import eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
-from .kr_column import BOX, HDOM, VDOM, energy_chain
+from .kr_column import BOX, HDOM, VDOM, energy_chain, split_tensor
 from .letters import EMPTY, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
@@ -57,8 +57,11 @@ class RowKR:
             raise ValueError("horizontal-domino row needs len = cap mod 2")
         if self.kind == VDOM and k != self.cap:
             raise ValueError("vertical-domino row needs len = cap")
-        if sum(1 for x in self.word if x == 0) > 1:
+        zeros = self.word.count(0)
+        if zeros > 1:
             raise ValueError("at most one zero letter")
+        if zeros and self.kind == HDOM:
+            raise ValueError("the horizontal-domino alphabet has no zero letter")
 
     def letters(self):
         """The letters in tensor order: the row embedding."""
@@ -342,13 +345,18 @@ class RMatrixTable:
 _tables = {}
 
 
+def row_rank(letters):
+    """The classical rank of the R-matrix tables for tensors of the given
+    letters: two above the largest letter magnitude, and at least 3."""
+    return max(3, max((abs(x) for x in letters if x), default=1) + 2)
+
+
 def r_matrix_row(u: RowKR, c: RowKR, n=None):
     """R on B^{1,s} (x) B^{1,1}; returns (one-box factor, row factor)."""
     if c.cap != 1 or u.kind != c.kind:
         raise ValueError("need matching kinds and a one-box right factor")
     if n is None:
-        mags = [abs(x) for x in u.word + c.word if x]
-        n = max(3, (max(mags) + 2) if mags else 3)
+        n = row_rank(u.word + c.word)
     key = (u.kind, u.cap, n)
     table = _tables.get(key)
     if table is None:
@@ -368,48 +376,29 @@ def split_one(b: RowKR):
     return w[0], RowKR(b.kind, a - 1, w[1:])
 
 
-def split_row(factors, n=None):
-    """Split a tensor of RowKR factors into a letter chain.
+def _split_factor_row(b: RowKR):
+    """The one-row splitting: peel one box at a time down to one box."""
+    chain = []
+    while b.cap > 1:
+        letter, b = split_one(b)
+        chain.append(letter)
+    chain.append(b.word[0] if b.word else EMPTY)
+    return chain
 
-    The rightmost factor of capacity above one is moved to the right end
-    with the R-matrix and peeled one box at a time.
-    """
-    state = []
-    for f in factors:
-        if f.cap == 0:
-            continue
-        if f.cap == 1:
-            state.append(f.word[0] if f.word else EMPTY)
-        else:
-            state.append(f)
+
+def split_row(factors, n=None):
+    """Split a tensor of RowKR factors into a letter chain, with the row
+    R-matrix at one rank n for the whole tensor and the one-row splitting."""
+    factors = tuple(factors)
     if n is None:
-        mags = [abs(x) for f in factors for x in f.letters() if x]
-        n = max(3, (max(mags) + 2) if mags else 3)
-    kind = factors[0].kind if factors else BOX
-    while True:
-        idx = None
-        for j in range(len(state) - 1, -1, -1):
-            if isinstance(state[j], RowKR):
-                idx = j
-                break
-        if idx is None:
-            return tuple(state)
-        u = state[idx]
-        j = idx
-        while j + 1 < len(state):
-            c_letter = state[j + 1]
-            c = RowKR(kind, 1, () if c_letter is EMPTY else (c_letter,))
-            c2, u2 = r_matrix_row(u, c, n=n)
-            state[j] = c2.word[0] if c2.word else EMPTY
-            state[j + 1] = u2
-            u = u2
-            j += 1
-        while u.cap > 1:
-            letter, u = split_one(u)
-            state[j : j + 1] = [letter, u]
-            j += 1
-        state[j] = u.word[0] if u.word else EMPTY
-    # not reached
+        n = row_rank(x for f in factors for x in f.word)
+
+    def r_matrix(u, x):
+        c = RowKR(u.kind, 1, () if x is EMPTY else (x,))
+        c, u = r_matrix_row(u, c, n=n)
+        return (c.word[0] if c.word else EMPTY), u
+
+    return split_tensor(factors, r_matrix, _split_factor_row)
 
 
 def energy_row(factors):

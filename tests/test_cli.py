@@ -64,12 +64,14 @@ def test_usage_error_exit_code(capsys):
         ["energy", "--row", "--kind", "box", "--element", "1|2,1"],
         ["verify", "--suite", "morris-c", "--n", "1"],
         ["verify", "--suite", "morris-b", "--n", "1"],
+        ["energy", "--row", "--kind", "hdom", "--element", "0|1", "--caps", "1,1"],
+        ["energy", "--kind", "box", "--element", "0|1", "--caps", "1,1"],
     ],
     ids=[
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
         "element-not-integer", "caps-not-integer", "hdom-column", "word-over-capacity",
         "row-caps-short", "caps-short", "max-weight-negative", "row-word-unsorted",
-        "morris-c-rank-1", "morris-b-rank-1",
+        "morris-c-rank-1", "morris-b-rank-1", "row-hdom-zero-letter", "column-zero-letter",
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
@@ -208,6 +210,8 @@ _VERIFY_SHA256_LARGE = {
     ("thm-b", 3, 4): (121, "9f2dd9bf030c026f56a0618eaa6a74b2ce58783a059de417995add46ec8b33f5"),
     # recorded while the level sum still listed every element and filtered
     ("level", 4, 4): (720, "a00ba5991b998752bd5659805e7e5cabf20a53cd7998c537caa1d1bc4c276f60"),
+    # recorded while the letter crystals were still written rule by rule
+    ("xk", 3, 4): (169, "ba5d6747476794c8452c15696bdbe7b6f11554b288fe4b7400897b6446be0779"),
 }
 
 

@@ -13,13 +13,14 @@ from krlab.crystal import (
     eps,
     hw,
     is_hw,
+    letter_table,
     phi,
     raise_step,
     wtpair,
 )
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR
 from krlab.kr_row import RowKR
-from krlab.letters import is_admissible, red, sort_word, unred
+from krlab.letters import EMPTY, is_admissible, red, sort_word, unred
 
 
 def strict_words(maxmag, length):
@@ -197,6 +198,107 @@ def test_raise_step_is_smallest_index_raising():
                 b = step[1]
                 step = raise_step(b, ctx)
             assert (b, walked) == (top, record)
+
+
+# The letter crystals written out rule by rule, as they were before the
+# arrow table: the reference the table is checked against.
+def _ref_eps(x, i, ctx):
+    fam, n = ctx
+    if x is EMPTY:
+        return 0
+    if fam != "inf" and i == n:
+        if fam == "C":
+            return 1 if x == -n else 0
+        if fam == "D":
+            return 1 if x in (-n, -(n - 1)) else 0
+        return (0, 1, 2)[(x == 0) + 2 * (x == -n)]
+    return 1 if (x == i + 1 or x == -i) else 0
+
+
+def _ref_phi(x, i, ctx):
+    fam, n = ctx
+    if x is EMPTY:
+        return 0
+    if fam != "inf" and i == n:
+        if fam == "C":
+            return 1 if x == n else 0
+        if fam == "D":
+            return 1 if x in (n, n - 1) else 0
+        return (0, 1, 2)[(x == 0) + 2 * (x == n)]
+    return 1 if (x == i or x == -(i + 1)) else 0
+
+
+def _ref_e(x, i, ctx):
+    fam, n = ctx
+    if x is EMPTY:
+        return None
+    if fam != "inf" and i == n:
+        if fam == "C":
+            return n if x == -n else None
+        if fam == "D":
+            if x == -n:
+                return n - 1
+            if x == -(n - 1):
+                return n
+            return None
+        if x == 0:
+            return n
+        if x == -n:
+            return 0
+        return None
+    if x == i + 1:
+        return i
+    if x == -i:
+        return -(i + 1)
+    return None
+
+
+def _ref_f(x, i, ctx):
+    fam, n = ctx
+    if x is EMPTY:
+        return None
+    if fam != "inf" and i == n:
+        if fam == "C":
+            return -n if x == n else None
+        if fam == "D":
+            if x == n - 1:
+                return -n
+            if x == n:
+                return -(n - 1)
+            return None
+        if x == 0:
+            return -n
+        if x == n:
+            return 0
+        return None
+    if x == i:
+        return i + 1
+    if x == -(i + 1):
+        return -i
+    return None
+
+
+def test_letter_table_matches_reference():
+    # every letter of each alphabet, EMPTY included, at every index
+    cases = [(CTX_INF, 7, range(-8, 9))]
+    for n in range(1, 6):
+        unbarred = list(range(1, n + 1))
+        barred = [-x for x in unbarred]
+        cases += [
+            (ctx_B(n), n, unbarred + [0] + barred),
+            (ctx_C(n), n, unbarred + barred),
+            (ctx_D(n), n, unbarred + barred),
+        ]
+    for ctx, top, letters in cases:
+        for i in range(1, top + 1):
+            table = letter_table(i, ctx)
+            for x in list(letters) + [EMPTY]:
+                want = (
+                    (_ref_phi(x, i, ctx), _ref_eps(x, i, ctx)),
+                    _ref_e(x, i, ctx),
+                    _ref_f(x, i, ctx),
+                )
+                assert table.get(x, ((0, 0), None, None)) == want, (ctx, i, x)
 
 
 def test_red_commutes_with_operators():

@@ -187,6 +187,19 @@ def test_bounded_hw_row_elements_match_filtered(n):
         assert bounded == kept, (lie_type, lam_d, mu_d, two_g)
         checked += len(unbounded) > len(kept)
     assert n == 1 or checked > 0
+    if n > 3:
+        return
+    # the xk suite's grid, as the filtered X = K sum selects: eps_0 <= M
+    # for M = 0..5 is 2g = 2M for the horizontal-domino kind, 2g = M else
+    xk_grid, _ = SUITES["xk"]
+    for _, (kind, mu, lam) in xk_grid(4, n):
+        unbounded = hw_row_elements(kind, mu, norm(lam))
+        for bound in range(6):
+            two_g = 2 * bound if kind == HDOM else bound
+            kept = [el for el in unbounded if el[2] <= bound]
+            assert hw_row_elements(kind, mu, norm(lam), two_g) == kept, (kind, mu, lam, bound)
+            checked += len(unbounded) > len(kept)
+    assert checked > 0
 
 
 def test_xk_filter_table():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from krlab.crystal import apply_e, apply_f, is_hw, word_weight
-from krlab.kr_column import BOX, HDOM, VDOM
+from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
 from krlab.kr_row import (
     RMatrixTable,
     RowKR,
@@ -37,6 +37,20 @@ def test_word_constraints():
         RowKR(VDOM, 3, (1, 1))  # length must equal capacity
     with pytest.raises(ValueError):
         RowKR(BOX, 2, (1, 1, 2))
+
+
+def test_zero_letter_only_in_odd_rank_alphabets():
+    # the zero letter is the middle of the type B alphabet, which the
+    # single-box and vertical-domino rows use; type C and columns have none
+    assert RowKR(BOX, 2, (0, 1)).word == (0, 1)
+    assert RowKR(VDOM, 2, (0, 1)).word == (0, 1)
+    with pytest.raises(ValueError, match="no zero letter"):
+        RowKR(HDOM, 1, (0,))
+    with pytest.raises(ValueError, match="at most one zero"):
+        RowKR(BOX, 2, (0, 0))
+    for kind in (BOX, VDOM):
+        with pytest.raises(ValueError, match="no zero letter"):
+            ColumnKR(kind, 3, (0,) if kind == BOX else (0, 1, 2))
 
 
 def test_eps0_closed_forms():
@@ -226,6 +240,14 @@ def test_split_row_single_factors():
         for s in (2, 3, 4):
             for b in enumerate_row(kind, s, 2):
                 assert energy_row((b,)) == (s - len(b.word)) // dd
+
+
+def test_split_rejects_mixed_kinds():
+    # rows and columns split through one routine, which checks kinds
+    with pytest.raises(ValueError, match="mixed kinds"):
+        split_row((RowKR(BOX, 2, (1,)), RowKR(HDOM, 2, (1, 1))))
+    with pytest.raises(ValueError, match="mixed kinds"):
+        split_col((ColumnKR(BOX, 2, (1,)), ColumnKR(VDOM, 2, (1, 2))))
 
 
 def test_energy_row_minimal_on_ones():
