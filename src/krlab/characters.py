@@ -10,6 +10,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .partitions import (
+    contains,
     get,
     horizontal_strips_above,
     norm,
@@ -70,8 +71,6 @@ def character(lie_type, n, lam):
 @lru_cache(maxsize=None)
 def schur(n, lam):
     """Type A Schur polynomial in n variables, by the branching rule."""
-    from .partitions import contains
-
     lam = norm(lam)
     if len(lam) > n:
         return Poly(n, {})
@@ -188,21 +187,13 @@ def ps_D(n, lam):
     """s^{D_n}_{lam+} + s^{D_n}_{lam-}."""
     lam = tuple(lam)
     neg = lam[:-1] + (-lam[-1],)
-    p = character("D", n, lam)
-    if neg != lam:
-        p = p + character("D", n, neg)
-    else:
-        p = p + character("D", n, lam)
-    return p
+    return character("D", n, lam) + character("D", n, neg)
 
 
 def ns_D(n, lam):
     lam = tuple(lam)
     neg = lam[:-1] + (-lam[-1],)
-    p = character("D", n, lam)
-    if neg != lam:
-        return p - character("D", n, neg)
-    return Poly(n, {})
+    return character("D", n, lam) - character("D", n, neg)
 
 
 def pss_bar_D(n, lam):

@@ -164,10 +164,12 @@ def cmd_energy(args):
         factors = tuple(factor(kind, c, w) for c, w in zip(caps, words))
     except ValueError as e:
         raise BadInput("--element %s: %s" % (args.element, e)) from None
+    for w in words:
+        if args.row and w != sort_word(w):
+            raise BadInput("--element %s: row word %s is not weakly increasing" % (args.element, word_str(w)))
+        if not args.row and w != sort_word(set(w)):
+            raise BadInput("--element %s: column word %s is not strictly increasing" % (args.element, word_str(w)))
     if args.row:
-        for w in words:
-            if w != sort_word(w):
-                raise BadInput("--element %s: row word %s is not weakly increasing" % (args.element, word_str(w)))
         print(energy_row(factors))
         return 0
     d = energy_col(factors)

@@ -136,7 +136,6 @@ def _count(lie_type, n, tag, others, simple_evs, nvars, idx, v):
             if sub:
                 out = out + sub.shift(tuple(m * x for x in ev))
             m += 1
-        out = out
     _memo[key] = out
     return out
 

@@ -4,9 +4,12 @@ correspondence with its boundedness criterion, plus the word rewriting used
 for the vertical-domino filtration.
 
 Tableaux are tuples of row tuples with strictly increasing rows and columns
-and pairwise distinct entries.
+and pairwise distinct entries.  Column insertion and deletion are row
+insertion and deletion on the transposed tableau.
 """
 
+from .crystal import ctx_D, hw, word_weight
+from .letters import key
 from .partitions import norm
 
 
@@ -52,42 +55,14 @@ def row_insert(t, x):
 
 def column_insert(x, t):
     """(x -> T): bump the topmost larger entry across the columns."""
-    cols = _columns(t)
-    c = 0
-    while True:
-        if c == len(cols):
-            cols.append([x])
-            break
-        col = cols[c]
-        pos = None
-        for r, v in enumerate(col):
-            if v > x:
-                pos = r
-                break
-        if pos is None:
-            col.append(x)
-            break
-        col[pos], x = x, col[pos]
-        c += 1
-    return _from_columns(cols)
+    return _transpose(row_insert(_transpose(t), x))
 
 
-def _columns(t):
-    if not t:
-        return []
-    return [[t[r][c] for r in range(len(t)) if c < len(t[r])] for c in range(len(t[0]))]
-
-
-def _from_columns(cols):
-    rows = []
-    r = 0
-    while True:
-        row = [col[r] for col in cols if r < len(col)]
-        if not row:
-            break
-        rows.append(tuple(row))
-        r += 1
-    return tuple(rows)
+def _transpose(t):
+    """The tableau whose rows are the columns of t."""
+    return tuple(
+        tuple(row[c] for row in t if c < len(row)) for c in range(len(t[0]) if t else 0)
+    )
 
 
 def row_delete(t, cell):
@@ -116,23 +91,8 @@ def row_delete(t, cell):
 def column_delete(t, cell):
     """Inverse of column insertion ending at the given corner."""
     r, c = cell
-    cols = _columns(t)
-    if r != len(cols[c]) - 1 or (c + 1 < len(cols) and len(cols[c + 1]) > r):
-        raise ValueError("not a corner cell")
-    y = cols[c].pop(r)
-    if not cols[c]:
-        cols.pop(c)
-    for cc in range(c - 1, -1, -1):
-        col = cols[cc]
-        pos = None
-        for i in range(len(col) - 1, -1, -1):
-            if col[i] < y:
-                pos = i
-                break
-        if pos is None:
-            raise ValueError("deletion path broke")
-        col[pos], y = y, col[pos]
-    return _from_columns(cols), y
+    t, y = row_delete(_transpose(t), (c, r))
+    return _transpose(t), y
 
 
 def row_insert_word(t, word):
@@ -150,7 +110,7 @@ def column_insert_word(word, t):
 def column_reading_word(t):
     """Columns left to right, each bottom to top."""
     out = []
-    for col in _columns(t):
+    for col in _transpose(t):
         out.extend(reversed(col))
     return tuple(out)
 
@@ -185,12 +145,9 @@ def hat(cols):
 
 
 def tab(cols):
-    """Column-insert the bottom line right to left into the empty tableau."""
-    word = [i for j, i in cols]
-    t = ()
-    for x in word:
-        t = column_insert(x, t)
-    return t
+    """Column-insert the bottom line into the empty tableau, leftmost letter
+    first."""
+    return column_insert_word([i for j, i in reversed(cols)], ())
 
 
 def burge(cols):
@@ -207,24 +164,11 @@ def burge(cols):
 
 
 def _new_cell(old, new):
-    for r in range(len(new)):
-        for c in range(len(new[r])):
-            if r >= len(old) or c >= len(old[r]):
-                return (r, c)
-    raise ValueError("no new cell")
+    return _diff_cell(tab_shape(new), tab_shape(old))
 
 
 def _add_cell_below(t, col, val):
-    rows = [list(r) for r in t]
-    r = 0
-    while r < len(rows) and len(rows[r]) > col:
-        r += 1
-    if r == len(rows):
-        rows.append([])
-    if len(rows[r]) != col:
-        raise ValueError("column not addable")
-    rows[r].append(val)
-    return tuple(tuple(x) for x in rows)
+    return _place(t, (sum(len(row) > col for row in t), col), val)
 
 
 def inverse_burge(t):
@@ -233,27 +177,16 @@ def inverse_burge(t):
     t = tuple(tuple(r) for r in t)
     while t:
         m = max(v for row in t for v in row)
-        pos = next(
+        r, c = next(
             (r, c) for r in range(len(t)) for c in range(len(t[r])) if t[r][c] == m
         )
-        r, c = pos
+        # the maximal entry ends its row, so it is a corner
+        t = tuple(x for x in t[:r] + (t[r][:c],) + t[r + 1 :] if x)
         if c == 0:
-            rows = [list(x) for x in t]
-            rows[r].pop(0)
-            if not rows[r]:
-                rows.pop(r)
-            t = tuple(tuple(x) for x in rows)
             cols.append((m, m))
         else:
-            rows = [list(x) for x in t]
-            rows[r].pop(c)
-            if not rows[r]:
-                rows.pop(r)
-            t = tuple(tuple(x) for x in rows)
-            target = max(
-                rr for rr in range(len(t)) if len(t[rr]) >= c
-            )
-            t, d = column_delete(t, (target, c - 1))
+            bottom = sum(len(row) >= c for row in t) - 1
+            t, d = column_delete(t, (bottom, c - 1))
             cols.append((m, d))
     cols.reverse()
     return tuple(cols)
@@ -370,7 +303,7 @@ def phi_bc(chain):
     y = tab(bar(cols))
     word = column_reading_word(y)
     col_of = {}
-    for c, col in enumerate(_columns(y), start=1):
+    for c, col in enumerate(_transpose(y), start=1):
         for v in col:
             col_of[v] = c
     p = t
@@ -419,22 +352,16 @@ def plactic_rules(n):
     (name, lhs, rhs) triples over the letter alphabet of D_n."""
     rules = []
     letters = list(range(1, n + 1)) + [-i for i in range(n, 0, -1)]
-
-    def order(x):
-        from .letters import key
-
-        return key(x)
-
     for x in letters:
         for y in letters:
             for z in letters:
-                if x != -z and order(x) <= order(y) < order(z):
+                if x != -z and key(x) <= key(y) < key(z):
                     rules.append(("R1", (x, z, y), (z, x, y)))
-                if x != -z and order(x) < order(y) <= order(z):
+                if x != -z and key(x) < key(y) <= key(z):
                     rules.append(("R1", (y, z, x), (y, x, z)))
     for x in range(2, n + 1):
         for y in letters:
-            if order(x) <= order(y) <= order(-x):
+            if key(x) <= key(y) <= key(-x):
                 rules.append(("R2", (x - 1, -(x - 1), y), (x, -x, y)))
                 rules.append(("R2", (y, -x, x), (y, x - 1, -(x - 1))))
     for x in range(1, n):
@@ -453,8 +380,6 @@ def same_position(v, w, n):
     """Whether two words sit at the same place of isomorphic classical
     components of the rank-n type D letter crystal: equal raising paths to
     tops of equal weight."""
-    from krlab.crystal import ctx_D, hw, word_weight
-
     ctx = ctx_D(n)
     path_v, path_w = [], []
     top_v = hw(tuple(v), ctx, record=path_v)
@@ -462,41 +387,35 @@ def same_position(v, w, n):
     return path_v == path_w and word_weight(top_v, n) == word_weight(top_w, n)
 
 
-def plactic_rewrite(word, rule, pos, n):
-    """Apply one named rewrite at a position, in either direction.
+def _rewrites(word, rules, pos, n):
+    """The rewrites of the three letters at pos, one per matching rule: an
+    lhs match is replaced by the rhs, else an rhs match by the lhs.
 
     The printed side conditions over-apply at the boundary, so a pattern
     match must also preserve the crystal position to count as the relation.
     """
+    here = word[pos : pos + 3]
+    for _, lhs, rhs in rules:
+        if here in (lhs, rhs):
+            out = word[:pos] + (rhs if here == lhs else lhs) + word[pos + 3 :]
+            if same_position(word, out, n):
+                yield out
+
+
+def plactic_rewrite(word, rule, pos, n):
+    """Apply one named rewrite at a position, in either direction."""
     word = tuple(word)
-    for name, lhs, rhs in plactic_rules(n):
-        if name != rule:
-            continue
-        out = None
-        if word[pos : pos + 3] == lhs:
-            out = word[:pos] + rhs + word[pos + 3 :]
-        elif word[pos : pos + 3] == rhs:
-            out = word[:pos] + lhs + word[pos + 3 :]
-        if out is not None and same_position(word, out, n):
-            return out
+    rules = [r for r in plactic_rules(n) if r[0] == rule]
+    for out in _rewrites(word, rules, pos, n):
+        return out
     raise ValueError("no %s match at position %d" % (rule, pos))
 
 
 def plactic_neighbors(word, n):
     """All single-rewrite neighbours of a word."""
     word = tuple(word)
-    out = set()
     rules = plactic_rules(n)
-    for pos in range(len(word) - 2):
-        for name, lhs, rhs in rules:
-            cand = None
-            if word[pos : pos + 3] == lhs:
-                cand = word[:pos] + rhs + word[pos + 3 :]
-            elif word[pos : pos + 3] == rhs:
-                cand = word[:pos] + lhs + word[pos + 3 :]
-            if cand is not None and cand != word and same_position(word, cand, n):
-                out.add(cand)
-    return out
+    return {out for pos in range(len(word) - 2) for out in _rewrites(word, rules, pos, n)}
 
 
 def theta_1n(word, n):

@@ -66,12 +66,16 @@ def test_usage_error_exit_code(capsys):
         ["verify", "--suite", "morris-b", "--n", "1"],
         ["energy", "--row", "--kind", "hdom", "--element", "0|1", "--caps", "1,1"],
         ["energy", "--kind", "box", "--element", "0|1", "--caps", "1,1"],
+        ["energy", "--kind", "box", "--element", "1,1", "--caps", "2"],
+        ["energy", "--kind", "box", "--element", "2,1", "--caps", "2"],
+        ["energy", "--kind", "vdom", "--element", "2,1|1"],
     ],
     ids=[
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
         "element-not-integer", "caps-not-integer", "hdom-column", "word-over-capacity",
         "row-caps-short", "caps-short", "max-weight-negative", "row-word-unsorted",
         "morris-c-rank-1", "morris-b-rank-1", "row-hdom-zero-letter", "column-zero-letter",
+        "column-word-repeated", "column-word-decreasing", "vdom-column-word-decreasing",
     ],
 )
 def test_bad_input_exit_code(capsys, argv):

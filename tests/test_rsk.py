@@ -1,6 +1,7 @@
 """Insertion algorithms, two-line arrays, the oscillating correspondence,
 and the word rewriting family."""
 
+import hashlib
 import itertools
 import random
 
@@ -86,6 +87,13 @@ def test_non_corner_deletion_raises():
     t = ((1, 3), (2,))
     with pytest.raises(ValueError):
         row_delete(t, (0, 0))
+    # column deletion reaches the same check through the transpose
+    with pytest.raises(ValueError):
+        column_delete(t, (0, 0))
+    t = ((1, 3, 4), (2,))
+    with pytest.raises(ValueError):
+        column_delete(t, (0, 1))
+    assert column_delete(t, (0, 2)) == (((1, 4), (3,)), 2)
 
 
 def test_row_insert_five_row_display():
@@ -330,6 +338,24 @@ def test_theta_and_plactic():
     assert rewritten == (4, 4, -4, -4)
     with pytest.raises(ValueError):
         plactic_rewrite((1, 2, 3), "R4", 0, 4)
+
+
+def test_plactic_neighbors_pinned():
+    # every word of length 3 and 4 over the n = 2 alphabet and of length 3
+    # over n = 3, with its whole neighbour set; digest of the output of the
+    # former separate matchers of plactic_rewrite and plactic_neighbors
+    lines = []
+    total = 0
+    for n, lengths in ((2, (3, 4)), (3, (3,))):
+        letters = list(range(1, n + 1)) + [-i for i in range(n, 0, -1)]
+        for ln in lengths:
+            for w in itertools.product(letters, repeat=ln):
+                nb = sorted(plactic_neighbors(w, n))
+                total += len(nb)
+                lines.append("%d %r %r" % (n, w, nb))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert total == 392
+    assert digest == "5653b491b4e360cc4d199d816c750688a9f388f9bfadb56ce061617e8d0e6c86"
 
 
 def test_plactic_preserves_eps0():
