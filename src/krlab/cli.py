@@ -284,10 +284,22 @@ def build_parser():
     return p
 
 
+def _glue_element(argv):
+    """Write `--element -2,-1` as `--element=-2,-1`: argparse takes a value
+    that starts with a barred letter for an option unless it is glued."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--element" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_element(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

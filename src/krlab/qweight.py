@@ -2,9 +2,22 @@
 multiplicities, straight from the alternating-sum definition.
 
 These are the definitional oracles everything else is checked against.
+
+P_q(beta) = [e^beta] prod 1/(1 - q^{L(a)} e^a) over the positive roots a is
+the coin-change recurrence in simple-root coordinates v.  With a_1, a_2, ...
+the non-simple roots, tallest first, and P_k(v) the count that uses only
+a_k, a_{k+1}, ... and the simple roots,
+
+    P_k(v) = P_{k+1}(v) + q^{L(a_k)} P_k(v - a_k),
+
+with P_k(v - a_k) = 0 once v - a_k has a negative coordinate.  Past the
+last non-simple root v is a sum of simple roots in exactly one way, so the
+count closes in one monomial.  States are kept in `_memo` as dense integer
+coefficients; `q_kostant` returns a `Poly`.
 """
 
 from functools import lru_cache
+from operator import add, sub
 
 from .polynomials import Poly
 
@@ -75,10 +88,53 @@ def simple_coords(lie_type, n, beta):
     raise ValueError(lie_type)
 
 
+# Dense coefficients: a q-polynomial is the tuple of its coefficients by
+# q-degree, and a (q,t)-polynomial the tuple, by q-degree, of such tuples in
+# t.  No coefficient is ever negative, so a nonzero tuple ends in a nonzero
+# entry and () is zero.
+
+
+def _add(p, r):
+    if len(p) < len(r):
+        p, r = r, p
+    return tuple(map(add, p, r)) + p[len(r):]
+
+
+def _add_qt(p, r):
+    if len(p) < len(r):
+        p, r = r, p
+    return tuple(map(_add, p, r)) + p[len(r):]
+
+
+def _shift(p, ev):
+    """p times q^ev[0] (times t^ev[1] for a (q,t)-polynomial)."""
+    if len(ev) == 2:
+        if ev[1]:
+            p = tuple((0,) * ev[1] + x if x else x for x in p)
+        return ((),) * ev[0] + p
+    return (0,) * ev[0] + p
+
+
+def _mono(ev):
+    if len(ev) == 2:
+        return ((),) * ev[0] + ((0,) * ev[1] + (1,),)
+    return (0,) * ev[0] + (1,)
+
+
+def _to_poly(p, nvars):
+    out = Poly(nvars)
+    if nvars == 2:
+        out.c = {(i, j): x for i, xs in enumerate(p) for j, x in enumerate(xs) if x}
+    else:
+        out.c = {(i,): x for i, x in enumerate(p) if x}
+    return out
+
+
 @lru_cache(maxsize=None)
 def _context(lie_type, n, tag):
-    """Root data in simple coordinates, non-simple roots first."""
-    nvars = 2 if tag == L_QT_B else 1
+    """The non-simple roots in simple coordinates, tallest first, with
+    their exponent vectors; the simple roots' exponent vectors in order; the
+    variable count and the dense add for the tag."""
     roots = []
     for r in positive_roots(lie_type, n):
         c = simple_coords(lie_type, n, r)
@@ -92,52 +148,53 @@ def _context(lie_type, n, tag):
             others.append((c, ev))
     others.sort(key=lambda t: -sum(t[0]))
     simple_evs = tuple(simple[i] for i in range(len(simple)))
-    return tuple(others), simple_evs, nvars
+    nvars = 2 if tag == L_QT_B else 1
+    return tuple(others), simple_evs, nvars, _add_qt if nvars == 2 else _add
 
 
+# (lie_type, n, tag, idx, v) -> P_idx(v), see _count; emptied by clear_caches
 _memo = {}
 
 
 def q_kostant(lie_type, n, beta, tag=L_ONE):
-    """[e^beta] prod 1/(1 - q^{L(a)} e^a) over the positive roots.
-
-    Dynamic programming over root multiplicities in simple-root coordinates;
-    positivity of the coordinates makes the recursion finite.
-    """
-    others, simple_evs, nvars = _context(lie_type, n, tag)
+    """[e^beta] prod 1/(1 - q^{L(a)} e^a) over the positive roots."""
+    roots = _context(lie_type, n, tag)
+    nvars = roots[2]
     v = simple_coords(lie_type, n, tuple(beta))
     if v is None or any(x < 0 for x in v):
         return Poly.zero(nvars)
-    return _count(lie_type, n, tag, others, simple_evs, nvars, 0, v)
+    return _to_poly(_count((lie_type, n, tag), roots, 0, v), nvars)
 
 
-def _count(lie_type, n, tag, others, simple_evs, nvars, idx, v):
-    key = (lie_type, n, tag, idx, v)
+def _count(ctx, roots, idx, v):
+    """P_idx(v) for v >= 0 as dense coefficients, by the recurrence of the
+    module docstring.  The a-string below v is walked down to its first
+    stored state, then filled upwards, so recursion only deepens with idx."""
+    key = ctx + (idx, v)
     hit = _memo.get(key)
     if hit is not None:
         return hit
+    others, simple_evs, nvars, plus = roots
     if idx == len(others):
-        e = [0] * nvars
-        for m, ev in zip(v, simple_evs):
-            for i in range(nvars):
-                e[i] += m * ev[i]
-        out = Poly.mono(tuple(e))
-    else:
-        c, ev = others[idx]
-        out = Poly.zero(nvars)
-        cur = v
-        m = 0
-        while True:
-            if m:
-                cur = tuple(a - b for a, b in zip(cur, c))
-                if any(x < 0 for x in cur):
-                    break
-            sub = _count(lie_type, n, tag, others, simple_evs, nvars, idx + 1, cur)
-            if sub:
-                out = out + sub.shift(tuple(m * x for x in ev))
-            m += 1
-    _memo[key] = out
-    return out
+        e = [sum(m * ev[i] for m, ev in zip(v, simple_evs)) for i in range(nvars)]
+        out = _memo[key] = _mono(e)
+        return out
+    c, ev = others[idx]
+    string = [v]
+    acc = None
+    while True:
+        w = tuple(map(sub, string[-1], c))
+        if min(w) < 0:
+            break
+        acc = _memo.get(ctx + (idx, w))
+        if acc is not None:
+            break
+        string.append(w)
+    for w in reversed(string):
+        below = _count(ctx, roots, idx + 1, w)
+        acc = below if acc is None else plus(below, _shift(acc, ev))
+        _memo[ctx + (idx, w)] = acc
+    return acc
 
 
 def _check_pair(lie_type, n, lam, mu):

@@ -8,6 +8,8 @@ and pairwise distinct entries.  Column insertion and deletion are row
 insertion and deletion on the transposed tableau.
 """
 
+from functools import lru_cache
+
 from .crystal import ctx_D, hw, word_weight
 from .letters import key
 from .partitions import norm
@@ -347,9 +349,10 @@ def bound_from_q(q, lam, two_g):
 # word rewriting for the vertical-domino filtration
 
 
+@lru_cache(maxsize=None)
 def plactic_rules(n):
-    """The four families of length-three rewriting rules at rank n, as
-    (name, lhs, rhs) triples over the letter alphabet of D_n."""
+    """The four families of length-three rewriting rules at rank n, as a
+    tuple of (name, lhs, rhs) triples over the letter alphabet of D_n."""
     rules = []
     letters = list(range(1, n + 1)) + [-i for i in range(n, 0, -1)]
     for x in letters:
@@ -373,7 +376,7 @@ def plactic_rules(n):
     rules.append(("R4", (n, n, -n), (n, n - 1, -(n - 1))))
     rules.append(("R4", (n - 1, -(n - 1), -n), (n, -n, -n)))
     rules.append(("R4", (n - 1, -(n - 1), n), (-n, n, n)))
-    return rules
+    return tuple(rules)
 
 
 def same_position(v, w, n):

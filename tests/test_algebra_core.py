@@ -1,6 +1,7 @@
 """The Weyl-group oracle layer: positive roots, the q-analog counting
 function, alternating sums, characters, and branching data."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -21,15 +22,17 @@ from krlab.characters import (
     twisted_branching,
     twisted_branching_d,
 )
+from krlab import clear_caches
 from krlab.charge import charge, kostka_foulkes, reading_word, ssyt
 from krlab.partitions import get, is_partition, norm, partitions, partitions_upto
-from krlab.polynomials import Poly
+from krlab.polynomials import Poly, poly_str
 from krlab.qweight import (
     kl_A,
     kl_level_restricted,
     kl_poly,
     kl_qt_B,
     q_kostant,
+    simple_coords,
     stable_kl,
     weyl_terms,
 )
@@ -102,6 +105,21 @@ def test_kl_golden_values():
     assert kl_qt_B(3, (3, 3, 3), (1, 1, 1)) == Poly(
         2, {(3, 3): 1, (3, 1): 1, (2, 1): 1, (1, 1): 1}
     )
+
+
+@pytest.mark.parametrize(
+    "lam, digest",
+    [
+        ((4, 4, 2, 2, 0), "fd963158d45278a3f640b60ed1c425ff03b613909d72e7a411c93554c5159717"),
+        ((2, 2, 1, 1, 0, 0), "0f2b48f0d4982737bb72cb778547de06d7084a4414201528511f05379b43c5b1"),
+    ],
+    ids=["C5", "C6"],
+)
+def test_kl_rank5_rank6_pinned(lam, digest):
+    # KL^{C_n}_{lam,0}(q) at ranks 5 and 6, by the sha256 of its printed form
+    n = len(lam)
+    p = kl_poly("C", n, dbl(lam), (0,) * n)
+    assert hashlib.sha256(poly_str(p, ("q",)).encode()).hexdigest() == digest
 
 
 def test_kl_c1_powers():
@@ -211,6 +229,87 @@ def test_pruned_weyl_sum_matches_full_sum(lie_type):
                 visited += sum(pruned.values())
                 full += sum(terms.values())
     assert visited < full / 4
+
+
+def _ref_roots(lie_type, n, tag):
+    """Positive roots in simple coordinates with their exponent vectors,
+    non-simple roots first, then the simple roots' vectors in order."""
+    roots = []
+    for r in positive_roots(lie_type, n):
+        if tag == "one":
+            ev = (1,)
+        elif tag == "levelA":
+            # the positive roots with a negative entry are the e_i - e_j
+            ev = (1,) if min(r) < 0 else (0,)
+        else:
+            ev = (1, 0) if sum(1 for x in r if x) == 2 else (0, 1)
+        roots.append((simple_coords(lie_type, n, r), ev))
+    simple = {c.index(1): ev for c, ev in roots if sum(c) == 1}
+    others = sorted(((c, ev) for c, ev in roots if sum(c) != 1), key=lambda t: -sum(t[0]))
+    return tuple(others), tuple(simple[i] for i in range(len(simple)))
+
+
+def _ref_q_kostant(lie_type, n, beta, tag, memo):
+    """The q-Kostant DP with Poly values: sum over the multiplicity m of
+    each non-simple root in turn of q^{m L(a)} times the rest."""
+    nvars = 2 if tag == "qtB" else 1
+    others, simple_evs = _ref_roots(lie_type, n, tag)
+    v = simple_coords(lie_type, n, tuple(beta))
+    if v is None or any(x < 0 for x in v):
+        return Poly.zero(nvars)
+
+    def count(idx, v):
+        key = (lie_type, n, tag, idx, v)
+        if key in memo:
+            return memo[key]
+        if idx == len(others):
+            e = [0] * nvars
+            for m, ev in zip(v, simple_evs):
+                for i in range(nvars):
+                    e[i] += m * ev[i]
+            out = Poly.mono(tuple(e))
+        else:
+            c, ev = others[idx]
+            out = Poly.zero(nvars)
+            cur = v
+            m = 0
+            while True:
+                if m:
+                    cur = tuple(a - b for a, b in zip(cur, c))
+                    if any(x < 0 for x in cur):
+                        break
+                sub = count(idx + 1, cur)
+                if sub:
+                    out = out + sub.shift(tuple(m * x for x in ev))
+                m += 1
+        memo[key] = out
+        return out
+
+    return count(0, v)
+
+
+def test_q_kostant_matches_poly_reference():
+    # the dense coin-change DP against the Poly-valued recursion over root
+    # multiplicities, on every beta of every alternating sum of the grid;
+    # caches are cleared per type, so both cold and warm tables are read
+    memo = {}
+    for lie_type in ("A", "B", "C", "D"):
+        clear_caches()
+        tags = ("one", "levelA", "qtB") if lie_type == "B" else ("one", "levelA")
+        for n in range(1 if lie_type != "D" else 2, 5):
+            weights = _dominant_weights(lie_type, n, 4 if n < 4 else 3)
+            for lam, mu in itertools.product(weights, repeat=2):
+                if lam[0] % 2 != mu[0] % 2:
+                    continue
+                for fn, group in ((kl_poly, lie_type), (stable_kl, "A")):
+                    terms = weyl_terms(lie_type, n, lam, mu, group)
+                    for tag in tags:
+                        want = Poly.zero(2 if tag == "qtB" else 1)
+                        for beta, det in terms:
+                            term = _ref_q_kostant(lie_type, n, beta, tag, memo)
+                            assert q_kostant(lie_type, n, beta, tag) == term, (beta, tag)
+                            want = want + (term if det == 1 else -term)
+                        assert fn(lie_type, n, lam, mu, tag) == want, (n, lam, mu, group, tag)
 
 
 def test_stable_kl_level_restricted_expansion():

@@ -143,6 +143,19 @@ def test_energy_command(capsys):
     assert out.strip() == "9 vac=3 qt=q^3*t^3"
 
 
+@pytest.mark.parametrize(
+    "element, caps, code",
+    [("-2,-1", "2", 0), ("-1|-2", "1,1", 0), ("-1,2", "2", 2)],
+)
+def test_energy_leading_barred_letter(capsys, element, caps, code):
+    # a spaced --element value that starts with a barred letter is read as
+    # the value, the same as the glued form
+    spaced = run(capsys, "energy", "--kind", "box", "--element", element, "--caps", caps)
+    glued = run(capsys, "energy", "--kind", "box", "--element=" + element, "--caps", caps)
+    assert spaced == glued
+    assert spaced[0] == code
+
+
 def test_verify_json_and_csv(capsys):
     code, out = run(capsys, "verify", "--suite", "thm-c", "--max-weight", "2", "--n", "2")
     assert code == 0
