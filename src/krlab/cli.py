@@ -181,18 +181,11 @@ def cmd_energy(args):
 
 
 def _jobs(flag):
-    """--jobs, else KRLAB_JOBS, else 1; a positive worker count, capped at
-    the number of CPUs."""
-    if flag is not None:
-        source, text = "--jobs", str(flag)
-    else:
-        source, text = "KRLAB_JOBS", os.environ.get("KRLAB_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
+    """--jobs, else 1; a positive worker count, capped at the number of
+    CPUs."""
+    jobs = 1 if flag is None else flag
     if jobs < 1:
-        raise BadInput("%s %s must be a positive integer" % (source, text))
+        raise BadInput("--jobs %d must be a positive integer" % jobs)
     return min(jobs, os.cpu_count() or 1)
 
 

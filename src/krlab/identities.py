@@ -19,6 +19,7 @@ from .kr_column import BOX, HDOM, VDOM, vac_qt_energy
 from .kr_row import energy_row, hw_row_elements
 from .oscillating import (
     GSSOT,
+    ROW_KIND,
     SSOT,
     SSROT,
     aug,
@@ -197,8 +198,8 @@ def involution_partition(lam, mu, n, g):
 # ---------------------------------------------------------------------------
 # level-restricted identities
 
-DIAMOND = {"B": BOX, "C": HDOM, "D": VDOM}
 OSC_KIND = {"B": GSSOT, "C": SSOT, "D": SSROT}
+DIAMOND = {t: ROW_KIND[k] for t, k in OSC_KIND.items()}
 ZETA = {"B": 2, "C": 1, "D": 2}
 DSIZE = {BOX: 1, HDOM: 2, VDOM: 2}
 

@@ -2,12 +2,13 @@
 closed-form affine statistics, affine raising and lowering, the R-matrix
 against a one-box factor, row splitting, and energy.
 
-The affine eps_0 of a single row factor counts unpaired 1's for the
-single-box and horizontal-domino kinds and plain counts for the
-vertical-domino kind; the pairing of the zero coroot against a classical
-weight zeta is -zeta_1 (hdom), -2 zeta_1 (box), -zeta_1 - zeta_2 (vdom).
-The raising and lowering rules below are branch rules consistent with
-those statistics; the paper-level gates are the crystal axioms, the
+The 0-arrows rest on two rules.  Duality: b^vee bars every letter of b (0
+stays 0), and phi_0(b) = eps_0(b^vee), f_0(b) = e_0(b^vee)^vee, so only
+raising is stated.  A horizontal domino is two boxes: e_0 on a
+horizontal-domino row is the single-box e_0 taken twice on the same word,
+and its eps_0 is half the single-box one.  The single-box eps_0 is twice
+the unpaired 1's plus the empty boxes, the vertical-domino eps_0 the 1's
+plus the unpaired 2's.  The paper-level gates are the crystal axioms, the
 closed forms, and the level-restriction identities.
 """
 
@@ -71,114 +72,76 @@ class RowKR:
         return RowKR(self.kind, self.cap, sort_word(letters))
 
     def counts(self):
-        x1 = sum(1 for x in self.word if x == 1)
-        xb1 = sum(1 for x in self.word if x == -1)
-        x2 = sum(1 for x in self.word if x == 2)
-        xb2 = sum(1 for x in self.word if x == -2)
-        return x1, xb1, x2, xb2
+        """The numbers of 1, bar1, 2 and bar2 letters."""
+        w = self.word
+        return w.count(1), w.count(-1), w.count(2), w.count(-2)
 
     def __str__(self):
         return "%s^%d[%s]" % (self.kind, self.cap, word_str(self.word))
 
 
-def _replace(word, old, new):
+def _drop(word, x):
+    """The word without one letter x; it stays sorted."""
     out = list(word)
-    out.remove(old)
-    out.append(new)
-    return sort_word(out)
+    out.remove(x)
+    return tuple(out)
 
 
-def _drop(word, *vals):
-    out = list(word)
-    for v in vals:
-        out.remove(v)
-    return sort_word(out)
+def _addl(word, x):
+    return sort_word(word + (x,))
 
 
-def _addl(word, *vals):
-    return sort_word(tuple(word) + tuple(vals))
+def _dual(b: RowKR):
+    """b^vee: every letter barred, 0 kept."""
+    return b.with_letters(-x for x in b.word)
+
+
+def _eps0(kind, s, k, x1, xb1, x2, xb2):
+    """eps_0 of a row of capacity s, length k and the given letter counts."""
+    if kind == VDOM:
+        return x1 + max(0, x2 - xb2)
+    box = 2 * max(x1 - xb1, 0) + (s - k)
+    return box // 2 if kind == HDOM else box
 
 
 def eps0_row(b: RowKR):
     """Closed-form affine raising capacity of one row factor."""
-    x1, xb1, x2, xb2 = b.counts()
-    s, k = b.cap, len(b.word)
-    if b.kind == HDOM:
-        return max(x1 - xb1, 0) + (s - k) // 2
-    if b.kind == BOX:
-        return 2 * max(x1 - xb1, 0) + (s - k)
-    return x1 + max(0, x2 - xb2)
-
-
-def zero_pairing(kind, wt):
-    """<wt, alpha_0 coroot> against a classical weight vector."""
-    z1 = wt[0] if wt else 0
-    z2 = wt[1] if len(wt) > 1 else 0
-    if kind == HDOM:
-        return -z1
-    if kind == BOX:
-        return -2 * z1
-    return -z1 - z2
-
-
-def _row_pairing(b: RowKR):
-    x1, xb1, x2, xb2 = b.counts()
-    return zero_pairing(b.kind, (x1 - xb1, x2 - xb2))
+    return _eps0(b.kind, b.cap, len(b.word), *b.counts())
 
 
 def phi0_row(b: RowKR):
-    return eps0_row(b) + _row_pairing(b)
+    """eps_0(b^vee), read off b's counts with 1, bar1 and 2, bar2 swapped."""
+    x1, xb1, x2, xb2 = b.counts()
+    return _eps0(b.kind, b.cap, len(b.word), xb1, x1, xb2, x2)
+
+
+def _e0_box(w, cap):
+    """Single-box e_0 on a word: drop an unpaired 1, else add a bar1."""
+    if w.count(1) > w.count(-1):
+        return _drop(w, 1)
+    if len(w) < cap:
+        return _addl(w, -1)
+    return None
 
 
 def e0_row(b: RowKR):
     """Affine raising on one factor; weight drops by the zero root."""
-    x1, xb1, x2, xb2 = b.counts()
     w = b.word
-    if b.kind == HDOM:
-        d = x1 - xb1
-        if d >= 2:
-            return RowKR(b.kind, b.cap, _drop(w, 1, 1))
-        if d == 1:
-            return RowKR(b.kind, b.cap, _replace(w, 1, -1))
-        if len(w) + 2 <= b.cap:
-            return RowKR(b.kind, b.cap, _addl(w, -1, -1))
+    if b.kind == VDOM:
+        if w.count(2) > w.count(-2):
+            return RowKR(b.kind, b.cap, _addl(_drop(w, 2), -1))
+        if 1 in w:
+            return RowKR(b.kind, b.cap, _addl(_drop(w, 1), -2))
         return None
-    if b.kind == BOX:
-        if x1 - xb1 >= 1:
-            return RowKR(b.kind, b.cap, _drop(w, 1))
-        if len(w) < b.cap:
-            return RowKR(b.kind, b.cap, _addl(w, -1))
-        return None
-    if x2 > xb2:
-        return RowKR(b.kind, b.cap, _replace(w, 2, -1))
-    if x1 > 0:
-        return RowKR(b.kind, b.cap, _replace(w, 1, -2))
-    return None
+    w = _e0_box(w, b.cap)
+    if w is not None and b.kind == HDOM:
+        w = _e0_box(w, b.cap)
+    return None if w is None else RowKR(b.kind, b.cap, w)
 
 
 def f0_row(b: RowKR):
-    x1, xb1, x2, xb2 = b.counts()
-    w = b.word
-    if b.kind == HDOM:
-        d = x1 - xb1
-        if d >= 0:
-            if len(w) + 2 <= b.cap:
-                return RowKR(b.kind, b.cap, _addl(w, 1, 1))
-            return None
-        if d == -1:
-            return RowKR(b.kind, b.cap, _replace(w, -1, 1))
-        return RowKR(b.kind, b.cap, _drop(w, -1, -1))
-    if b.kind == BOX:
-        if x1 - xb1 >= 0:
-            if len(w) < b.cap:
-                return RowKR(b.kind, b.cap, _addl(w, 1))
-            return None
-        return RowKR(b.kind, b.cap, _drop(w, -1))
-    if x2 >= xb2:
-        if xb1 > 0:
-            return RowKR(b.kind, b.cap, _replace(w, -1, 2))
-        return None
-    return RowKR(b.kind, b.cap, _replace(w, -2, 1))
+    a = e0_row(_dual(b))
+    return None if a is None else _dual(a)
 
 
 def _affine_rule(t):
@@ -425,9 +388,9 @@ def hw_row_elements(kind, mu, lam, two_g=None):
     elements with eps_0 <= two_g / 2 for the horizontal-domino kind, and
     with eps_0 <= two_g for the other two.
     """
-    from .oscillating import GSSOT, SSOT, SSROT, chain_c2, enumerate_chains, phi_r
+    from .oscillating import ROW_KIND, chain_c2, enumerate_chains, phi_r
 
-    osc_kind = {HDOM: SSOT, BOX: GSSOT, VDOM: SSROT}[kind]
+    osc_kind = {r: c for c, r in ROW_KIND.items()}[kind]
     out = []
     for chain in enumerate_chains(osc_kind, lam, mu, two_g):
         t = phi_r(chain, osc_kind, mu)

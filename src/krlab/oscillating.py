@@ -25,6 +25,8 @@ from .partitions import (
 SSOT = "ssot"
 GSSOT = "gssot"
 SSROT = "ssrot"
+# the row crystal each kind of chain maps into under phi_r
+ROW_KIND = {SSOT: HDOM, GSSOT: BOX, SSROT: VDOM}
 
 
 def strip_len(strip):
@@ -266,7 +268,7 @@ def phi_r(chain, kind, weight=None):
     gamma, SSROT reads its strips directly."""
     from .kr_row import RowKR
 
-    row_kind = {SSOT: HDOM, GSSOT: BOX, SSROT: VDOM}[kind]
+    row_kind = ROW_KIND[kind]
     if weight is None:
         # strip_len measures an ohs; an rohs has the negated length
         sign = -1 if kind == SSROT else 1

@@ -273,7 +273,6 @@ def stable_kl(lie_type, n, lam, mu, tag=L_ONE):
     return _alternating_sum(lie_type, n, lam, mu, tag, "A")
 
 
-@lru_cache(maxsize=None)
 def kl_A(n, lam, mu):
     """Type A Lusztig q-weight multiplicity (the Kostka-Foulkes oracle)."""
     return kl_poly("A", n, tuple(lam), tuple(mu))

@@ -370,6 +370,8 @@ def test_kostka_foulkes_matches_type_A_oracle():
         mu = random.choice(mus)
         n = max(len(lam), len(mu))
         assert kostka_foulkes(lam, mu) == kl_A(n, dbl(lam, n), dbl(mu, n))
+    # weights given as lists give the same value as tuples
+    assert kl_A(2, [4, 0], [2, 2]) == kl_A(2, (4, 0), (2, 2)) == kostka_foulkes((2,), (1, 1))
 
 
 def test_character_basics():

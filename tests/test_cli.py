@@ -86,16 +86,8 @@ def test_bad_input_exit_code(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("krlab %s: error: " % argv[0])
 
 
-@pytest.mark.parametrize(
-    "env, flags",
-    [("abc", []), (None, ["--jobs", "-3"])],
-    ids=["env-not-integer", "jobs-negative"],
-)
-def test_bad_jobs_exit_code(capsys, monkeypatch, env, flags):
-    if env is None:
-        monkeypatch.delenv("KRLAB_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("KRLAB_JOBS", env)
+@pytest.mark.parametrize("flags", [["--jobs", "-3"]], ids=["jobs-negative"])
+def test_bad_jobs_exit_code(capsys, flags):
     argv = ["verify", "--suite", "thm-c", "--max-weight", "1", "--n", "2"] + flags
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -172,11 +164,11 @@ def test_verify_json_and_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_verify_jobs_stable(capsys, monkeypatch):
-    monkeypatch.delenv("KRLAB_JOBS", raising=False)
+def test_verify_jobs_stable(capsys):
     code1, out1 = run(capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2")
-    monkeypatch.setenv("KRLAB_JOBS", "3")
-    code2, out2 = run(capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2")
+    code2, out2 = run(
+        capsys, "verify", "--suite", "morris-c", "--max-weight", "2", "--n", "2", "--jobs", "3"
+    )
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -193,8 +185,6 @@ def test_verify_jobs_matches_serial(capsys, suite):
 def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(krlab.cli.os, "cpu_count", lambda: 2)
     assert [krlab.cli._jobs(j) for j in (1, 2, 64)] == [1, 2, 2]
-    monkeypatch.setenv("KRLAB_JOBS", "64")
-    assert krlab.cli._jobs(None) == 2
     monkeypatch.setattr(krlab.cli.os, "cpu_count", lambda: None)
     assert krlab.cli._jobs(None) == 1
 
@@ -267,7 +257,6 @@ def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
                 depth[0] -= 1
 
         monkeypatch.setattr(krlab.identities, name, counted)
-    monkeypatch.delenv("KRLAB_JOBS", raising=False)
     code, out = run(capsys, "verify", "--suite", suite, "--n", "2", "--max-weight", "3")
     assert code == 0
     tasks = len(json.loads(out)["reports"])

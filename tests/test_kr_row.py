@@ -26,6 +26,7 @@ from krlab.kr_row import (
     tensor_e0,
     tensor_f0,
 )
+from krlab.letters import sort_word
 from krlab.partitions import conjugate, nn, norm, partitions, partitions_upto, size
 from krlab.polynomials import Poly
 
@@ -90,6 +91,89 @@ def test_affine_axioms_single_factor():
                     assert eps0_row(e0_row(b)) == e - 1
                 if f0_row(b) is not None:
                     assert e0_row(f0_row(b)) == b
+
+
+# The 0-arrows as branch rules per kind, as they were stated before lowering
+# and phi_0 came from the duality and the horizontal domino from two boxes.
+def _ref_counts(b):
+    return tuple(sum(1 for x in b.word if x == v) for v in (1, -1, 2, -2))
+
+
+def _ref_edit(w, drop=(), add=()):
+    out = list(w)
+    for v in drop:
+        out.remove(v)
+    return sort_word(out + list(add))
+
+
+def _ref_zero_pairing(kind, wt):
+    z1, z2 = wt
+    if kind == HDOM:
+        return -z1
+    if kind == BOX:
+        return -2 * z1
+    return -z1 - z2
+
+
+def _ref_phi0_row(b):
+    x1, xb1, x2, xb2 = _ref_counts(b)
+    return eps0_row(b) + _ref_zero_pairing(b.kind, (x1 - xb1, x2 - xb2))
+
+
+def _ref_eps0_hdom(b):
+    x1, xb1, _, _ = _ref_counts(b)
+    return max(x1 - xb1, 0) + (b.cap - len(b.word)) // 2
+
+
+def _ref_e0_hdom(b):
+    x1, xb1, _, _ = _ref_counts(b)
+    w, d = b.word, x1 - xb1
+    if d >= 2:
+        return RowKR(b.kind, b.cap, _ref_edit(w, drop=(1, 1)))
+    if d == 1:
+        return RowKR(b.kind, b.cap, _ref_edit(w, drop=(1,), add=(-1,)))
+    if len(w) + 2 <= b.cap:
+        return RowKR(b.kind, b.cap, _ref_edit(w, add=(-1, -1)))
+    return None
+
+
+def _ref_f0_row(b):
+    x1, xb1, x2, xb2 = _ref_counts(b)
+    w = b.word
+    if b.kind == HDOM:
+        d = x1 - xb1
+        if d >= 0:
+            if len(w) + 2 <= b.cap:
+                return RowKR(b.kind, b.cap, _ref_edit(w, add=(1, 1)))
+            return None
+        if d == -1:
+            return RowKR(b.kind, b.cap, _ref_edit(w, drop=(-1,), add=(1,)))
+        return RowKR(b.kind, b.cap, _ref_edit(w, drop=(-1, -1)))
+    if b.kind == BOX:
+        if x1 - xb1 >= 0:
+            if len(w) < b.cap:
+                return RowKR(b.kind, b.cap, _ref_edit(w, add=(1,)))
+            return None
+        return RowKR(b.kind, b.cap, _ref_edit(w, drop=(-1,)))
+    if x2 >= xb2:
+        if xb1 > 0:
+            return RowKR(b.kind, b.cap, _ref_edit(w, drop=(-1,), add=(2,)))
+        return None
+    return RowKR(b.kind, b.cap, _ref_edit(w, drop=(-2,), add=(1,)))
+
+
+@pytest.mark.parametrize("kind", [BOX, HDOM, VDOM])
+def test_zero_arrows_match_branch_rules(kind):
+    # lowering and phi_0 through the duality, the horizontal domino as two
+    # single-box steps: the same values as the per-kind rules on every row
+    for n in range(2, 6):
+        for s in range(1, 6):
+            for b in enumerate_row(kind, s, n):
+                assert f0_row(b) == _ref_f0_row(b), b
+                assert phi0_row(b) == _ref_phi0_row(b), b
+                if kind == HDOM:
+                    assert e0_row(b) == _ref_e0_hdom(b), b
+                    assert eps0_row(b) == _ref_eps0_hdom(b), b
 
 
 def test_zero_weight_shift():
