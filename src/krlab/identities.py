@@ -23,8 +23,9 @@ from .oscillating import (
     SSOT,
     SSROT,
     aug,
+    energy_counts,
     enumerate_chains,
-    energy_of_chain,
+    energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
     phi_c,
     strip_len,
 )
@@ -64,10 +65,8 @@ def thm_c_rhs(lam, mu, n, g):
     mu = tuple(get(mu, i) for i in range(n))
     shape = norm(oc(lam, g, n))
     wt = oc_bar(mu, g, n)
-    out = Poly.zero(1)
-    for chain in enumerate_chains(SSOT, shape, wt, two_g=2 * g):
-        out = out + Poly.mono((energy_of_chain(chain, SSOT, wt),))
-    return out
+    counts = energy_counts(SSOT, shape, wt, two_g=2 * g)
+    return Poly(1, {(e,): c for e, c in counts.items()})
 
 
 def thm_b_rhs(lam, mu, n, g):
@@ -77,10 +76,11 @@ def thm_b_rhs(lam, mu, n, g):
     mu = tuple(get(mu, i) for i in range(n))
     shape = norm(oc(lam, g, n))
     wt = oc_bar(mu, g, n)
-    out = Poly.zero(2)
+    counts = {}
     for chain in enumerate_chains(GSSOT, shape, wt, two_g=2 * g + 1):
-        out = out + vac_qt_energy(phi_c(chain, GSSOT, wt))
-    return out
+        for e, c in vac_qt_energy(phi_c(chain, GSSOT, wt)).c.items():
+            counts[e] = counts.get(e, 0) + c
+    return Poly(2, counts)
 
 
 def rohs_bounded_len(lam, r, max_len):

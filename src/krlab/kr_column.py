@@ -177,31 +177,35 @@ def split_factor(u: ColumnKR):
     return tuple(chain)
 
 
-def split_tensor(factors, r_matrix, split):
-    """Split a tensor of KR factors into a (B^{1,1}) chain of letters.
+def split_step(chain, u, r_matrix, split):
+    """The splitting of u (x) T from the splitting chain of T.
 
-    Right to left, each factor of capacity above one passes the letters
-    already split to its right, one R-matrix step r_matrix(u, letter) ->
-    (letter, u', ...) per letter, and is then replaced by its one-factor
-    splitting split(u); a capacity-1 factor is its own splitting and a
-    capacity-0 factor drops out.
+    A factor of capacity above one passes the letters of the chain, one
+    R-matrix step r_matrix(u, letter) -> (letter, u', ...) per letter, and
+    is then replaced by its one-factor splitting split(u); a capacity-1
+    factor is its own splitting and a capacity-0 factor drops out.
     """
+    if u.cap == 0:
+        return chain
+    if u.cap == 1:
+        return split(u) + chain
+    passed = []
+    for x in chain:
+        step = r_matrix(u, x)
+        passed.append(step[0])
+        u = step[1]
+    return tuple(passed) + split(u)
+
+
+def split_tensor(factors, r_matrix, split):
+    """Split a tensor of KR factors into a (B^{1,1}) chain of letters, one
+    split_step per factor from right to left."""
     if len({f.kind for f in factors}) > 1:
         raise ValueError("mixed kinds")
-    chain = []
+    chain = ()
     for u in reversed(factors):
-        if u.cap == 0:
-            continue
-        if u.cap == 1:
-            chain[:0] = split(u)
-            continue
-        passed = []
-        for x in chain:
-            step = r_matrix(u, x)
-            passed.append(step[0])
-            u = step[1]
-        chain = passed + list(split(u))
-    return tuple(chain)
+        chain = split_step(chain, u, r_matrix, split)
+    return chain
 
 
 def split_col(factors):
@@ -258,21 +262,21 @@ def _norm_sq(mu):
     return sum(i * x for i, x in enumerate(beta))
 
 
-def energy_col(factors):
-    """Energy of a tensor of ColumnKR factors, through the splitting map.
+def split_shift(kind, caps):
+    """The constant by which the splitting map shifts the energy of a tensor
+    of column factors with these capacities."""
+    mult = 2 if kind == BOX else 1
+    return mult * (sum(caps) * (sum(caps) - 1) // 2 - _norm_sq(caps))
 
-    The splitting shifts the energy by an explicit constant depending only
-    on the capacity vector.
-    """
+
+def energy_col(factors):
+    """Energy of a tensor of ColumnKR factors, through the splitting map."""
     factors = tuple(factors)
     if not factors:
         return 0
     kind = factors[0].kind
-    mu = [f.cap for f in factors]
-    chain = split_col(factors)
-    mult = 2 if kind == BOX else 1
-    corr = mult * (sum(mu) * (sum(mu) - 1) // 2 - _norm_sq(mu))
-    return energy_chain(chain, kind) - corr
+    caps = [f.cap for f in factors]
+    return energy_chain(split_col(factors), kind) - split_shift(kind, caps)
 
 
 def vac(factors):

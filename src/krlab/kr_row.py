@@ -346,7 +346,7 @@ def _split_factor_row(b: RowKR):
         letter, b = split_one(b)
         chain.append(letter)
     chain.append(b.word[0] if b.word else EMPTY)
-    return chain
+    return tuple(chain)
 
 
 def split_row(factors, n=None):

@@ -10,16 +10,19 @@ from itertools import combinations
 
 EMPTY = None  # the empty one-box factor
 
+# The rank of the zero-letter: above every unbarred and below every barred
+# letter, for letters of magnitude below MID.
+MID = 1 << 28
+
 
 def key(x):
-    """Sort key for the letter order; EMPTY sorts below everything."""
+    """Integer rank in the letter order: EMPTY is -1, unbarred m is m, the
+    zero-letter is MID and barred x (x < 0) is 2 MID + x."""
     if x is EMPTY:
-        return (-1, 0)
+        return -1
     if x > 0:
-        return (0, x)
-    if x == 0:
-        return (1, 0)
-    return (2, x)
+        return x
+    return 2 * MID + x if x else MID
 
 
 def prec(x, y):

@@ -8,9 +8,21 @@ strips; weights are nonnegative integer vectors, one strip per entry.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
+from . import kr_column
 from .crystal import hw
-from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col
+from .kr_column import (
+    BOX,
+    HDOM,
+    VDOM,
+    ColumnKR,
+    energy_chain,
+    energy_col,
+    split_factor,
+    split_shift,
+    split_step,
+)
 from .letters import red, sort_word
 from .partitions import (
     conjugate,
@@ -115,12 +127,12 @@ def enumerate_chains(kind, shape, weight, two_g=None):
     two_g is twice the bound g (None enumerates the whole set); chains come
     in a deterministic order, outermost strip choices lexicographic.
 
-    A branch at strip i is cut before its strips are generated when the
-    size gap |shape| - |inner| exceeds the remaining weight sum, since a
-    strip of length r changes the size by at most r; for SSOT and SSROT
-    also when that sum minus the gap is odd, since the change has r's
-    parity.  GSSOT strips may have length r - 1, so only the size bound
-    applies to them.  Cutting only empty branches keeps the output order.
+    A plain depth-first search: a branch at strip i is cut before its
+    strips are generated when it fails the gap test _cut, and a branch
+    that passes it but cannot reach the shape is still walked to its end.
+    Cutting only empty branches keeps the output order.  Theorem C's
+    energy sum does not list chains; energy_counts walks only the branches
+    that reach the shape.
     """
     shape = norm(shape)
     weight = tuple(weight)
@@ -129,10 +141,7 @@ def enumerate_chains(kind, shape, weight, two_g=None):
     if any(w < 0 for w in weight):
         return []
     target = size(shape)
-    rem = [0] * (len(weight) + 1)  # rem[i]: weight sum of strips i, i+1, ...
-    for i in range(len(weight) - 1, -1, -1):
-        rem[i] = rem[i + 1] + weight[i]
-    exact = kind != GSSOT
+    rem = _rems(weight)
     out = []
 
     def rec(i, inner, acc):
@@ -140,8 +149,7 @@ def enumerate_chains(kind, shape, weight, two_g=None):
             if inner == shape:
                 out.append(tuple(acc))
             return
-        gap = abs(target - size(inner))
-        if gap > rem[i] or (exact and (rem[i] - gap) % 2):
+        if _cut(kind, abs(target - size(inner)), rem[i]):
             return
         for strip in _strips_from(inner, weight[i], kind, two_g):
             acc.append(strip)
@@ -150,6 +158,85 @@ def enumerate_chains(kind, shape, weight, two_g=None):
 
     rec(0, (), [])
     return out
+
+
+def _cut(kind, gap, rem):
+    """The gap test: no strips of total weight rem close a size gap of gap.
+
+    A strip of length r changes the size by at most r, so a branch is dead
+    when the gap exceeds the remaining weight sum; for SSOT and SSROT also
+    when that sum minus the gap is odd, since the change has r's parity.
+    GSSOT strips may have length r - 1, so only the size bound applies to
+    them.
+    """
+    return gap > rem or (kind != GSSOT and (rem - gap) % 2)
+
+
+def _rems(weight):
+    """rem[i]: the weight sum of strips i, i+1, ..."""
+    return list(accumulate(reversed(weight), initial=0))[::-1]
+
+
+def energy_counts(kind, shape, weight, two_g=None):
+    """{energy: count} over the SSOT or GSSOT chains that enumerate_chains
+    lists, each chain's energy being energy_col(phi_c(chain, kind, weight)).
+
+    One walk, with no chain list: a per-call live table maps (i, inner) to
+    the strips at position i from inner whose outer shape still reaches
+    shape, and is filled for a node before the walk descends into it.  The
+    walk carries the splitting chain of the prefix: strip i adds its column
+    factor on the left, one split_step.  Splitting shifts every energy by
+    one constant of the capacities, subtracted once at the end.
+    """
+    shape = norm(shape)
+    weight = tuple(weight)
+    if kind not in (SSOT, GSSOT):
+        raise ValueError("energy_counts takes SSOT or GSSOT, not %r" % (kind,))
+    if any(w < 0 for w in weight):
+        return {}
+    target = size(shape)
+    if _cut(kind, target, sum(weight)):
+        return {}
+    last = len(weight)
+    if not last:
+        return {0: 1}
+    rem = _rems(weight)
+    live = {}
+
+    def reach(i, inner):
+        node = (i, inner)
+        strips = live.get(node)
+        if strips is None:
+            if _cut(kind, abs(target - size(inner)), rem[i]):
+                strips = ()
+            elif i + 1 == last:
+                strips = tuple(
+                    s for s in _strips_from(inner, weight[i], kind, two_g) if s[2] == shape
+                )
+            else:
+                strips = tuple(
+                    s for s in _strips_from(inner, weight[i], kind, two_g) if reach(i + 1, s[2])
+                )
+            live[node] = strips
+        return strips
+
+    col_kind = VDOM if kind == SSOT else BOX
+    r_matrix = kr_column.r_matrix_col  # read per call, so a replaced one is seen
+    counts = {}
+
+    def walk(i, inner, chain):
+        cap = weight[i]
+        for strip in reach(i, inner):
+            split = split_step(chain, _col_factor(col_kind, cap, strip), r_matrix, split_factor)
+            if i + 1 == last:
+                e = energy_chain(split, col_kind)
+                counts[e] = counts.get(e, 0) + 1
+            else:
+                walk(i + 1, strip[2], split)
+
+    walk(0, (), ())
+    shift = split_shift(col_kind, weight)
+    return {e - shift: c for e, c in counts.items()}
 
 
 def cind(strip):

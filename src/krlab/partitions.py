@@ -5,6 +5,7 @@ Trailing zeros are allowed; `norm` strips them for comparisons.
 """
 
 from functools import lru_cache
+from itertools import product
 
 
 def norm(lam):
@@ -89,63 +90,47 @@ def partitions_upto(n, max_len=None, max_part=None):
     return out
 
 
+def _strips(lows, highs, lo, hi):
+    """The vectors v with lows[i] <= v[i] <= highs[i] and lo <= |v| - |lows|
+    <= hi, in lexicographic order.  Every low but the last is a positive
+    part, so dropping a zero last entry normalizes v.
+
+    Each row's range is first cut to the values that the other rows' full
+    ranges can still bring into the window.
+    """
+    room = sum(highs) - sum(lows)
+    ranges = [range(max(l, h + lo - room), min(h, l + hi) + 1) for l, h in zip(lows, highs)]
+    lo += sum(lows)
+    hi += sum(lows)
+    return [v if v[-1] else v[:-1] for v in product(*ranges) if lo <= sum(v) <= hi]
+
+
 def horizontal_strips_above(mu, cap=None, cells=None):
     """All partitions nu with nu/mu a horizontal strip, nu_1 <= cap, and,
     with cells = (lo, hi), lo <= |nu| - |mu| <= hi.
 
-    Enumeration is finite only with a cap; rows indexed so that
-    nu_{i+1} <= mu_i keeps the strip condition.  The rows after row i can
-    add at most mu_i cells, so each row's range is cut to the parts that
-    can still land in the window; the order is that of the full list.
+    Enumeration is finite only with a cap.  nu/mu is a horizontal strip
+    exactly when mu_i <= nu_i <= mu_{i-1} row by row, so the rows range
+    independently; the list is in lexicographic order.
     """
     if cap is None:
         raise ValueError("cap required")
     mu = norm(mu)
-    rows = len(mu) + 1
     lo, hi = cells if cells is not None else (0, cap)  # a strip adds <= cap cells
-    out = []
-
-    def rec(i, acc, added):
-        if i == rows:
-            out.append(norm(tuple(acc)))
-            return
-        m = get(mu, i)
-        top = cap if i == 0 else min(get(mu, i - 1), acc[i - 1])
-        for v in range(max(m, lo - added), min(top, m + hi - added) + 1):
-            acc.append(v)
-            rec(i + 1, acc, added + v - m)
-            acc.pop()
-
-    rec(0, [], 0)
-    return out
+    return _strips(mu + (0,), (cap,) + mu, lo, hi)
 
 
 def horizontal_strips_below(nu, cells=None):
     """All partitions lam with nu/lam a horizontal strip and, with
-    cells = (lo, hi), lo <= |nu| - |lam| <= hi.
+    cells = (lo, hi), lo <= |nu| - |lam| <= hi, in lexicographic order.
 
-    The rows after row i can remove at most nu_{i+1} cells, so each row's
-    range is cut as in horizontal_strips_above.
+    nu_{i+1} <= lam_i <= nu_i row by row, as in horizontal_strips_above.
     """
     nu = norm(nu)
     lo, hi = cells if cells is not None else (0, size(nu))
     if not nu:
-        return [()] if lo <= 0 else []
-    out = []
-
-    def rec(i, acc, removed):
-        if i == len(nu):
-            out.append(norm(tuple(acc)))
-            return
-        p, below = nu[i], get(nu, i + 1)
-        top = min(p, acc[i - 1]) if i > 0 else p
-        for v in range(max(below, p - hi + removed), min(top, p + below + removed - lo) + 1):
-            acc.append(v)
-            rec(i + 1, acc, removed + p - v)
-            acc.pop()
-
-    rec(0, [], 0)
-    return out
+        return [()] if lo <= 0 <= hi else []
+    return _strips(nu[1:] + (0,), nu, nu[0] - hi, nu[0] - lo)
 
 
 def oc(lam, g, n=None):

@@ -20,7 +20,7 @@ from krlab.crystal import (
 )
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR
 from krlab.kr_row import RowKR
-from krlab.letters import EMPTY, is_admissible, red, sort_word, unred
+from krlab.letters import EMPTY, MID, is_admissible, key, prec, red, sort_word, unred
 
 
 def strict_words(maxmag, length):
@@ -315,3 +315,28 @@ def test_red_commutes_with_operators():
                     wa = sort_word(a)
                     assert len(set(wa)) == len(wa), (w, i)
                     assert b is not None and red(wa) == sort_word(b), (w, i)
+
+
+def _tuple_key(x):
+    """The letter order as the tuple key it was first written with."""
+    if x is EMPTY:
+        return (-1, 0)
+    if x > 0:
+        return (0, x)
+    if x == 0:
+        return (1, 0)
+    return (2, x)
+
+
+def test_integer_letter_rank_matches_tuple_key():
+    letters = [EMPTY, 0] + [s * m for m in range(1, 10) for s in (1, -1)]
+    assert key(EMPTY) == -1 and key(0) == MID and key(-3) == 2 * MID - 3
+    for x in letters:
+        for y in letters:
+            assert prec(x, y) == (_tuple_key(x) < _tuple_key(y)), (x, y)
+    words = [tuple(letters[i:] + letters[:i]) for i in range(len(letters))]
+    words += [tuple(reversed(w)) for w in words]
+    for w in words:
+        assert sort_word(w) == tuple(sorted(w, key=_tuple_key))
+        for k in range(1, len(w) + 1):
+            assert max(w[:k], key=key) == max(w[:k], key=_tuple_key)

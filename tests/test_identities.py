@@ -2,6 +2,7 @@
 partition, the level-restriction triple, the filtered expansion, the q = 1
 counts, and the symmetric-function identities behind them."""
 
+import hashlib
 import sys
 
 import pytest
@@ -32,6 +33,7 @@ from krlab.identities import (
     okada_M,
     q1_count,
     rohs_bounded_len,
+    suite_tasks,
     thm_b_rhs,
     thm_c_rhs,
     xk_filter_table,
@@ -42,7 +44,7 @@ from krlab.kr_column import BOX, HDOM, VDOM
 from krlab.kr_row import RowKR, hw_row_elements, r_matrix_row
 from krlab.oscillating import SSOT, enumerate_chains, energy_of_chain
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
-from krlab.polynomials import Poly
+from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_qt_B
 from krlab.charge import kostka_foulkes
 
@@ -61,6 +63,45 @@ def test_thm_b_small_grid():
     # t := q collapse has nonnegative coefficients
     p = thm_b_rhs((2, 1), (1,), 2, 2).subs_t_q()
     assert all(c > 0 for c in p.c.values())
+
+
+def _thm_c_rhs_per_chain(lam, mu, n, g):
+    """Theorem C's energy sum chain by chain, each chain split afresh: the
+    reference for thm_c_rhs's single walk."""
+    lam = tuple(get(lam, i) for i in range(n))
+    mu = tuple(get(mu, i) for i in range(n))
+    wt = oc_bar(mu, g, n)
+    out = Poly.zero(1)
+    for chain in enumerate_chains(SSOT, norm(oc(lam, g, n)), wt, two_g=2 * g):
+        out = out + Poly.mono((energy_of_chain(chain, SSOT, wt),))
+    return out
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_thm_c_walk_matches_per_chain_sum(n):
+    """Every thm-c grid instance with |lam|, |mu| <= 4, at bounds g and g + 1."""
+    tasks = suite_tasks("thm-c", 4, n)
+    nonzero = 0
+    for _, _, (n, lam, mu, g) in tasks:
+        got = thm_c_rhs(lam, mu, n, g)
+        assert got == _thm_c_rhs_per_chain(lam, mu, n, g), (lam, mu, g)
+        nonzero += bool(got)
+    assert nonzero > len(tasks) // 10
+
+
+@pytest.mark.parametrize(
+    "lam, g, digest",
+    [
+        ((4, 4, 2, 2, 0), 4, "fd963158d45278a3f640b60ed1c425ff03b613909d72e7a411c93554c5159717"),
+        ((3, 3, 2, 2, 1, 1, 0), 3, "bd961fa5774259ef4394635c899243ebfad88a44cc2d8073633076b5299324eb"),
+    ],
+    ids=["C5", "C7"],
+)
+def test_thm_c_rhs_rank5_rank7_pinned(lam, g, digest):
+    # mu = 0; the C5 digest is that of the oracle's kl_poly at the same lam
+    n = len(lam)
+    p = thm_c_rhs(lam, (0,) * n, n, g)
+    assert hashlib.sha256(poly_str(p, ("q",)).encode()).hexdigest() == digest
 
 
 def test_lambda_shift_vectors():

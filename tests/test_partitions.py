@@ -2,6 +2,7 @@ from krlab.partitions import (
     conjugate,
     dominates,
     flip,
+    get,
     horizontal_strips_above,
     horizontal_strips_below,
     is_horizontal_strip,
@@ -50,6 +51,76 @@ def test_strips_cell_window_matches_filtered():
                 assert horizontal_strips_below(mu, cells=(lo, hi)) == [
                     lam for lam in downs if lo <= size(mu) - size(lam) <= hi
                 ], (mu, lo, hi)
+
+
+def _strips_above_reference(mu, cap, cells=None):
+    """The row-by-row recursion that horizontal_strips_above replaced: each
+    row's range cut by the cells the rows after it can still add."""
+    mu = norm(mu)
+    rows = len(mu) + 1
+    lo, hi = cells if cells is not None else (0, cap)
+    out = []
+
+    def rec(i, acc, added):
+        if i == rows:
+            out.append(norm(tuple(acc)))
+            return
+        m = get(mu, i)
+        top = cap if i == 0 else min(get(mu, i - 1), acc[i - 1])
+        for v in range(max(m, lo - added), min(top, m + hi - added) + 1):
+            acc.append(v)
+            rec(i + 1, acc, added + v - m)
+            acc.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def _strips_below_reference(nu, cells=None):
+    """The recursion that horizontal_strips_below replaced."""
+    nu = norm(nu)
+    lo, hi = cells if cells is not None else (0, size(nu))
+    if not nu:
+        return [()] if lo <= 0 else []
+    out = []
+
+    def rec(i, acc, removed):
+        if i == len(nu):
+            out.append(norm(tuple(acc)))
+            return
+        p, below = nu[i], get(nu, i + 1)
+        top = min(p, acc[i - 1]) if i > 0 else p
+        for v in range(max(below, p - hi + removed), min(top, p + below + removed - lo) + 1):
+            acc.append(v)
+            rec(i + 1, acc, removed + p - v)
+            acc.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def test_strips_match_recursive_reference():
+    """The product over independent row ranges gives the recursion's list,
+    in its order, for every cap up to 7 and windows that are empty, reach
+    below zero or lie past every strip."""
+    windows = [None] + [
+        (lo, hi) for lo in (-2, -1, 0, 1, 2, 4, 8) for hi in (-1, 0, 1, 3, 5, 8)
+    ]
+    calls = 0
+    for mu in partitions_upto(8, max_len=6):
+        for cells in windows:
+            for cap in range(8):
+                got = horizontal_strips_above(mu, cap=cap, cells=cells)
+                assert got == _strips_above_reference(mu, cap, cells), (mu, cap, cells)
+            got = horizontal_strips_below(mu, cells=cells)
+            if not mu and cells is not None and cells[1] < 0:
+                # the recursion returned [()] here, removing 0 cells from a
+                # window that excludes 0
+                assert got == []
+            else:
+                assert got == _strips_below_reference(mu, cells), (mu, cells)
+            calls += 9
+    assert calls > 20000
 
 
 def test_oc():
