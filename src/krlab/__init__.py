@@ -51,7 +51,6 @@ from .oscillating import (
     aug,
     cind,
     deaug_last_row,
-    energy_counts,
     enumerate_chains,
     gamma,
     gamma_inv,

@@ -65,7 +65,7 @@ def thm_c_rhs(lam, mu, n, g):
     mu = tuple(get(mu, i) for i in range(n))
     shape = norm(oc(lam, g, n))
     wt = oc_bar(mu, g, n)
-    counts = energy_counts(SSOT, shape, wt, two_g=2 * g)
+    counts = energy_counts(shape, wt, 2 * g)
     return Poly(1, {(e,): c for e, c in counts.items()})
 
 

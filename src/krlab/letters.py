@@ -11,7 +11,7 @@ from itertools import combinations
 EMPTY = None  # the empty one-box factor
 
 # The rank of the zero-letter: above every unbarred and below every barred
-# letter, for letters of magnitude below MID.
+# letter, for letters of magnitude below MID; parse_word rejects larger ones.
 MID = 1 << 28
 
 
@@ -43,11 +43,18 @@ def word_str(w):
 
 
 def parse_word(text):
-    """Parse '2,4,-2' into a letter tuple; '[]' or '' is the empty word."""
+    """Parse '2,4,-2' into a letter tuple; '[]' or '' is the empty word.
+
+    A letter of magnitude MID or more raises ValueError: key orders only
+    the letters below it.
+    """
     text = text.strip()
     if text in ("[]", ""):
         return ()
-    return tuple(int(p) for p in text.split(","))
+    w = tuple(int(p) for p in text.split(","))
+    if any(abs(x) >= MID for x in w):
+        raise ValueError("letters must have magnitude below %d" % MID)
+    return w
 
 
 def sort_word(letters):

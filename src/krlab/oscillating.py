@@ -177,25 +177,24 @@ def _rems(weight):
     return list(accumulate(reversed(weight), initial=0))[::-1]
 
 
-def energy_counts(kind, shape, weight, two_g=None):
-    """{energy: count} over the SSOT or GSSOT chains that enumerate_chains
-    lists, each chain's energy being energy_col(phi_c(chain, kind, weight)).
+def energy_counts(shape, weight, two_g):
+    """{energy: count} over the SSOT chains of enumerate_chains bounded by
+    two_g, each chain's energy being energy_col(phi_c(chain, SSOT, weight)):
+    Theorem C's energy sum.
 
     One walk, with no chain list: a per-call live table maps (i, inner) to
     the strips at position i from inner whose outer shape still reaches
     shape, and is filled for a node before the walk descends into it.  The
-    walk carries the splitting chain of the prefix: strip i adds its column
-    factor on the left, one split_step.  Splitting shifts every energy by
-    one constant of the capacities, subtracted once at the end.
+    walk carries the splitting chain of the prefix: strip i adds its VDOM
+    column factor on the left, one split_step.  Splitting shifts every
+    energy by one constant of the capacities, subtracted once at the end.
     """
     shape = norm(shape)
     weight = tuple(weight)
-    if kind not in (SSOT, GSSOT):
-        raise ValueError("energy_counts takes SSOT or GSSOT, not %r" % (kind,))
     if any(w < 0 for w in weight):
         return {}
     target = size(shape)
-    if _cut(kind, target, sum(weight)):
+    if _cut(SSOT, target, sum(weight)):
         return {}
     last = len(weight)
     if not last:
@@ -207,35 +206,34 @@ def energy_counts(kind, shape, weight, two_g=None):
         node = (i, inner)
         strips = live.get(node)
         if strips is None:
-            if _cut(kind, abs(target - size(inner)), rem[i]):
+            if _cut(SSOT, abs(target - size(inner)), rem[i]):
                 strips = ()
             elif i + 1 == last:
                 strips = tuple(
-                    s for s in _strips_from(inner, weight[i], kind, two_g) if s[2] == shape
+                    s for s in _strips_from(inner, weight[i], SSOT, two_g) if s[2] == shape
                 )
             else:
                 strips = tuple(
-                    s for s in _strips_from(inner, weight[i], kind, two_g) if reach(i + 1, s[2])
+                    s for s in _strips_from(inner, weight[i], SSOT, two_g) if reach(i + 1, s[2])
                 )
             live[node] = strips
         return strips
 
-    col_kind = VDOM if kind == SSOT else BOX
     r_matrix = kr_column.r_matrix_col  # read per call, so a replaced one is seen
     counts = {}
 
     def walk(i, inner, chain):
         cap = weight[i]
         for strip in reach(i, inner):
-            split = split_step(chain, _col_factor(col_kind, cap, strip), r_matrix, split_factor)
+            split = split_step(chain, _col_factor(VDOM, cap, strip), r_matrix, split_factor)
             if i + 1 == last:
-                e = energy_chain(split, col_kind)
+                e = energy_chain(split, VDOM)
                 counts[e] = counts.get(e, 0) + 1
             else:
                 walk(i + 1, strip[2], split)
 
     walk(0, (), ())
-    shift = split_shift(col_kind, weight)
+    shift = split_shift(VDOM, weight)
     return {e - shift: c for e, c in counts.items()}
 
 

@@ -5,7 +5,6 @@ Trailing zeros are allowed; `norm` strips them for comparisons.
 """
 
 from functools import lru_cache
-from itertools import product
 
 
 def norm(lam):
@@ -92,17 +91,28 @@ def partitions_upto(n, max_len=None, max_part=None):
 
 def _strips(lows, highs, lo, hi):
     """The vectors v with lows[i] <= v[i] <= highs[i] and lo <= |v| - |lows|
-    <= hi, in lexicographic order.  Every low but the last is a positive
-    part, so dropping a zero last entry normalizes v.
+    <= hi, in lexicographic order, a zero last entry dropped so that v is a
+    partition (every low but the last, which is 0, is a positive part).
 
-    Each row's range is first cut to the values that the other rows' full
-    ranges can still bring into the window.
+    Prefixes grow one row at a time, each row's range cut by the cells the
+    prefix has added and the room of the rows after it, so every prefix
+    kept extends to at least one vector: the work is linear in the output.
     """
-    room = sum(highs) - sum(lows)
-    ranges = [range(max(l, h + lo - room), min(h, l + hi) + 1) for l, h in zip(lows, highs)]
-    lo += sum(lows)
-    hi += sum(lows)
-    return [v if v[-1] else v[:-1] for v in product(*ranges) if lo <= sum(v) <= hi]
+    room = sum(highs) - sum(lows)  # cells the rows not yet placed can add
+    level = [((), 0)]
+    for l, h in zip(lows[:-1], highs):
+        room -= h - l
+        level = [
+            (v + (x,), added + x - l)
+            for v, added in level
+            for x in range(max(l, l + lo - added - room), min(h, l + hi - added) + 1)
+        ]
+    h = highs[-1]  # the last row: low 0, no rows after it
+    return [
+        v + (x,) if x else v
+        for v, added in level
+        for x in range(max(0, lo - added), min(h, hi - added) + 1)
+    ]
 
 
 def horizontal_strips_above(mu, cap=None, cells=None):
@@ -110,8 +120,9 @@ def horizontal_strips_above(mu, cap=None, cells=None):
     with cells = (lo, hi), lo <= |nu| - |mu| <= hi.
 
     Enumeration is finite only with a cap.  nu/mu is a horizontal strip
-    exactly when mu_i <= nu_i <= mu_{i-1} row by row, so the rows range
-    independently; the list is in lexicographic order.
+    exactly when mu_i <= nu_i <= mu_{i-1} row by row, so only the cell
+    window ties one row's range to the others; the list is in
+    lexicographic order.
     """
     if cap is None:
         raise ValueError("cap required")

@@ -69,6 +69,8 @@ def test_usage_error_exit_code(capsys):
         ["energy", "--kind", "box", "--element", "1,1", "--caps", "2"],
         ["energy", "--kind", "box", "--element", "2,1", "--caps", "2"],
         ["energy", "--kind", "vdom", "--element", "2,1|1"],
+        ["energy", "--kind", "box", "--element", "268435457,-268435457", "--caps", "2"],
+        ["energy", "--kind", "box", "--element", "-268435457,268435457", "--caps", "2"],
     ],
     ids=[
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
@@ -76,6 +78,7 @@ def test_usage_error_exit_code(capsys):
         "row-caps-short", "caps-short", "max-weight-negative", "row-word-unsorted",
         "morris-c-rank-1", "morris-b-rank-1", "row-hdom-zero-letter", "column-zero-letter",
         "column-word-repeated", "column-word-decreasing", "vdom-column-word-decreasing",
+        "letter-over-rank-bound", "letter-over-rank-bound-misordered",
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
