@@ -26,6 +26,7 @@ from .oscillating import (
     energy_counts,
     enumerate_chains,
     energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
+    kappa_count,
     phi_c,
     strip_len,
 )
@@ -373,20 +374,14 @@ def q1_count(lie_type, n, lam_d, mu_d, two_g):
 
 
 def kappa_B(lam, mu, r, two_g):
-    from .oscillating import kappa_count
-
     return kappa_count(GSSOT, lam, mu, r, two_g)
 
 
 def kappa_C(lam, mu, r, two_g):
-    from .oscillating import kappa_count
-
     return kappa_count(SSOT, lam, mu, r, two_g)
 
 
 def kappa_D(lam, mu, r, two_g):
-    from .oscillating import kappa_count
-
     return kappa_count(SSROT, lam, mu, r, two_g)
 
 

@@ -87,14 +87,13 @@ _shapes = {}
 @lru_cache(maxsize=None)
 def _strips_from(inner, r, kind, two_g):
     """All strips of length r (r or r - 1 for GSSOT) starting at inner,
-    bounded by g (2g given); only mid and outer shapes of those lengths are
-    generated.
+    bounded by g (2g given), in lexicographic order of (mid, outer); only
+    mid and outer shapes of those lengths are generated.
 
     Cached on (inner, r, kind, two_g) for the life of the process, or until
     krlab.clear_caches(); the result is a tuple shared by every caller, and
     equal mid and outer partitions across cached strips are one object.
     """
-    intern = _shapes.setdefault
     out = []
     if kind in (SSOT, GSSOT):
         cap = two_g // 2 if two_g is not None else (get(inner, 0) + r)
@@ -102,79 +101,93 @@ def _strips_from(inner, r, kind, two_g):
         for mid in horizontal_strips_above(inner, cap=cap, cells=(0, r)):
             up = size(mid) - size(inner)
             for outer in horizontal_strips_below(mid, cells=(max(r - short - up, 0), r - up)):
-                if two_g is not None:
-                    full = up + size(mid) - size(outer) == r
-                    if 2 * get(mid, 0) + (0 if full else 1) > two_g:
-                        continue
-                out.append((inner, intern(mid, mid), intern(outer, outer)))
+                out.append((inner, mid, outer))
     elif kind == SSROT:
         for mid in horizontal_strips_below(inner, cells=(0, r)):
             down = size(inner) - size(mid)
             cap = get(mid, 0) + r  # outer_1 - mid_1 <= r
             for outer in horizontal_strips_above(mid, cap=cap, cells=(r - down, r - down)):
-                if two_g is not None and bound2((inner, mid, outer), kind) > two_g:
-                    continue
-                out.append((inner, intern(mid, mid), intern(outer, outer)))
+                out.append((inner, mid, outer))
     else:
         raise ValueError(kind)
-    out.sort(key=lambda s: (s[1], s[2]))
-    return tuple(out)
+    intern = _shapes.setdefault
+    return tuple(
+        (inner, intern(s[1], s[1]), intern(s[2], s[2]))
+        for s in out
+        if two_g is None or bound2(s, kind, r) <= two_g
+    )
+
+
+def _live(kind, shape, weight, two_g):
+    """The live table of one chain search, or None when no chain exists:
+    reach(i, inner) is the tuple of strips at position i from inner, in
+    _strips_from's order, whose outer shape still reaches shape.  A node's
+    entry is filled, its subtree first, before reach returns it.
+
+    The gap test cuts a node before its strips are generated: a strip of
+    length r changes the size by at most r, so strips of total weight rem
+    cannot close a size gap above rem; nor, for SSOT and SSROT, a gap of
+    the other parity, since the change has r's parity (GSSOT strips may
+    have length r - 1).  At the root it also rejects an empty weight with
+    a nonempty shape.
+    """
+    parity = kind != GSSOT
+
+    def dead(gap, rem):
+        return gap > rem or (parity and (rem - gap) % 2)
+
+    target = size(shape)
+    if any(w < 0 for w in weight) or dead(target, sum(weight)):
+        return None
+    rems = list(accumulate(reversed(weight), initial=0))[::-1]
+    last = len(weight) - 1
+    live = {}
+
+    def reach(i, inner):
+        strips = live.get((i, inner))
+        if strips is None:
+            strips = ()
+            if not dead(abs(target - size(inner)), rems[i]):
+                strips = tuple(
+                    s
+                    for s in _strips_from(inner, weight[i], kind, two_g)
+                    if (s[2] == shape if i == last else reach(i + 1, s[2]))
+                )
+            live[i, inner] = strips
+        return strips
+
+    return reach
 
 
 def enumerate_chains(kind, shape, weight, two_g=None):
     """All SSOT / GSSOT / SSROT of the given shape and weight vector.
 
     two_g is twice the bound g (None enumerates the whole set); chains come
-    in a deterministic order, outermost strip choices lexicographic.
-
-    A plain depth-first search: a branch at strip i is cut before its
-    strips are generated when it fails the gap test _cut, and a branch
-    that passes it but cannot reach the shape is still walked to its end.
-    Cutting only empty branches keeps the output order.  Theorem C's
-    energy sum does not list chains; energy_counts walks only the branches
-    that reach the shape.
+    in a deterministic order, outermost strip choices lexicographic.  A
+    depth-first search over _live's table, so every branch reaches shape.
     """
     shape = norm(shape)
     weight = tuple(weight)
     if kind not in (SSOT, GSSOT, SSROT):
         raise ValueError(kind)
-    if any(w < 0 for w in weight):
+    reach = _live(kind, shape, weight, two_g)
+    if reach is None:
         return []
-    target = size(shape)
-    rem = _rems(weight)
+    if not weight:
+        return [()]
+    last = len(weight) - 1
     out = []
 
-    def rec(i, inner, acc):
-        if i == len(weight):
-            if inner == shape:
-                out.append(tuple(acc))
-            return
-        if _cut(kind, abs(target - size(inner)), rem[i]):
-            return
-        for strip in _strips_from(inner, weight[i], kind, two_g):
-            acc.append(strip)
-            rec(i + 1, strip[2], acc)
-            acc.pop()
+    def rec(i, inner, prefix):
+        for strip in reach(i, inner):
+            chain = prefix + (strip,)
+            if i == last:
+                out.append(chain)
+            else:
+                rec(i + 1, strip[2], chain)
 
-    rec(0, (), [])
+    rec(0, (), ())
     return out
-
-
-def _cut(kind, gap, rem):
-    """The gap test: no strips of total weight rem close a size gap of gap.
-
-    A strip of length r changes the size by at most r, so a branch is dead
-    when the gap exceeds the remaining weight sum; for SSOT and SSROT also
-    when that sum minus the gap is odd, since the change has r's parity.
-    GSSOT strips may have length r - 1, so only the size bound applies to
-    them.
-    """
-    return gap > rem or (kind != GSSOT and (rem - gap) % 2)
-
-
-def _rems(weight):
-    """rem[i]: the weight sum of strips i, i+1, ..."""
-    return list(accumulate(reversed(weight), initial=0))[::-1]
 
 
 def energy_counts(shape, weight, two_g):
@@ -182,43 +195,19 @@ def energy_counts(shape, weight, two_g):
     two_g, each chain's energy being energy_col(phi_c(chain, SSOT, weight)):
     Theorem C's energy sum.
 
-    One walk, with no chain list: a per-call live table maps (i, inner) to
-    the strips at position i from inner whose outer shape still reaches
-    shape, and is filled for a node before the walk descends into it.  The
-    walk carries the splitting chain of the prefix: strip i adds its VDOM
-    column factor on the left, one split_step.  Splitting shifts every
-    energy by one constant of the capacities, subtracted once at the end.
+    One walk over _live's table, with no chain list, carrying the splitting
+    chain of the prefix: strip i adds its VDOM column factor on the left,
+    one split_step.  Splitting shifts every energy by one constant of the
+    capacities, subtracted once at the end.
     """
     shape = norm(shape)
     weight = tuple(weight)
-    if any(w < 0 for w in weight):
+    reach = _live(SSOT, shape, weight, two_g)
+    if reach is None:
         return {}
-    target = size(shape)
-    if _cut(SSOT, target, sum(weight)):
-        return {}
-    last = len(weight)
-    if not last:
+    if not weight:
         return {0: 1}
-    rem = _rems(weight)
-    live = {}
-
-    def reach(i, inner):
-        node = (i, inner)
-        strips = live.get(node)
-        if strips is None:
-            if _cut(SSOT, abs(target - size(inner)), rem[i]):
-                strips = ()
-            elif i + 1 == last:
-                strips = tuple(
-                    s for s in _strips_from(inner, weight[i], SSOT, two_g) if s[2] == shape
-                )
-            else:
-                strips = tuple(
-                    s for s in _strips_from(inner, weight[i], SSOT, two_g) if reach(i + 1, s[2])
-                )
-            live[node] = strips
-        return strips
-
+    last = len(weight) - 1
     r_matrix = kr_column.r_matrix_col  # read per call, so a replaced one is seen
     counts = {}
 
@@ -226,7 +215,7 @@ def energy_counts(shape, weight, two_g):
         cap = weight[i]
         for strip in reach(i, inner):
             split = split_step(chain, _col_factor(VDOM, cap, strip), r_matrix, split_factor)
-            if i + 1 == last:
+            if i == last:
                 e = energy_chain(split, VDOM)
                 counts[e] = counts.get(e, 0) + 1
             else:

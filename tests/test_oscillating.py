@@ -130,7 +130,9 @@ def _reference_chains_from(inner, kind, weight, two_g):
 
 @pytest.mark.parametrize("kind", [SSOT, GSSOT, SSROT])
 def test_enumerate_matches_reference_dfs(kind):
-    weights = [(1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2)]
+    weights = [
+        (), (1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2), (2, -1, 1),
+    ]
     bounds = [None, 2, 3, 4, 5]
     total = 0
     for weight in weights:
