@@ -9,7 +9,7 @@ from krlab.identities import thm_b_rhs, thm_c_rhs
 from krlab.kr_column import energy_col, vac_qt_energy
 from krlab.oscillating import GSSOT, SSOT, enumerate_chains, phi_c
 from krlab.partitions import norm, oc, oc_bar
-from krlab.polynomials import poly_str
+from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_poly, kl_qt_B
 
 print("Type C, n = 4, lambda = (1,1), mu = 0")
@@ -37,8 +37,10 @@ print("  alternating sum:", poly_str(oracle, ("q", "t")))
 g = 1
 shape = norm(oc((1, 1, 1), g))
 weight = oc_bar((0, 0, 0), g)
+per_chain = Poly.zero(2)
 for chain in enumerate_chains(GSSOT, shape, weight, two_g=2 * g + 1):
     t = phi_c(chain, GSSOT, weight)
+    per_chain = per_chain + vac_qt_energy(t)
     print(
         "    factors %s give %s"
         % (
@@ -46,7 +48,10 @@ for chain in enumerate_chains(GSSOT, shape, weight, two_g=2 * g + 1):
             poly_str(vac_qt_energy(t), ("q", "t")),
         )
     )
-print("  combinatorial side:", poly_str(thm_b_rhs((1, 1, 1), (), 3, g), ("q", "t")))
+rhs = thm_b_rhs((1, 1, 1), (), 3, g)
+# thm_b_rhs walks the chains once, without listing them: the same sum
+assert rhs == per_chain == oracle, (rhs, per_chain, oracle)
+print("  combinatorial side:", poly_str(rhs, ("q", "t")))
 
 print()
 print("A value outside the spin region fails positivity, which is why the")

@@ -37,8 +37,10 @@ from .partitions import (
 SSOT = "ssot"
 GSSOT = "gssot"
 SSROT = "ssrot"
-# the row crystal each kind of chain maps into under phi_r
+# the row crystal each kind of chain maps into under phi_r, and the column
+# crystal SSOT and GSSOT chains map into under phi_c
 ROW_KIND = {SSOT: HDOM, GSSOT: BOX, SSROT: VDOM}
+COL_KIND = {SSOT: VDOM, GSSOT: BOX}
 
 
 def strip_len(strip):
@@ -190,40 +192,46 @@ def enumerate_chains(kind, shape, weight, two_g=None):
     return out
 
 
-def energy_counts(shape, weight, two_g):
-    """{energy: count} over the SSOT chains of enumerate_chains bounded by
-    two_g, each chain's energy being energy_col(phi_c(chain, SSOT, weight)):
-    Theorem C's energy sum.
+def energy_counts(kind, shape, weight, two_g):
+    """{(D, vac): count} over the SSOT or GSSOT chains of enumerate_chains
+    bounded by two_g, where D = energy_col(phi_c(chain, kind, weight)) and
+    vac = vac(phi_c(chain, kind, weight)): Theorem C sums the counts over
+    vac, Theorem B weighs each by q^{(D - vac)/2} t^{vac}.
 
     One walk over _live's table, with no chain list, carrying the splitting
-    chain of the prefix: strip i adds its VDOM column factor on the left,
-    one split_step.  Splitting shifts every energy by one constant of the
-    capacities, subtracted once at the end.
+    chain of the prefix and its vacancy: strip i adds its column factor u
+    (COL_KIND: VDOM for SSOT, BOX for GSSOT) on the left, one split_step,
+    and u.vacancy() = cap - len(u.word) to the vacancy.  Splitting shifts
+    every energy by one constant of the capacities, split_shift,
+    subtracted once at the end.
     """
+    col_kind = COL_KIND[kind]
     shape = norm(shape)
     weight = tuple(weight)
-    reach = _live(SSOT, shape, weight, two_g)
+    reach = _live(kind, shape, weight, two_g)
     if reach is None:
         return {}
     if not weight:
-        return {0: 1}
+        return {(0, 0): 1}
     last = len(weight) - 1
     r_matrix = kr_column.r_matrix_col  # read per call, so a replaced one is seen
     counts = {}
 
-    def walk(i, inner, chain):
+    def walk(i, inner, chain, v):
         cap = weight[i]
         for strip in reach(i, inner):
-            split = split_step(chain, _col_factor(VDOM, cap, strip), r_matrix, split_factor)
+            u = _col_factor(col_kind, cap, strip)
+            split = split_step(chain, u, r_matrix, split_factor)
+            vac = v + u.vacancy()
             if i == last:
-                e = energy_chain(split, VDOM)
-                counts[e] = counts.get(e, 0) + 1
+                key = (energy_chain(split, col_kind), vac)
+                counts[key] = counts.get(key, 0) + 1
             else:
-                walk(i + 1, strip[2], split)
+                walk(i + 1, strip[2], split, vac)
 
-    walk(0, (), ())
-    shift = split_shift(VDOM, weight)
-    return {e - shift: c for e, c in counts.items()}
+    walk(0, (), (), 0)
+    shift = split_shift(col_kind, weight)
+    return {(d - shift, v): c for (d, v), c in counts.items()}
 
 
 def cind(strip):
@@ -328,11 +336,10 @@ def _col_factor(col_kind, cap, strip):
 def phi_c(chain, kind=SSOT, weight=None):
     """Column-index image: a classical highest weight tensor of ColumnKR
     factors, last strip leftmost."""
-    col_kind = VDOM if kind == SSOT else BOX
     if weight is None:
         weight = tuple(strip_len(s) for s in chain)
     return tuple(
-        _col_factor(col_kind, cap, strip)
+        _col_factor(COL_KIND[kind], cap, strip)
         for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
     )
 

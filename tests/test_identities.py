@@ -24,9 +24,6 @@ from krlab.identities import (
     _hat,
     add_rohs_phi,
     involution_partition,
-    kappa_B,
-    kappa_C,
-    kappa_D,
     level_formula,
     okada_K_B,
     okada_K_D,
@@ -40,9 +37,9 @@ from krlab.identities import (
     xk_lhs,
     xk_rhs_unfiltered,
 )
-from krlab.kr_column import BOX, HDOM, VDOM
+from krlab.kr_column import BOX, HDOM, VDOM, vac_qt_energy
 from krlab.kr_row import RowKR, hw_row_elements, r_matrix_row
-from krlab.oscillating import SSOT, enumerate_chains, energy_of_chain
+from krlab.oscillating import GSSOT, SSOT, SSROT, enumerate_chains, energy_of_chain, kappa_count, phi_c
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
 from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_qt_B
@@ -85,6 +82,30 @@ def test_thm_c_walk_matches_per_chain_sum(n):
     for _, _, (n, lam, mu, g) in tasks:
         got = thm_c_rhs(lam, mu, n, g)
         assert got == _thm_c_rhs_per_chain(lam, mu, n, g), (lam, mu, g)
+        nonzero += bool(got)
+    assert nonzero > len(tasks) // 10
+
+
+def _thm_b_rhs_per_chain(lam, mu, n, g):
+    """Theorem B's q,t-energy sum chain by chain, each chain split afresh:
+    the reference for thm_b_rhs's single walk."""
+    lam = tuple(get(lam, i) for i in range(n))
+    mu = tuple(get(mu, i) for i in range(n))
+    wt = oc_bar(mu, g, n)
+    out = Poly.zero(2)
+    for chain in enumerate_chains(GSSOT, norm(oc(lam, g, n)), wt, two_g=2 * g + 1):
+        out = out + vac_qt_energy(phi_c(chain, GSSOT, wt))
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_thm_b_walk_matches_per_chain_sum(n):
+    """Every thm-b grid instance with |lam|, |mu| <= 4, at g = max(lam_1, 1)."""
+    tasks = suite_tasks("thm-b", 4, n)
+    nonzero = 0
+    for _, _, (n, lam, mu, g) in tasks:
+        got = thm_b_rhs(lam, mu, n, g)
+        assert got == _thm_b_rhs_per_chain(lam, mu, n, g), (lam, mu, g)
         nonzero += bool(got)
     assert nonzero > len(tasks) // 10
 
@@ -348,26 +369,22 @@ def test_kappa_lemmas():
                     tuple(__import__("krlab.partitions", fromlist=["conjugate"]).conjugate(mu)),
                 )
                 for r in range(0, 4):
-                    lhs = kappa_D(lam, mu, r, 2 * g) + kappa_D(
-                        norm(flip(lam, 2 * g, 2)), mu, r, 2 * g
-                    )
+                    d = kappa_count(SSROT, lam, mu, r, 2 * g)
+                    d_flip = kappa_count(SSROT, norm(flip(lam, 2 * g, 2)), mu, r, 2 * g)
                     rhs = okada_M(lamt, mut, g) * okada_K_D(lamt, mut, r, g)
-                    assert lhs == rhs, (lam, mu, r, g)
+                    assert d + d_flip == rhs, (lam, mu, r, g)
                     # minus version
-                    lhs2 = kappa_D(lam, mu, r, 2 * g) - kappa_D(
-                        norm(flip(lam, 2 * g, 2)), mu, r, 2 * g
+                    rhs2 = kappa_count(SSOT, lam, mu, r, 2 * (g - 1)) - kappa_count(
+                        SSOT, lam, mu, r - 2, 2 * (g - 1)
                     )
-                    rhs2 = kappa_C(lam, mu, r, 2 * (g - 1)) - kappa_C(
-                        lam, mu, r - 2, 2 * (g - 1)
-                    )
-                    assert lhs2 == rhs2, (lam, mu, r, g)
+                    assert d - d_flip == rhs2, (lam, mu, r, g)
                     # spin connection
-                    d_plus = kappa_D(lam, mu, r, 2 * g + 1)
-                    d_minus = kappa_D(
-                        norm(flip(lam, 2 * g + 1, 2)), mu, r, 2 * g + 1
+                    d_plus = kappa_count(SSROT, lam, mu, r, 2 * g + 1)
+                    d_minus = kappa_count(
+                        SSROT, norm(flip(lam, 2 * g + 1, 2)), mu, r, 2 * g + 1
                     )
-                    b_diff = kappa_B(lam, mu, r, 2 * g) - kappa_B(
-                        lam, mu, r - 1, 2 * g
+                    b_diff = kappa_count(GSSOT, lam, mu, r, 2 * g) - kappa_count(
+                        GSSOT, lam, mu, r - 1, 2 * g
                     )
                     if (size(lam) - size(mu) - r) % 2 == 0:
                         assert d_plus == b_diff, (lam, mu, r, g)
@@ -392,7 +409,7 @@ def test_okada_B_alternating_sum():
                     for i in range(r + 1)
                 )
                 sign = (-1) ** ((size(lam) - size(mu) - r) % 2)
-                assert lhs == sign * kappa_B(lam, mu, r, 2 * n), (lam, mu, r)
+                assert lhs == sign * kappa_count(GSSOT, lam, mu, r, 2 * n), (lam, mu, r)
 
 
 def test_dual_pieri_type_B():

@@ -5,7 +5,7 @@ import pytest
 
 import krlab.oscillating as osc
 from krlab.crystal import is_hw
-from krlab.kr_column import BOX, VDOM, energy_col, vac_qt_energy
+from krlab.kr_column import BOX, VDOM, energy_col, vac, vac_qt_energy
 from krlab.kr_row import eps0
 from krlab.oscillating import (
     GSSOT,
@@ -75,9 +75,7 @@ def test_enumerate_worked_examples():
     for m in monos:
         total = total + m
     assert total == Poly(2, {(3, 3): 1, (3, 1): 1, (2, 1): 1, (1, 1): 1})
-    assert enumerate_chains(SSOT, (), (0, 0)) == [((), (), ()), ] and len(
-        enumerate_chains(SSOT, (), (0, 0))[0]
-    ) == 2 or True
+    assert enumerate_chains(SSOT, (), (0, 0)) == [(((), (), ()), ((), (), ()))]
     assert len(enumerate_chains(SSOT, (), (0, 0, 0))) == 1
 
 
@@ -145,23 +143,31 @@ def test_enumerate_matches_reference_dfs(kind):
 
 
 def test_energy_counts_match_chain_list():
-    """The walk counts the energies energy_col gives the listed SSOT chains
-    at bounds g = 1..4, zero-weight strips included."""
+    """The walk counts the (energy, vacancy) pairs energy_col and vac give
+    the listed chains, at bounds g = 1..4 for SSOT and g = 3/2..9/2 for
+    GSSOT, zero-weight strips included."""
     weights = [
         (), (1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2), (2, 2, 2),
     ]
-    total = 0
-    for weight in weights:
-        for shape in partitions_upto(sum(weight), max_len=3):
-            for two_g in (2, 4, 6, 8):
-                want = {}
-                for c in enumerate_chains(SSOT, shape, weight, two_g=two_g):
-                    e = energy_col(phi_c(c, SSOT, weight))
-                    want[e] = want.get(e, 0) + 1
-                assert energy_counts(shape, weight, two_g) == want, (shape, weight, two_g)
-                total += sum(want.values())
-    assert total > 200
-    assert energy_counts((1,), (2, -1), 4) == {}
+    for kind, bounds in ((SSOT, (2, 4, 6, 8)), (GSSOT, (3, 5, 7, 9))):
+        total = 0
+        vacs = set()
+        for weight in weights:
+            for shape in partitions_upto(sum(weight), max_len=3):
+                for two_g in bounds:
+                    want = {}
+                    for c in enumerate_chains(kind, shape, weight, two_g=two_g):
+                        t = phi_c(c, kind, weight)
+                        key = (energy_col(t), vac(t))
+                        want[key] = want.get(key, 0) + 1
+                    got = energy_counts(kind, shape, weight, two_g)
+                    assert got == want, (kind, shape, weight, two_g)
+                    total += sum(want.values())
+                    vacs.update(v for _, v in want)
+        assert total > 200 and len(vacs) > 3, kind
+        assert energy_counts(kind, (1,), (2, -1), bounds[1]) == {}
+    with pytest.raises(KeyError):
+        energy_counts(SSROT, (1,), (1,), 2)
 
 
 def test_gssot_short_strips_survive_pruning():
