@@ -7,6 +7,7 @@ All weight keys are doubled integers (see roots.py).
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 from .partitions import (
@@ -130,15 +131,70 @@ def lr_coef(nu, gamma, lam):
 
 
 @lru_cache(maxsize=None)
+def _orbit_classes(lie_type, nu):
+    """W.nu modulo S_n: the distinct signed rearrangements of nu, each
+    sorted decreasingly.  Type D flips an even number of signs, unless nu
+    has a 0 entry."""
+    even = lie_type == "D" and 0 not in nu
+    return tuple(sorted({
+        tuple(sorted((s * x for s, x in zip(signs, nu)), reverse=True))
+        for signs in product((1, -1), repeat=len(nu))
+        if not even or prod(signs) == 1
+    }))
+
+
+def _rearrangements(key):
+    """The distinct rearrangements of a tuple, each once."""
+    counts = Counter(key)
+    word = []
+
+    def rec():
+        if len(word) == len(key):
+            yield tuple(word)
+            return
+        for x, k in counts.items():
+            if k:
+                counts[x] -= 1
+                word.append(x)
+                yield from rec()
+                word.pop()
+                counts[x] += 1
+
+    return rec()
+
+
+@lru_cache(maxsize=None)
+def _monomial_schur(n, top):
+    """Schur expansion of the monomial symmetric polynomial m_top (doubled
+    keys), by schur_expand, which raises unless top is even and
+    nonnegative."""
+    return schur_expand(Poly(n, dict.fromkeys(_rearrangements(top), 1)))
+
+
+@lru_cache(maxsize=None)
 def twisted_branching(lie_type, n, lam, two_g):
     """Coefficients of (x_1...x_n)^g s^{g_n}_lam(x^{-1}) in the Schur basis.
 
     Keys are the partitions kappa with the character equal to
     sum_kappa d[kappa] s_kappa(x); kappa corresponds to oc(nu, g) in the
     twisted-branching-coefficient convention.  two_g holds 2g.
+
+    No character is built: each dominant nu of multiplicity m and each
+    S_n-class w of its Weyl orbit add m times the Schur expansion of the
+    monomial symmetric polynomial m_top, top = sort(2g - w) decreasing.
     """
-    ch = character(lie_type, n, lam).invert_vars().shift((two_g,) * n)
-    return schur_expand(ch)
+    if not is_dominant(lie_type, n, lam):
+        raise ValueError("weight is not dominant")
+    out = {}
+    for nu in _dominant_candidates(lie_type, n, lam):
+        m = weight_multiplicity(lie_type, n, lam, nu)
+        if m == 0:
+            continue
+        for w in _orbit_classes(lie_type, nu):
+            top = tuple(two_g - x for x in reversed(w))
+            for kappa, c in _monomial_schur(n, top).items():
+                out[kappa] = out.get(kappa, 0) + m * c
+    return {k: v for k, v in out.items() if v}
 
 
 def twisted_branching_d(lie_type, n, lam, nu, two_g):
@@ -233,5 +289,17 @@ def _exact_divide(num, den):
 
 
 def char_coeff(lie_type, n, lam, mu):
-    """[x^mu] s^{g_n}_lam as an integer."""
-    return character(lie_type, n, lam).coeff(mu)
+    """[x^mu] s^{g_n}_lam as an integer: the multiplicity of mu's dominant
+    representative, the |mu_i| in decreasing order, with the last entry
+    negated in type D when mu has an odd number of negative entries and
+    no 0."""
+    lam = tuple(lam)
+    if not is_dominant(lie_type, n, lam):
+        raise ValueError("weight is not dominant")
+    nu = sorted((abs(x) for x in mu), reverse=True)
+    if lie_type == "D" and nu and nu[-1] and sum(x < 0 for x in mu) % 2:
+        nu[-1] = -nu[-1]
+    nu = tuple(nu)
+    if nu not in _dominant_candidates(lie_type, n, lam):
+        return 0
+    return weight_multiplicity(lie_type, n, lam, nu)

@@ -315,16 +315,28 @@ def row_rank(letters):
 
 
 def r_matrix_row(u: RowKR, c: RowKR, n=None):
-    """R on B^{1,s} (x) B^{1,1}; returns (one-box factor, row factor)."""
+    """R on B^{1,s} (x) B^{1,1}; returns (one-box factor, row factor).
+
+    Tables are kept by (kind, s, rank).  A pair has one image at every rank
+    at least row_rank of its letters.  So when no table of rank n exists
+    and n is at least that, any table of the pair's (kind, s) whose rank is
+    at least that serves the query; a table of rank n is built only when
+    there is none.
+    """
     if c.cap != 1 or u.kind != c.kind:
         raise ValueError("need matching kinds and a one-box right factor")
+    need = row_rank(u.word + c.word)
     if n is None:
-        n = row_rank(u.word + c.word)
+        n = need
     key = (u.kind, u.cap, n)
     table = _tables.get(key)
+    if table is None and n >= need:
+        table = next(
+            (t for (kind, s, m), t in _tables.items() if (kind, s) == key[:2] and m >= need),
+            None,
+        )
     if table is None:
-        table = RMatrixTable(u.kind, u.cap, n)
-        _tables[key] = table
+        table = _tables[key] = RMatrixTable(u.kind, u.cap, n)
     return table.apply(u, c)
 
 
@@ -351,7 +363,8 @@ def _split_factor_row(b: RowKR):
 
 def split_row(factors, n=None):
     """Split a tensor of RowKR factors into a letter chain, with the row
-    R-matrix at one rank n for the whole tensor and the one-row splitting."""
+    R-matrix queried at one rank n for the whole tensor (r_matrix_row may
+    serve it from a table of higher rank) and the one-row splitting."""
     factors = tuple(factors)
     if n is None:
         n = row_rank(x for f in factors for x in f.word)

@@ -344,24 +344,26 @@ def phi_c(chain, kind=SSOT, weight=None):
     )
 
 
-def phi_r(chain, kind, weight=None):
-    """Row-index image into the row crystals; SSOT and GSSOT go through
-    gamma, SSROT reads its strips directly."""
+@lru_cache(maxsize=None)
+def _row_factor(kind, cap, strip):
+    """The row factor of one strip of a chain of the given kind: SSOT and
+    GSSOT strips go through gamma, SSROT strips are read directly."""
     from .kr_row import RowKR
 
-    row_kind = ROW_KIND[kind]
+    rohs = strip if kind == SSROT else gamma(strip)
+    return RowKR(ROW_KIND[kind], cap, rind_rohs(rohs))
+
+
+def phi_r(chain, kind, weight=None):
+    """Row-index image into the row crystals, last strip leftmost."""
     if weight is None:
         # strip_len measures an ohs; an rohs has the negated length
         sign = -1 if kind == SSROT else 1
         weight = tuple(sign * strip_len(s) for s in chain)
-    factors = []
-    for strip, cap in zip(reversed(chain), reversed(tuple(weight))):
-        if kind == SSROT:
-            w = rind_rohs(strip)
-        else:
-            w = rind_rohs(gamma(strip))
-        factors.append(RowKR(row_kind, cap, w))
-    return tuple(factors)
+    return tuple(
+        _row_factor(kind, cap, strip)
+        for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
+    )
 
 
 def std(strip):

@@ -440,6 +440,60 @@ def test_twisted_branching_weight_multiplicity():
             assert total == char_coeff(lie_type, n, lam_d, dbl(mu, n))
 
 
+def _twisted_branching_reference(lie_type, n, lam, two_g):
+    """The full character, inverted, shifted by 2g and straightened."""
+    return schur_expand(character(lie_type, n, lam).invert_vars().shift((two_g,) * n))
+
+
+def _dominant_grid(max_size, max_n):
+    """(type, n, lam) over B, C and D, n <= max_n, |lam| <= max_size, with
+    spin weights in B and D and type D's negative last coordinate."""
+    for n in range(1, max_n + 1):
+        for lie_type in ("B", "C", "D"):
+            if lie_type == "D" and n < 2:
+                continue
+            for lam in partitions_upto(max_size, max_len=n):
+                plain = dbl(lam, n)
+                spin = tuple(x + 1 for x in plain)
+                for lam_d in (plain, spin) if lie_type != "C" else (plain,):
+                    yield lie_type, n, lam_d
+                    if lie_type == "D" and lam_d[-1]:
+                        yield lie_type, n, lam_d[:-1] + (-lam_d[-1],)
+
+
+def test_twisted_branching_matches_character_reference():
+    cases = 0
+    for lie_type, n, lam_d in _dominant_grid(5, 4):
+        for two_g in range(abs(lam_d[0]), abs(lam_d[0]) + 5):
+            try:
+                want = _twisted_branching_reference(lie_type, n, lam_d, two_g)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    twisted_branching(lie_type, n, lam_d, two_g)
+                continue
+            assert twisted_branching(lie_type, n, lam_d, two_g) == want, (lie_type, n, lam_d, two_g)
+            cases += 1
+    assert cases == 918
+    # below lam_1 both reject the weight: a key 2g - lam_1 is negative
+    with pytest.raises(ValueError):
+        twisted_branching("C", 2, (4, 2), 2)
+    with pytest.raises(ValueError, match="not dominant"):
+        twisted_branching("C", 2, (2, 4), 6)
+
+
+def test_char_coeff_matches_character():
+    triples = 0
+    for lie_type, n, lam_d in _dominant_grid(4, 3):
+        ch = character(lie_type, n, lam_d)
+        box = range(-abs(lam_d[0]) - 2, abs(lam_d[0]) + 3)
+        for mu in itertools.product(box, repeat=n):
+            assert char_coeff(lie_type, n, lam_d, mu) == ch.coeff(mu), (lie_type, lam_d, mu)
+            triples += 1
+    assert triples == 237353
+    with pytest.raises(ValueError, match="not dominant"):
+        char_coeff("C", 2, (0, 2), (0, 2))
+
+
 def test_e_poly():
     n = 3
     assert e_poly(n, 0) == Poly.one(n)

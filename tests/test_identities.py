@@ -555,7 +555,7 @@ def test_cache_sizes_reports_every_cleared_table():
     sizes = krlab.cache_sizes()
     assert sizes == _cache_sizes()
     for name in ("oscillating._shapes", "oscillating._strips_from", "qweight._memo",
-                 "kr_row._tables", "characters.character", "characters.twisted_branching",
+                 "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
                  "charge.kostka_foulkes"):
         assert sizes[name] > 0, name
     krlab.clear_caches()

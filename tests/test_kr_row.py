@@ -6,7 +6,10 @@ import random
 
 import pytest
 
+import krlab
+from krlab import kr_row
 from krlab.crystal import apply_e, apply_f, is_hw, word_weight
+from krlab.identities import run_task, suite_tasks
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
 from krlab.kr_row import (
     RMatrixTable,
@@ -313,6 +316,41 @@ def test_n_stability():
                     assert a == b, (kind, u, c)
     f = (RowKR(HDOM, 3, (1, 2, -1)), RowKR(HDOM, 2, (1, 1)))
     assert split_row(f, n=4) == split_row(f, n=5)
+
+
+def test_row_tables_shared_across_ranks():
+    # a table serves every query whose rank and its own are both at least
+    # the row_rank of the query's letters; an explicit rank below that
+    # gets a table of its own
+    krlab.clear_caches()
+    one = RowKR(BOX, 1, (1,))
+    r_matrix_row(RowKR(BOX, 2, (1, 2)), one, n=5)
+    for word, n in (((1, 1), 3), ((1, 2), 4), ((1, -2), None)):
+        u = RowKR(BOX, 2, word)
+        img = r_matrix_row(u, one, n=n)
+        assert img == RMatrixTable(BOX, 2, n or 4).bfs_map()[u, one]
+    assert list(kr_row._tables) == [(BOX, 2, 5)]
+    u = RowKR(BOX, 2, (1, 3))
+    assert r_matrix_row(u, one, n=3) == RMatrixTable(BOX, 2, 3).bfs_map()[u, one]
+    assert list(kr_row._tables) == [(BOX, 2, 5), (BOX, 2, 3)]
+    krlab.clear_caches()
+
+
+def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
+    # the rank-3 level grid in its own order; each pair's first query
+    # comes from a rank-4 tensor there
+    built = []
+
+    class Counted(RMatrixTable):
+        def __init__(self, kind, s, n):
+            built.append((kind, s, n))
+            super().__init__(kind, s, n)
+
+    monkeypatch.setattr(kr_row, "RMatrixTable", Counted)
+    krlab.clear_caches()
+    assert all(run_task(task).equal for task in suite_tasks("level", 4, 3))
+    assert len(built) == len({(kind, s) for kind, s, _ in built}) == 9
+    krlab.clear_caches()
 
 
 def test_split_row_single_factors():

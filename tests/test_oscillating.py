@@ -232,6 +232,32 @@ def test_phi_r_default_weight_ssrot():
             assert phi_r(c, SSROT) == phi_r(c, SSROT, mu)
 
 
+def _phi_r_reference(chain, kind, weight):
+    """Each row factor built afresh: SSOT and GSSOT strips through gamma."""
+    from krlab.kr_row import RowKR
+
+    row_kind = osc.ROW_KIND[kind]
+    factors = []
+    for strip, cap in zip(reversed(chain), reversed(tuple(weight))):
+        w = rind_rohs(strip) if kind == SSROT else rind_rohs(gamma(strip))
+        factors.append(RowKR(row_kind, cap, w))
+    return tuple(factors)
+
+
+def test_phi_r_matches_uncached_factors():
+    # the grid of test_c_statistic_eps0_law
+    seen = 0
+    for kind in (SSOT, GSSOT, SSROT):
+        for mu in [(1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2)]:
+            step = 1 if kind == GSSOT else 2
+            for m in range(sum(mu) % step, sum(mu) + 1, step):
+                for lam in partitions(m, max_len=len(mu)):
+                    for c in enumerate_chains(kind, lam, mu):
+                        assert phi_r(c, kind, mu) == _phi_r_reference(c, kind, mu), (kind, c)
+                        seen += 1
+    assert seen == 145
+
+
 def test_gamma_roundtrip_and_fixed_points():
     tested = 0
     for inner in partitions_upto(5, max_len=3):
