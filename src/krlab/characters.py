@@ -10,22 +10,23 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
-from .partitions import (
-    contains,
-    get,
-    horizontal_strips_above,
-    norm,
-    partitions_upto,
-    size,
-)
+from .charge import ssyt_chains
+from .partitions import get, norm, partitions_upto, size
 from .polynomials import Poly
 from .qweight import weight_multiplicity
-from .roots import apply_w, is_dominant, is_spin, weyl_group
+from .roots import is_dominant, is_spin
+
+# unused here since schur walks charge.ssyt_chains and orbit builds on
+# S_n-classes; bench/tracing.py still wraps these names in this module
+from .partitions import horizontal_strips_above  # noqa: F401
+from .roots import apply_w, weyl_group  # noqa: F401
 
 
 @lru_cache(maxsize=None)
 def orbit(lie_type, n, w):
-    return frozenset(apply_w(g, w) for g in weyl_group(lie_type, n))
+    """The Weyl orbit of w: the distinct rearrangements of each of its
+    S_n-classes."""
+    return frozenset(v for top in _orbit_classes(lie_type, w) for v in _rearrangements(top))
 
 
 @lru_cache(maxsize=None)
@@ -53,42 +54,33 @@ def _dominant_candidates(lie_type, n, lam):
 
 
 @lru_cache(maxsize=None)
-def character(lie_type, n, lam):
-    """Weyl character as a Poly, assembled from orbit sums of the
-    weight multiplicities given by the q-analog at q = 1."""
-    lam = tuple(lam)
+def _multiplicities(lie_type, n, lam):
+    """The (nu, m) pairs of lam's character: each dominant weight nu with
+    its multiplicity m, given by the q-analog at q = 1, where m != 0."""
     if not is_dominant(lie_type, n, lam):
         raise ValueError("weight is not dominant")
-    out = {}
-    for nu in _dominant_candidates(lie_type, n, lam):
-        m = weight_multiplicity(lie_type, n, lam, nu)
-        if m == 0:
-            continue
-        for w in orbit(lie_type, n, nu):
-            out[w] = out.get(w, 0) + m
-    return Poly(n, out)
+    cands = _dominant_candidates(lie_type, n, lam)
+    pairs = ((nu, weight_multiplicity(lie_type, n, lam, nu)) for nu in cands)
+    return tuple((nu, m) for nu, m in pairs if m)
+
+
+@lru_cache(maxsize=None)
+def character(lie_type, n, lam):
+    """Weyl character as a Poly: each dominant weight's multiplicity on its
+    orbit.  Distinct dominant weights have disjoint orbits."""
+    pairs = _multiplicities(lie_type, n, tuple(lam))
+    return Poly(n, {w: m for nu, m in pairs for w in orbit(lie_type, n, nu)})
 
 
 @lru_cache(maxsize=None)
 def schur(n, lam):
-    """Type A Schur polynomial in n variables, by the branching rule."""
+    """Type A Schur polynomial in n variables: x^a for each chain of n
+    horizontal strips up to lam, a_i the size of strip i."""
     lam = norm(lam)
-    if len(lam) > n:
-        return Poly(n, {})
     out = {}
-
-    def rec(i, mu, acc):
-        if i == n:
-            if mu == lam:
-                key = tuple(2 * a for a in acc)
-                out[key] = out.get(key, 0) + 1
-            return
-        for nu in horizontal_strips_above(mu, cap=get(lam, 0)):
-            if len(nu) > i + 1 or not contains(lam, nu):
-                continue
-            rec(i + 1, nu, acc + [size(nu) - size(mu)])
-
-    rec(0, (), [])
+    for chain in ssyt_chains(lam, ((0, get(lam, 0)),) * n):
+        key = tuple(2 * (size(b) - size(a)) for a, b in zip(chain, chain[1:]))
+        out[key] = out.get(key, 0) + 1
     return Poly(n, out)
 
 
@@ -133,13 +125,13 @@ def lr_coef(nu, gamma, lam):
 @lru_cache(maxsize=None)
 def _orbit_classes(lie_type, nu):
     """W.nu modulo S_n: the distinct signed rearrangements of nu, each
-    sorted decreasingly.  Type D flips an even number of signs, unless nu
-    has a 0 entry."""
-    even = lie_type == "D" and 0 not in nu
+    sorted decreasingly.  Type A flips no sign, and type D an even number,
+    which reaches every sign pattern when nu has a 0 entry."""
+    flips = product((1,) if lie_type == "A" else (1, -1), repeat=len(nu))
     return tuple(sorted({
         tuple(sorted((s * x for s, x in zip(signs, nu)), reverse=True))
-        for signs in product((1, -1), repeat=len(nu))
-        if not even or prod(signs) == 1
+        for signs in flips
+        if lie_type != "D" or prod(signs) == 1
     }))
 
 
@@ -183,13 +175,8 @@ def twisted_branching(lie_type, n, lam, two_g):
     S_n-class w of its Weyl orbit add m times the Schur expansion of the
     monomial symmetric polynomial m_top, top = sort(2g - w) decreasing.
     """
-    if not is_dominant(lie_type, n, lam):
-        raise ValueError("weight is not dominant")
     out = {}
-    for nu in _dominant_candidates(lie_type, n, lam):
-        m = weight_multiplicity(lie_type, n, lam, nu)
-        if m == 0:
-            continue
+    for nu, m in _multiplicities(lie_type, n, lam):
         for w in _orbit_classes(lie_type, nu):
             top = tuple(two_g - x for x in reversed(w))
             for kappa, c in _monomial_schur(n, top).items():
@@ -210,7 +197,7 @@ def twisted_branching_d(lie_type, n, lam, nu, two_g):
 
 @lru_cache(maxsize=None)
 def e_poly(n, r):
-    """The two-sided elementary polynomial sum_{|S|+|S'|<=r, |S|+|S'|=r...}
+    """The two-sided elementary polynomial e^{(n)}_r in n variables.
 
     e^{(n)}_r = sum over i of e_i(x) e_{r-i}(x^{-1}) with S, S' independent
     subsets of [n].

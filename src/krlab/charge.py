@@ -1,5 +1,6 @@
 """Kostka-Foulkes polynomials through the charge statistic on tableaux."""
 
+from collections import Counter
 from functools import lru_cache
 
 from .partitions import contains, get, horizontal_strips_above, is_partition, norm
@@ -54,21 +55,20 @@ def charge(word):
     return total
 
 
-def ssyt_chains(shape, content):
-    """Chains () = c_0 <= ... <= c_l = shape with horizontal strips of the
-    prescribed sizes; each chain is one semistandard tableau."""
+def ssyt_chains(shape, cells):
+    """Chains () = c_0 <= ... <= c_l = shape of horizontal strips, strip i
+    adding between cells[i] = (lo, hi) cells; each chain is one
+    semistandard tableau."""
     shape = norm(shape)
-    content = tuple(content)
     out = []
 
     def rec(level, chain):
         cur = chain[-1]
-        if level == len(content):
+        if level == len(cells):
             if norm(cur) == shape:
                 out.append(tuple(chain))
             return
-        r = content[level]
-        for nxt in horizontal_strips_above(cur, cap=get(shape, 0), cells=(r, r)):
+        for nxt in horizontal_strips_above(cur, cap=get(shape, 0), cells=cells[level]):
             if not contains(shape, nxt):
                 continue
             rec(level + 1, chain + [nxt])
@@ -89,7 +89,7 @@ def chain_to_rows(chain):
 
 def ssyt(shape, content):
     """Semistandard tableaux of the given shape and content, as row tuples."""
-    return [chain_to_rows(c) for c in ssyt_chains(shape, content)]
+    return [chain_to_rows(c) for c in ssyt_chains(shape, [(r, r) for r in content])]
 
 
 def reading_word(tab):
@@ -113,7 +113,5 @@ def kostka_foulkes(lam, mu):
         return Poly.zero(1)
     if not is_partition(lam):
         raise ValueError("shape must be a partition")
-    out = Poly.zero(1)
-    for t in ssyt(lam, mu_sorted):
-        out = out + Poly.mono((charge(reading_word(t)),))
-    return out
+    counts = Counter(charge(reading_word(t)) for t in ssyt(lam, mu_sorted))
+    return Poly(1, {(c,): k for c, k in counts.items()})

@@ -238,13 +238,8 @@ def level_formula(lie_type, n, lam_d, mu_d, two_g):
         if d:
             mid = mid + d * kostka_foulkes(kappa, mu_hat)
 
-    kind = DIAMOND[lie_type]
-    # the g-bounded chains are exactly the elements with 2 eps_0 <= zeta 2g
-    elements = hw_row_elements(kind, mu_hat, norm(lam_hat), two_g)
-    for _, _, e0 in elements:
-        if 2 * e0 > ZETA[lie_type] * two_g:
-            raise ValueError("a g-bounded element has eps_0 %d over the level bound" % e0)
-    rhs = _energy_sum(kind, mu_hat, lam_hat, elements)
+    # the g-bounded chains are exactly the elements with eps_0 <= zeta g
+    rhs = xk_lhs(DIAMOND[lie_type], mu_hat, lam_hat, ZETA[lie_type] * two_g // 2)
     return lhs, mid, rhs
 
 
@@ -256,28 +251,25 @@ def p_diamond_member(kind, gamma):
     return all(x % 2 == 0 for x in conjugate(gamma))
 
 
-def _energy_sum(kind, mu, lam, elements):
-    """The normalized energy sum over (chain, tensor, eps_0) elements, each
-    exponent counted in a dict and one Poly built at the end."""
+def xk_lhs(kind, mu, lam, max_eps0=None):
+    """The normalized energy sum over highest weight elements, with
+    max_eps0 over those with eps_0 <= max_eps0 only, each listed element's
+    eps_0 checked against it.  Each exponent is counted in a dict and one
+    Poly built at the end."""
+    two_g = None
+    if max_eps0 is not None:
+        two_g = 2 * max_eps0 if kind == HDOM else max_eps0
     dd = DSIZE[kind]
     base = 2 * nn(mu) + size(mu) - size(lam)
     counts = {}
-    for _, tensor, _ in elements:
+    for _, tensor, e0 in hw_row_elements(kind, tuple(mu), norm(lam), two_g):
+        if max_eps0 is not None and e0 > max_eps0:
+            raise ValueError("a bounded element has eps_0 %d over %d" % (e0, max_eps0))
         num = base - dd * energy_row(tensor)
         if num % 2:
             raise ValueError("odd exponent in the energy sum")
         counts[num // 2] = counts.get(num // 2, 0) + 1
     return Poly(1, {(e,): c for e, c in counts.items()})
-
-
-def xk_lhs(kind, mu, lam, max_eps0=None):
-    """The normalized energy sum over highest weight elements, with
-    max_eps0 over those with eps_0 <= max_eps0 only."""
-    two_g = None
-    if max_eps0 is not None:
-        two_g = 2 * max_eps0 if kind == HDOM else max_eps0
-    elements = hw_row_elements(kind, tuple(mu), norm(lam), two_g)
-    return _energy_sum(kind, mu, lam, elements)
 
 
 def xk_rhs_unfiltered(kind, mu, lam):

@@ -44,6 +44,8 @@ class ColumnKR:
             raise ValueError("word longer than capacity")
         if self.kind == VDOM and (self.cap - k) % 2:
             raise ValueError("vertical-domino column needs cap - len even")
+        if len(self.word) > 1 and self.word != sort_word(set(self.word)):
+            raise ValueError("column word %s is not strictly increasing" % word_str(self.word))
 
     def vacancy(self):
         return self.cap - len(self.word)

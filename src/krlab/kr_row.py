@@ -63,6 +63,8 @@ class RowKR:
             raise ValueError("at most one zero letter")
         if zeros and self.kind == HDOM:
             raise ValueError("the horizontal-domino alphabet has no zero letter")
+        if len(self.word) > 1 and self.word != sort_word(self.word):
+            raise ValueError("row word %s is not weakly increasing" % word_str(self.word))
 
     def letters(self):
         """The letters in tensor order: the row embedding."""

@@ -5,16 +5,19 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from krlab.characters import (
+    _dominant_candidates,
     char_coeff,
     character,
     e_poly,
     lr_coef,
     m_hyperoct,
     ns_D,
+    orbit,
     ps_D,
     pss_bar_D,
     schur,
@@ -34,6 +37,7 @@ from krlab.qweight import (
     q_kostant,
     simple_coords,
     stable_kl,
+    weight_multiplicity,
     weyl_terms,
 )
 from krlab.roots import (
@@ -374,6 +378,43 @@ def test_kostka_foulkes_matches_type_A_oracle():
     assert kl_A(2, [4, 0], [2, 2]) == kl_A(2, (4, 0), (2, 2)) == kostka_foulkes((2,), (1, 1))
 
 
+def _orbit_reference(lie_type, n, w):
+    """W.w as the image of w under every element of weyl_group."""
+    return frozenset(apply_w(g, w) for g in weyl_group(lie_type, n))
+
+
+@lru_cache(maxsize=None)
+def _character_reference(lie_type, n, lam):
+    """The Weyl character summed over the reference orbits, each dominant
+    weight's multiplicity from the q = 1 oracle."""
+    out = {}
+    for nu in _dominant_candidates(lie_type, n, lam):
+        m = weight_multiplicity(lie_type, n, lam, nu)
+        for w in _orbit_reference(lie_type, n, nu):
+            out[w] = out.get(w, 0) + m
+    return Poly(n, out)
+
+
+def test_orbit_matches_weyl_group_reference():
+    # dominant weights of B, C and D at n <= 5, spin weights and type D's
+    # negative last entry included; type A's dominant weights; and every
+    # vector of a small box, dominant or not, at n <= 3
+    cases = list(_dominant_grid(6, 5))
+    cases += [("A", n, dbl(lam, n)) for n in range(1, 6) for lam in partitions_upto(6, max_len=n)]
+    for n in range(1, 4):
+        for lie_type in "ABCD" if n > 1 else "ABC":
+            cases += [(lie_type, n, w) for w in itertools.product(range(-3, 4), repeat=n)]
+    for lie_type, n, w in cases:
+        assert orbit(lie_type, n, w) == _orbit_reference(lie_type, n, w), (lie_type, w)
+    assert len(cases) == 2304
+
+
+def test_character_rank7_dimension():
+    lam = (2, 2, 0, 0, 0, 0, 0)
+    for lie_type in "BCD":
+        assert character(lie_type, 7, lam).subs_all_one() == weyl_dimension(lie_type, 7, lam)
+
+
 def test_character_basics():
     ch = character("C", 1, (2,))
     assert ch.c == {(2,): 1, (-2,): 1}
@@ -441,8 +482,8 @@ def test_twisted_branching_weight_multiplicity():
 
 
 def _twisted_branching_reference(lie_type, n, lam, two_g):
-    """The full character, inverted, shifted by 2g and straightened."""
-    return schur_expand(character(lie_type, n, lam).invert_vars().shift((two_g,) * n))
+    """The reference character, inverted, shifted by 2g and straightened."""
+    return schur_expand(_character_reference(lie_type, n, lam).invert_vars().shift((two_g,) * n))
 
 
 def _dominant_grid(max_size, max_n):
@@ -484,7 +525,8 @@ def test_twisted_branching_matches_character_reference():
 def test_char_coeff_matches_character():
     triples = 0
     for lie_type, n, lam_d in _dominant_grid(4, 3):
-        ch = character(lie_type, n, lam_d)
+        ch = _character_reference(lie_type, n, lam_d)
+        assert character(lie_type, n, lam_d) == ch
         box = range(-abs(lam_d[0]) - 2, abs(lam_d[0]) + 3)
         for mu in itertools.product(box, repeat=n):
             assert char_coeff(lie_type, n, lam_d, mu) == ch.coeff(mu), (lie_type, lam_d, mu)
@@ -555,6 +597,27 @@ def _schur_expand_leading_term(wp):
         out[norm(lam)] = out.get(norm(lam), 0) + c
         rem = rem - c * schur(wp.nvars, norm(lam))
     return {k: v for k, v in out.items() if v}
+
+
+def _schur_reference(n, lam):
+    """The sum of x^content over every filling of lam with 1..n whose rows
+    weakly increase and columns strictly increase, doubled keys."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    out = {}
+    for vals in itertools.product(range(n), repeat=len(cells)):
+        t = dict(zip(cells, vals))
+        rows = all(t[i, j] <= t[i, j + 1] for i, j in cells if (i, j + 1) in t)
+        cols = all(t[i, j] < t[i + 1, j] for i, j in cells if (i + 1, j) in t)
+        if rows and cols:
+            key = tuple(2 * vals.count(k) for k in range(n))
+            out[key] = out.get(key, 0) + 1
+    return Poly(n, out)
+
+
+def test_schur_matches_fillings_reference():
+    for n in (1, 2, 3):
+        for lam in partitions_upto(5):
+            assert schur(n, lam) == _schur_reference(n, lam), (n, lam)
 
 
 def test_schur_expand_matches_leading_term_reference():

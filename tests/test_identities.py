@@ -223,6 +223,18 @@ def test_level_formula_spin_and_negative():
     assert lhs == mid == rhs
 
 
+def test_xk_lhs_checks_listed_eps0(monkeypatch):
+    # the level right side is xk_lhs at max_eps0 = zeta g; an element
+    # listed above that bound is an error, not a term
+    listed = hw_row_elements(HDOM, (2, 2), (2, 2), 4)
+    assert xk_lhs(HDOM, (2, 2), (2, 2), 2) == level_formula("C", 2, (0, 0), (0, 0), 4)[2]
+    over = [(chain, tensor, 3) for chain, tensor, _ in listed]
+    monkeypatch.setattr("krlab.identities.hw_row_elements", lambda *args: over)
+    with pytest.raises(ValueError, match="eps_0 3 over 2"):
+        xk_lhs(HDOM, (2, 2), (2, 2), 2)
+    assert xk_lhs(HDOM, (2, 2), (2, 2)).subs_all_one() == len(listed)
+
+
 def test_level_q1_is_weight_multiplicity():
     for lie_type in ("B", "C", "D"):
         n = 2

@@ -41,13 +41,23 @@ def test_word_constraints():
         RowKR(VDOM, 3, (1, 1))  # length must equal capacity
     with pytest.raises(ValueError):
         RowKR(BOX, 2, (1, 1, 2))
+    # each factor checks its own word order, last
+    with pytest.raises(ValueError, match="row word -2,1 is not weakly increasing"):
+        RowKR(BOX, 2, (-2, 1))
+    for word in ((1, 1), (2, 1)):
+        with pytest.raises(ValueError, match="column word %d,%d is not strictly increasing" % word):
+            ColumnKR(BOX, 3, word)
+    with pytest.raises(ValueError, match="single-box row needs"):
+        RowKR(BOX, 1, (2, 1))
+    with pytest.raises(ValueError, match="longer than capacity"):
+        ColumnKR(BOX, 1, (2, 1))
 
 
 def test_zero_letter_only_in_odd_rank_alphabets():
     # the zero letter is the middle of the type B alphabet, which the
     # single-box and vertical-domino rows use; type C and columns have none
-    assert RowKR(BOX, 2, (0, 1)).word == (0, 1)
-    assert RowKR(VDOM, 2, (0, 1)).word == (0, 1)
+    assert RowKR(BOX, 2, (1, 0)).word == (1, 0)
+    assert RowKR(VDOM, 2, (1, 0)).word == (1, 0)
     with pytest.raises(ValueError, match="no zero letter"):
         RowKR(HDOM, 1, (0,))
     with pytest.raises(ValueError, match="at most one zero"):
