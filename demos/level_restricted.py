@@ -9,7 +9,8 @@ weight elements; the filter is just a cap on the affine statistic.
 from fractions import Fraction
 
 from krlab.identities import DIAMOND, OSC_KIND, ZETA, level_formula
-from krlab.kr_row import energy_row, hw_row_elements
+from krlab.kr_row import energy_row
+from krlab.oscillating import hw_row_elements
 from krlab.partitions import norm, oc
 from krlab.polynomials import poly_str
 

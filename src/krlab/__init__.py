@@ -38,7 +38,6 @@ from .kr_row import (
     eps0,
     eps0_row,
     f0_row,
-    hw_row_elements,
     phi0_row,
     r_matrix_row,
     split_row,
@@ -54,6 +53,7 @@ from .oscillating import (
     enumerate_chains,
     gamma,
     gamma_inv,
+    hw_row_elements,
     phi_c,
     phi_r,
     reshape_aug,

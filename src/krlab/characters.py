@@ -277,16 +277,11 @@ def _exact_divide(num, den):
 
 def char_coeff(lie_type, n, lam, mu):
     """[x^mu] s^{g_n}_lam as an integer: the multiplicity of mu's dominant
-    representative, the |mu_i| in decreasing order, with the last entry
-    negated in type D when mu has an odd number of negative entries and
-    no 0."""
+    representative, the largest of its classes modulo S_n."""
     lam = tuple(lam)
     if not is_dominant(lie_type, n, lam):
         raise ValueError("weight is not dominant")
-    nu = sorted((abs(x) for x in mu), reverse=True)
-    if lie_type == "D" and nu and nu[-1] and sum(x < 0 for x in mu) % 2:
-        nu[-1] = -nu[-1]
-    nu = tuple(nu)
+    nu = max(_orbit_classes(lie_type, tuple(mu)))
     if nu not in _dominant_candidates(lie_type, n, lam):
         return 0
     return weight_multiplicity(lie_type, n, lam, nu)

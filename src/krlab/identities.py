@@ -17,7 +17,8 @@ from .characters import (
 from .charge import kostka_foulkes
 from .kr_column import BOX, HDOM, VDOM
 from .kr_column import vac_qt_energy  # noqa: F401  bench/tracing.py wraps this name here
-from .kr_row import energy_row, hw_row_elements
+from . import oscillating
+from .kr_row import energy_row
 from .oscillating import (
     GSSOT,
     ROW_KIND,
@@ -27,6 +28,7 @@ from .oscillating import (
     energy_counts,
     enumerate_chains,
     energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
+    hw_row_elements,
     strip_len,
 )
 from .partitions import (
@@ -89,10 +91,9 @@ def thm_b_rhs(lam, mu, n, g):
 
 def rohs_bounded_len(lam, r, max_len):
     """The rohs strips of length r out of lam with bounded final length."""
-    from .oscillating import _strips_from
-
     out = []
-    for strip in _strips_from(norm(lam), r, SSROT, None):
+    # read from oscillating at call time: bench/tracing.py wraps it there
+    for strip in oscillating._strips_from(norm(lam), r, SSROT, None):
         if len(norm(strip[2])) <= max_len:
             out.append(strip)
     return out

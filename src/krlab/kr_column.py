@@ -44,7 +44,8 @@ class ColumnKR:
             raise ValueError("word longer than capacity")
         if self.kind == VDOM and (self.cap - k) % 2:
             raise ValueError("vertical-domino column needs cap - len even")
-        if len(self.word) > 1 and self.word != sort_word(set(self.word)):
+        w = self.word
+        if not all(prec(x, y) for x, y in zip(w, w[1:])):
             raise ValueError("column word %s is not strictly increasing" % word_str(self.word))
 
     def vacancy(self):

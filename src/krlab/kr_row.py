@@ -29,7 +29,7 @@ from .crystal import (
 # bench/tracing.py wraps these names in this module
 from .crystal import eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
 from .kr_column import BOX, HDOM, VDOM, energy_chain, split_tensor
-from .letters import EMPTY, sort_word, word_str
+from .letters import EMPTY, prec, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
 
@@ -63,7 +63,8 @@ class RowKR:
             raise ValueError("at most one zero letter")
         if zeros and self.kind == HDOM:
             raise ValueError("the horizontal-domino alphabet has no zero letter")
-        if len(self.word) > 1 and self.word != sort_word(self.word):
+        w = self.word
+        if any(prec(y, x) for x, y in zip(w, w[1:])):
             raise ValueError("row word %s is not weakly increasing" % word_str(self.word))
 
     def letters(self):
@@ -316,30 +317,21 @@ def row_rank(letters):
     return max(3, max((abs(x) for x in letters if x), default=1) + 2)
 
 
-def r_matrix_row(u: RowKR, c: RowKR, n=None):
-    """R on B^{1,s} (x) B^{1,1}; returns (one-box factor, row factor).
+def _table(kind, s, n):
+    """The held table of (kind, s), replaced by one of rank n when its own
+    rank is below n.  A pair has one image at every rank at least row_rank
+    of its letters, so a query needing rank n may use any higher rank."""
+    table = _tables.get((kind, s))
+    if table is None or table.n < n:
+        table = _tables[kind, s] = RMatrixTable(kind, s, n)
+    return table
 
-    Tables are kept by (kind, s, rank).  A pair has one image at every rank
-    at least row_rank of its letters.  So when no table of rank n exists
-    and n is at least that, any table of the pair's (kind, s) whose rank is
-    at least that serves the query; a table of rank n is built only when
-    there is none.
-    """
+
+def r_matrix_row(u: RowKR, c: RowKR):
+    """R on B^{1,s} (x) B^{1,1}; returns (one-box factor, row factor)."""
     if c.cap != 1 or u.kind != c.kind:
         raise ValueError("need matching kinds and a one-box right factor")
-    need = row_rank(u.word + c.word)
-    if n is None:
-        n = need
-    key = (u.kind, u.cap, n)
-    table = _tables.get(key)
-    if table is None and n >= need:
-        table = next(
-            (t for (kind, s, m), t in _tables.items() if (kind, s) == key[:2] and m >= need),
-            None,
-        )
-    if table is None:
-        table = _tables[key] = RMatrixTable(u.kind, u.cap, n)
-    return table.apply(u, c)
+    return _table(u.kind, u.cap, row_rank(u.word + c.word)).apply(u, c)
 
 
 def split_one(b: RowKR):
@@ -363,17 +355,18 @@ def _split_factor_row(b: RowKR):
     return tuple(chain)
 
 
-def split_row(factors, n=None):
-    """Split a tensor of RowKR factors into a letter chain, with the row
-    R-matrix queried at one rank n for the whole tensor (r_matrix_row may
-    serve it from a table of higher rank) and the one-row splitting."""
+def split_row(factors):
+    """Split a tensor of RowKR factors into a letter chain, through the row
+    R-matrix and the one-row splitting.  Every R-matrix step uses a table of
+    at least the rank of the whole tensor's letters, so that no later step
+    of the tensor replaces a table an earlier step used."""
     factors = tuple(factors)
-    if n is None:
-        n = row_rank(x for f in factors for x in f.word)
+    n = row_rank(x for f in factors for x in f.word)
 
     def r_matrix(u, x):
-        c = RowKR(u.kind, 1, () if x is EMPTY else (x,))
-        c, u = r_matrix_row(u, c, n=n)
+        # the step goes through r_matrix_row, whose calls bench/tracing.py counts
+        _table(u.kind, u.cap, n)
+        c, u = r_matrix_row(u, RowKR(u.kind, 1, () if x is EMPTY else (x,)))
         return (c.word[0] if c.word else EMPTY), u
 
     return split_tensor(factors, r_matrix, _split_factor_row)
@@ -391,32 +384,3 @@ def energy_row(factors):
 @lru_cache(maxsize=None)
 def _energy_row(factors):
     return energy_chain(split_row(factors), factors[0].kind)
-
-
-def hw_row_elements(kind, mu, lam, two_g=None):
-    """Classical highest weight elements of B_mu of the given kind and
-    classical weight lam, listed through the oscillating bijections with
-    their affine statistic; eps_0 is cross-checked against the tensor
-    closed forms.
-
-    two_g bounds the chains' statistic c2 (None lists every element): the
-    elements with eps_0 <= two_g / 2 for the horizontal-domino kind, and
-    with eps_0 <= two_g for the other two.
-    """
-    from .oscillating import ROW_KIND, chain_c2, enumerate_chains, phi_r
-
-    osc_kind = {r: c for c, r in ROW_KIND.items()}[kind]
-    out = []
-    for chain in enumerate_chains(osc_kind, lam, mu, two_g):
-        t = phi_r(chain, osc_kind, mu)
-        c2 = chain_c2(chain, osc_kind, mu)
-        e0 = c2 // 2 if kind == HDOM else c2
-        if kind == HDOM and c2 % 2:
-            raise ValueError("horizontal-domino statistic must be integral")
-        direct = eps0(t)
-        if direct != e0:
-            raise ValueError(
-                "eps0 mismatch: chain gives %s, tensor gives %s" % (e0, direct)
-            )
-        out.append((chain, t, e0))
-    return out

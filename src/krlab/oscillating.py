@@ -23,6 +23,7 @@ from .kr_column import (
     split_shift,
     split_step,
 )
+from .kr_row import RowKR, eps0
 from .letters import red, sort_word
 from .partitions import (
     conjugate,
@@ -348,8 +349,6 @@ def phi_c(chain, kind=SSOT, weight=None):
 def _row_factor(kind, cap, strip):
     """The row factor of one strip of a chain of the given kind: SSOT and
     GSSOT strips go through gamma, SSROT strips are read directly."""
-    from .kr_row import RowKR
-
     rohs = strip if kind == SSROT else gamma(strip)
     return RowKR(ROW_KIND[kind], cap, rind_rohs(rohs))
 
@@ -364,6 +363,33 @@ def phi_r(chain, kind, weight=None):
         _row_factor(kind, cap, strip)
         for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
     )
+
+
+def hw_row_elements(kind, mu, lam, two_g=None):
+    """Classical highest weight elements of B_mu of the given kind and
+    classical weight lam, listed through the oscillating bijections with
+    their affine statistic; eps_0 is cross-checked against the tensor
+    closed forms.
+
+    two_g bounds the chains' statistic c2 (None lists every element): the
+    elements with eps_0 <= two_g / 2 for the horizontal-domino kind, and
+    with eps_0 <= two_g for the other two.
+    """
+    osc_kind = {r: c for c, r in ROW_KIND.items()}[kind]
+    out = []
+    for chain in enumerate_chains(osc_kind, lam, mu, two_g):
+        t = phi_r(chain, osc_kind, mu)
+        c2 = chain_c2(chain, osc_kind, mu)
+        e0 = c2 // 2 if kind == HDOM else c2
+        if kind == HDOM and c2 % 2:
+            raise ValueError("horizontal-domino statistic must be integral")
+        direct = eps0(t)
+        if direct != e0:
+            raise ValueError(
+                "eps0 mismatch: chain gives %s, tensor gives %s" % (e0, direct)
+            )
+        out.append((chain, t, e0))
+    return out
 
 
 def std(strip):

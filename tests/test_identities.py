@@ -38,8 +38,17 @@ from krlab.identities import (
     xk_rhs_unfiltered,
 )
 from krlab.kr_column import BOX, HDOM, VDOM, vac_qt_energy
-from krlab.kr_row import RowKR, hw_row_elements, r_matrix_row
-from krlab.oscillating import GSSOT, SSOT, SSROT, enumerate_chains, energy_of_chain, kappa_count, phi_c
+from krlab.kr_row import RowKR, r_matrix_row
+from krlab.oscillating import (
+    GSSOT,
+    SSOT,
+    SSROT,
+    enumerate_chains,
+    energy_of_chain,
+    hw_row_elements,
+    kappa_count,
+    phi_c,
+)
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
 from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_qt_B
@@ -283,12 +292,7 @@ def test_xk_filter_table():
             if kind in (HDOM, VDOM) and (3 - m) % 2:
                 continue
             for lam in partitions(m, max_len=2):
-                stats = [
-                    e0
-                    for _, _, e0 in __import__(
-                        "krlab.kr_row", fromlist=["hw_row_elements"]
-                    ).hw_row_elements(kind, mu, lam)
-                ]
+                stats = [e0 for _, _, e0 in hw_row_elements(kind, mu, lam)]
                 if not stats:
                     continue
                 top = max(stats)
@@ -545,7 +549,7 @@ def test_clear_caches_empties_every_cache():
             thm_b_rhs((1, 1), (0, 0), 2, 1),
             level_formula("B", 2, (3, 1), (1, 1), 3),
             q1_count("D", 3, (2, 2, 0), (0, 0, 0), 2),
-            r_matrix_row(RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,)), n=3),
+            r_matrix_row(RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,))),
         )
 
     before = compute()

@@ -20,16 +20,17 @@ from krlab.kr_row import (
     eps0,
     eps0_row,
     f0_row,
-    hw_row_elements,
     phi0,
     phi0_row,
     r_matrix_row,
     row_ctx,
+    row_rank,
     split_row,
     tensor_e0,
     tensor_f0,
 )
 from krlab.letters import sort_word
+from krlab.oscillating import hw_row_elements
 from krlab.partitions import conjugate, nn, norm, partitions, partitions_upto, size
 from krlab.polynomials import Poly
 
@@ -231,10 +232,11 @@ def test_r_matrix_properties():
     for kind in (BOX, HDOM, VDOM):
         for s in (2, 3):
             n = 4
+            table = RMatrixTable(kind, s, n)
             images = {}
             for u in enumerate_row(kind, s, n):
                 for c in enumerate_row(kind, 1, n):
-                    img = r_matrix_row(u, c, n=n)
+                    img = table.apply(u, c)
                     assert word_weight(u.word + c.word, n) == word_weight(
                         img[0].word + img[1].word, n
                     )
@@ -253,7 +255,7 @@ def test_r_matrix_anchor():
         for s in (2, 3):
             u = RowKR(kind, s, (1,) * s)
             c = RowKR(kind, 1, (1,))
-            img = r_matrix_row(u, c, n=3)
+            img = r_matrix_row(u, c)
             assert img == (c, u)
 
 
@@ -261,9 +263,10 @@ def test_r_matrix_bfs_agrees():
     for kind in (BOX, HDOM, VDOM):
         s, n = 2, 3
         bfs = RMatrixTable(kind, s, n).bfs_map()
+        table = RMatrixTable(kind, s, n)
         for u in enumerate_row(kind, s, n):
             for c in enumerate_row(kind, 1, n):
-                assert bfs[(u, c)] == r_matrix_row(u, c, n=n), (u, c)
+                assert bfs[(u, c)] == table.apply(u, c), (u, c)
 
 
 @pytest.mark.parametrize("kind", [BOX, HDOM, VDOM])
@@ -304,51 +307,49 @@ def test_yang_baxter():
     # with R trivial on equal one-box factors the two routes coincide
     for kind in (BOX, HDOM, VDOM):
         s, n = 2, 3
+        table = RMatrixTable(kind, s, n)
         rows = enumerate_row(kind, s, n)[:40]
         boxes = enumerate_row(kind, 1, n)
         for u in rows:
             for c in boxes[:6]:
                 for d in boxes[:6]:
-                    c1, u1 = r_matrix_row(u, c, n=n)
-                    d1, u2 = r_matrix_row(u1, d, n=n)
+                    c1, u1 = table.apply(u, c)
+                    d1, u2 = table.apply(u1, d)
                     # route through the left swap first is the same walk
-                    assert r_matrix_row(u, c, n=n) == (c1, u1)
-                    assert r_matrix_row(u1, d, n=n) == (d1, u2)
+                    assert table.apply(u, c) == (c1, u1)
+                    assert table.apply(u1, d) == (d1, u2)
 
 
 def test_n_stability():
+    # a pair has one image at every rank at least row_rank of its letters,
+    # which is what lets one held table per (kind, s) serve every query
     for kind in (BOX, HDOM, VDOM):
-        for s in (2, 3):
+        for s in (2, 3, 4):
+            low, high = RMatrixTable(kind, s, 4), RMatrixTable(kind, s, 5)
             for u in enumerate_row(kind, s, 2):
                 for c in enumerate_row(kind, 1, 2):
-                    a = r_matrix_row(u, c, n=4)
-                    b = r_matrix_row(u, c, n=5)
-                    assert a == b, (kind, u, c)
-    f = (RowKR(HDOM, 3, (1, 2, -1)), RowKR(HDOM, 2, (1, 1)))
-    assert split_row(f, n=4) == split_row(f, n=5)
+                    assert low.apply(u, c) == high.apply(u, c), (kind, u, c)
 
 
 def test_row_tables_shared_across_ranks():
-    # a table serves every query whose rank and its own are both at least
-    # the row_rank of the query's letters; an explicit rank below that
-    # gets a table of its own
-    krlab.clear_caches()
+    # one table per (kind, s): a query of higher rank replaces the held
+    # table, and a query of lower rank uses it, in either order
     one = RowKR(BOX, 1, (1,))
-    r_matrix_row(RowKR(BOX, 2, (1, 2)), one, n=5)
-    for word, n in (((1, 1), 3), ((1, 2), 4), ((1, -2), None)):
-        u = RowKR(BOX, 2, word)
-        img = r_matrix_row(u, one, n=n)
-        assert img == RMatrixTable(BOX, 2, n or 4).bfs_map()[u, one]
-    assert list(kr_row._tables) == [(BOX, 2, 5)]
-    u = RowKR(BOX, 2, (1, 3))
-    assert r_matrix_row(u, one, n=3) == RMatrixTable(BOX, 2, 3).bfs_map()[u, one]
-    assert list(kr_row._tables) == [(BOX, 2, 5), (BOX, 2, 3)]
+    high = RowKR(BOX, 2, (1, 3))
+    low = [RowKR(BOX, 2, w) for w in ((1, 1), (1, -1), (-1, -1))]
+    for queries in ([high] + low, low + [high]):
+        krlab.clear_caches()
+        for u in queries:
+            pair = (u, one)
+            n = row_rank(u.word + one.word)
+            assert r_matrix_row(*pair) == RMatrixTable(BOX, 2, n).bfs_map()[pair], u
+        assert [(key, t.n) for key, t in kr_row._tables.items()] == [((BOX, 2), 5)]
     krlab.clear_caches()
 
 
 def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
-    # the rank-3 level grid in its own order; each pair's first query
-    # comes from a rank-4 tensor there
+    # a rank-3 level pass holds one table per (kind, s), s = 2, 3, 4, in
+    # any task order; in the grid's own order it also builds each once
     built = []
 
     class Counted(RMatrixTable):
@@ -357,9 +358,15 @@ def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
             super().__init__(kind, s, n)
 
     monkeypatch.setattr(kr_row, "RMatrixTable", Counted)
-    krlab.clear_caches()
-    assert all(run_task(task).equal for task in suite_tasks("level", 4, 3))
-    assert len(built) == len({(kind, s) for kind, s, _ in built}) == 9
+    tasks = suite_tasks("level", 4, 3)
+    orders = [tasks] + [random.Random(seed).sample(tasks, len(tasks)) for seed in (1, 2, 3)]
+    for i, order in enumerate(orders):
+        krlab.clear_caches()
+        built.clear()
+        assert all(run_task(task).equal for task in order)
+        assert len(kr_row._tables) == 9, i
+        if i == 0:
+            assert len(built) == 9
     krlab.clear_caches()
 
 
