@@ -179,6 +179,16 @@ def tensor_f0(t):
 # combinatorial R-matrix for B^{1,s} (x) B^{1,1}
 
 
+def _row_lengths(kind, s):
+    """The word lengths of B^{1,s}: classically it is the sum of B(k varpi_1)
+    over these k, with highest weight element 1^k each."""
+    if kind == BOX:
+        return range(0, s + 1)
+    if kind == HDOM:
+        return range(s % 2, s + 1, 2)
+    return (s,)
+
+
 def enumerate_row(kind, s, n):
     """All elements of B^{1,s} at classical rank n."""
     from itertools import combinations_with_replacement
@@ -186,14 +196,8 @@ def enumerate_row(kind, s, n):
     letters = list(range(1, n + 1)) + ([0] if kind != HDOM else []) + [
         -i for i in range(n, 0, -1)
     ]
-    if kind == BOX:
-        lengths = range(0, s + 1)
-    elif kind == HDOM:
-        lengths = range(s % 2, s + 1, 2)
-    else:
-        lengths = (s,)
     out = []
-    for k in lengths:
+    for k in _row_lengths(kind, s):
         for combo in combinations_with_replacement(letters, k):
             if sum(1 for x in combo if x == 0) > 1:
                 continue
@@ -205,7 +209,9 @@ class RMatrixTable:
     """Memoized affine isomorphism B^{1,s} (x) B^{1,1} -> B^{1,1} (x) B^{1,s}.
 
     Components are matched by the classical weight and eps_0 of their
-    highest weight elements; an ambiguous match falls back to the affine
+    highest weight elements.  The targets are the highest weight pairs
+    c (x) 1^k over the one-box factors c and the rows 1^k of B^{1,s}, so no
+    other row is built; an ambiguous match falls back to the affine
     propagation from the anchor 1^s (x) 1, `bfs_map`, which the tests also
     use as the reference.  `map` holds every image found so far: each query
     stores the images along its raising path, so a component is matched
@@ -225,8 +231,10 @@ class RMatrixTable:
             return self._hw_target
         index = {}
         # eps_i(c (x) u) = eps_i(u) + max(0, eps_i(c) - phi_i(u)) by the
-        # signature rule, so only highest weight rows u can pair into one
-        rows = [u for u in enumerate_row(self.kind, self.s, self.n) if is_hw(u, self.ctx)]
+        # signature rule, so only highest weight rows u can pair into one,
+        # and those are the rows 1^k (test_hw_rows_are_the_rows_of_ones)
+        rows = [RowKR(self.kind, self.s, (1,) * k) for k in _row_lengths(self.kind, self.s)]
+        rows = [u for u in rows if is_hw(u, self.ctx)]
         for c in enumerate_row(self.kind, 1, self.n):
             for u in rows:
                 t = (c, u)
@@ -320,10 +328,17 @@ def row_rank(letters):
 def _table(kind, s, n):
     """The held table of (kind, s), replaced by one of rank n when its own
     rank is below n.  A pair has one image at every rank at least row_rank
-    of its letters, so a query needing rank n may use any higher rank."""
+    of its letters, so a query needing rank n may use any higher rank, and
+    the new table starts with the old images of the pairs whose row_rank is
+    at most the old rank."""
     table = _tables.get((kind, s))
     if table is None or table.n < n:
-        table = _tables[kind, s] = RMatrixTable(kind, s, n)
+        old, table = table, RMatrixTable(kind, s, n)
+        if old is not None:
+            table.map.update(
+                (t, img) for t, img in old.map.items() if row_rank(t[0].word + t[1].word) <= old.n
+            )
+        _tables[kind, s] = table
     return table
 
 
@@ -345,6 +360,7 @@ def split_one(b: RowKR):
     return w[0], RowKR(b.kind, a - 1, w[1:])
 
 
+@lru_cache(maxsize=None)
 def _split_factor_row(b: RowKR):
     """The one-row splitting: peel one box at a time down to one box."""
     chain = []
@@ -355,18 +371,26 @@ def _split_factor_row(b: RowKR):
     return tuple(chain)
 
 
+@lru_cache(maxsize=None)
+def _box(kind, x):
+    """The one-box factor holding letter x, or no letter for EMPTY."""
+    return RowKR(kind, 1, () if x is EMPTY else (x,))
+
+
 def split_row(factors):
     """Split a tensor of RowKR factors into a letter chain, through the row
     R-matrix and the one-row splitting.  Every R-matrix step uses a table of
     at least the rank of the whole tensor's letters, so that no later step
-    of the tensor replaces a table an earlier step used."""
+    of the tensor replaces a table an earlier step used.  The one-box
+    factors of the steps (`_box`) and each factor's one-row splitting
+    (`_split_factor_row`) are built once and kept until clear_caches()."""
     factors = tuple(factors)
     n = row_rank(x for f in factors for x in f.word)
 
     def r_matrix(u, x):
         # the step goes through r_matrix_row, whose calls bench/tracing.py counts
         _table(u.kind, u.cap, n)
-        c, u = r_matrix_row(u, RowKR(u.kind, 1, () if x is EMPTY else (x,)))
+        c, u = r_matrix_row(u, _box(u.kind, x))
         return (c.word[0] if c.word else EMPTY), u
 
     return split_tensor(factors, r_matrix, _split_factor_row)

@@ -303,6 +303,19 @@ def test_target_index_matches_full_scan():
                 assert all(len(v) == len(set(v)) for v in index.values())
 
 
+def test_hw_rows_are_the_rows_of_ones():
+    # classically B^{1,s} is the sum of B(k varpi_1) over its row lengths k,
+    # so its highest weight rows are 1^k, the only rows the index builds
+    for kind in (BOX, HDOM, VDOM):
+        for n in (2, 3, 4, 5):
+            ctx = row_ctx(kind, n)
+            for s in (1, 2, 3, 4, 5):
+                rows = enumerate_row(kind, s, n)
+                hw_rows = {u for u in rows if is_hw(u, ctx)}
+                ones = {RowKR(kind, s, (1,) * k) for k in {len(u.word) for u in rows}}
+                assert hw_rows == ones, (kind, s, n)
+
+
 def test_yang_baxter():
     # with R trivial on equal one-box factors the two routes coincide
     for kind in (BOX, HDOM, VDOM):
@@ -345,6 +358,21 @@ def test_row_tables_shared_across_ranks():
             assert r_matrix_row(*pair) == RMatrixTable(BOX, 2, n).bfs_map()[pair], u
         assert [(key, t.n) for key, t in kr_row._tables.items()] == [((BOX, 2), 5)]
     krlab.clear_caches()
+    # a replaced table starts with the old images of the pairs within the
+    # old rank, and each equals the image at the new rank
+    for kind in (BOX, HDOM, VDOM):
+        for s in (2, 3):
+            old = kr_row._table(kind, s, 3)
+            for u in enumerate_row(kind, s, 3):
+                for c in enumerate_row(kind, 1, 3):
+                    old.apply(u, c)
+            kept = {t: img for t, img in old.map.items() if row_rank(t[0].word + t[1].word) <= 3}
+            assert kept
+            new = kr_row._table(kind, s, 5)
+            assert new.n == 5 and new.map == kept, (kind, s)
+            full = RMatrixTable(kind, s, 5).bfs_map()
+            assert all(full[t] == img for t, img in kept.items()), (kind, s)
+    krlab.clear_caches()
 
 
 def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
@@ -379,6 +407,30 @@ def test_split_row_single_factors():
         for s in (2, 3, 4):
             for b in enumerate_row(kind, s, 2):
                 assert energy_row((b,)) == (s - len(b.word)) // dd
+
+
+def test_row_split_caches_cleared_and_rebuilt():
+    # the one-box factors and one-row splittings are kept until clear_caches,
+    # and energies computed afresh after a clear are the same
+    smoke = [
+        ((BOX, 3, (2, 0)), (BOX, 2, (-1,)), (BOX, 2, (1, -3))),
+        ((VDOM, 3, (1, 2, -1)), (VDOM, 2, (3, -2)), (VDOM, 2, (2, 2))),
+        ((HDOM, 4, (1, 2)), (HDOM, 2, (-2, -1)), (HDOM, 2, (1, 3))),
+    ]
+    tensors = [tuple(RowKR(*f) for f in t) for t in smoke]
+    for kind in (BOX, HDOM, VDOM):
+        rows = enumerate_row(kind, 2, 2)
+        tensors += [(u, v) for u in rows[::3] for v in rows[::5]]
+    krlab.clear_caches()
+    before = [energy_row(t) for t in tensors]
+    assert before[:3] == [10, 5, 6]
+    sizes = krlab.cache_sizes()
+    assert sizes["kr_row._box"] > 0 and sizes["kr_row._split_factor_row"] > 0
+    krlab.clear_caches()
+    sizes = krlab.cache_sizes()
+    assert sizes["kr_row._box"] == sizes["kr_row._split_factor_row"] == 0
+    assert [energy_row(t) for t in tensors] == before
+    krlab.clear_caches()
 
 
 def test_split_rejects_mixed_kinds():
