@@ -115,3 +115,19 @@ def kostka_foulkes(lam, mu):
         raise ValueError("shape must be a partition")
     counts = Counter(charge(reading_word(t)) for t in ssyt(lam, mu_sorted))
     return Poly(1, {(c,): k for c, k in counts.items()})
+
+
+def kostka_foulkes_sum(coeffs, mu):
+    """sum of d K_{kappa,mu}(q) over the (kappa, d) in coeffs.
+
+    A kappa of another size than mu has no tableau of content mu, so its
+    term is zero and is skipped before K is looked up.  The coefficients
+    are added in one dict and one Poly built at the end.
+    """
+    m = sum(mu)
+    acc = {}
+    for kappa, d in coeffs.items():
+        if d and sum(kappa) == m:
+            for k, v in kostka_foulkes(kappa, mu).c.items():
+                acc[k] = acc.get(k, 0) + d * v
+    return Poly(1, acc)

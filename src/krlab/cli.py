@@ -24,7 +24,7 @@ from .oscillating import GSSOT, SSOT, SSROT, enumerate_chains
 from .partitions import is_partition, norm
 from .polynomials import poly_str
 from .qweight import kl_poly, kl_qt_B
-from .roots import is_dominant, is_spin, parse_weight, weight_str
+from .roots import is_dominant, is_spin, parse_weight, positive_roots, weight_str
 
 
 class BadInput(Exception):
@@ -40,6 +40,10 @@ def _rank(n):
 def _weights(args, lie_type):
     """--lambda and --mu as doubled weights of rank --n, each dominant."""
     n = _rank(args.n)
+    try:
+        positive_roots(lie_type, n)
+    except ValueError as e:
+        raise BadInput("--n %d: %s" % (n, e)) from None
     out = []
     for flag, text in (("--lambda", args.lam), ("--mu", args.mu)):
         try:
@@ -272,12 +276,13 @@ def build_parser():
     return p
 
 
-def _glue_element(argv):
-    """Write `--element -2,-1` as `--element=-2,-1`: argparse takes a value
-    that starts with a barred letter for an option unless it is glued."""
+def _glue_signed(argv):
+    """Write `--element -2,-1` as `--element=-2,-1`, and so `--lambda` and
+    `--mu`: argparse takes a value that starts with a barred letter or a
+    negative coordinate for an option unless it is glued."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--element" and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in ("--element", "--lambda", "--mu") and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -287,7 +292,7 @@ def _glue_element(argv):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_element(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

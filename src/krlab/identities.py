@@ -14,7 +14,7 @@ from .characters import (
     lr_coef,
     twisted_branching,
 )
-from .charge import kostka_foulkes
+from .charge import kostka_foulkes, kostka_foulkes_sum
 from .kr_column import BOX, HDOM, VDOM
 from .kr_column import vac_qt_energy  # noqa: F401  bench/tracing.py wraps this name here
 from . import oscillating
@@ -233,11 +233,7 @@ def level_formula(lie_type, n, lam_d, mu_d, two_g):
     lam_hat = _hat(lam_d, two_g, n)
     mu_hat = _hat(mu_d, two_g, n)
 
-    table = twisted_branching(lie_type, n, lam_d, two_g)
-    mid = Poly.zero(1)
-    for kappa, d in table.items():
-        if d:
-            mid = mid + d * kostka_foulkes(kappa, mu_hat)
+    mid = kostka_foulkes_sum(twisted_branching(lie_type, n, lam_d, two_g), mu_hat)
 
     # the g-bounded chains are exactly the elements with eps_0 <= zeta g
     rhs = xk_lhs(DIAMOND[lie_type], mu_hat, lam_hat, ZETA[lie_type] * two_g // 2)
@@ -275,16 +271,15 @@ def xk_lhs(kind, mu, lam, max_eps0=None):
 
 def xk_rhs_unfiltered(kind, mu, lam):
     """The Kostka-Foulkes expansion side of the unfiltered identity."""
-    out = Poly.zero(1)
-    for nu in partitions(size(mu), max_len=len(mu)):
-        c = sum(
+    coeffs = {
+        nu: sum(
             lr_coef(nu, gamma, norm(lam))
             for gamma in partitions(size(mu) - size(lam))
             if p_diamond_member(kind, gamma)
         )
-        if c:
-            out = out + c * kostka_foulkes(nu, tuple(mu))
-    return out
+        for nu in partitions(size(mu), max_len=len(mu))
+    }
+    return kostka_foulkes_sum(coeffs, tuple(mu))
 
 
 def xk_filter_table(kind, lam, mu, max_eps0):

@@ -45,12 +45,14 @@ def positive_roots(lie_type, n):
     """Positive roots as doubled vectors.
 
     A: e_i - e_j (i<j).  B: e_i +- e_j and e_i.  C: e_i +- e_j and 2e_i.
-    D: e_i +- e_j.
+    D: e_i +- e_j, from rank 2: D_1 has no roots and no simple-root basis.
     """
     if lie_type not in TYPES:
         raise ValueError("unsupported type %r" % (lie_type,))
     if n < 1:
         raise ValueError("rank must be positive")
+    if lie_type == "D" and n < 2:
+        raise ValueError("type D needs rank >= 2")
     roots = []
 
     def e(i, c=2):

@@ -70,6 +70,14 @@ def test_unsupported_type():
         positive_roots("E", 6)
 
 
+def test_type_D_rank_1_refused():
+    # D_1 has no roots: 0 is not a weight of V(2), so no value may come back
+    with pytest.raises(ValueError, match="type D needs rank >= 2"):
+        positive_roots("D", 1)
+    with pytest.raises(ValueError, match="type D needs rank >= 2"):
+        kl_poly("D", 1, (4,), (0,))
+
+
 def test_sign_matches_reflection_length():
     for lie_type in ("A", "B", "C", "D"):
         for n in (2, 3):

@@ -71,6 +71,8 @@ def test_usage_error_exit_code(capsys):
         ["energy", "--kind", "vdom", "--element", "2,1|1"],
         ["energy", "--kind", "box", "--element", "268435457,-268435457", "--caps", "2"],
         ["energy", "--kind", "box", "--element", "-268435457,268435457", "--caps", "2"],
+        ["kl", "--type", "D", "--n", "1", "--lambda", "2", "--mu", "0"],
+        ["level", "--type", "D", "--n", "1", "--lambda", "1", "--mu", "0"],
     ],
     ids=[
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
@@ -79,6 +81,7 @@ def test_usage_error_exit_code(capsys):
         "morris-c-rank-1", "morris-b-rank-1", "row-hdom-zero-letter", "column-zero-letter",
         "column-word-repeated", "column-word-decreasing", "vdom-column-word-decreasing",
         "letter-over-rank-bound", "letter-over-rank-bound-misordered",
+        "kl-type-D-rank-1", "level-type-D-rank-1",
     ],
 )
 def test_bad_input_exit_code(capsys, argv):
@@ -149,6 +152,15 @@ def test_energy_leading_barred_letter(capsys, element, caps, code):
     glued = run(capsys, "energy", "--kind", "box", "--element=" + element, "--caps", caps)
     assert spaced == glued
     assert spaced[0] == code
+
+
+def test_negative_leading_weight(capsys):
+    # a spaced --lambda or --mu value that starts with a minus sign is read
+    # as the value, the same as the glued form
+    args = ["kl", "--type", "A", "--n", "2"]
+    spaced = run(capsys, *args, "--lambda", "-1,-2", "--mu", "-1,-2")
+    glued = run(capsys, *args, "--lambda=-1,-2", "--mu=-1,-2")
+    assert spaced == glued == (0, "1\n")
 
 
 def test_verify_json_and_csv(capsys):

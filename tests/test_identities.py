@@ -52,7 +52,7 @@ from krlab.oscillating import (
 from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
 from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_qt_B
-from krlab.charge import kostka_foulkes
+from krlab.charge import kostka_foulkes, kostka_foulkes_sum
 
 
 def dbl(v, n, spin=False):
@@ -230,6 +230,36 @@ def test_level_formula_spin_and_negative():
                 assert lhs == mid == rhs, (lie_type, lam, mu)
     lhs, mid, rhs = level_formula("D", 2, (4, -2), (2, 0), 4)
     assert lhs == mid == rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_mid_matches_full_branching_sum(n):
+    # the middle side sums only the kappa of size |mu_hat|; the full loop
+    # over the twisted branching table gives the same polynomial
+    from krlab.characters import twisted_branching
+
+    grid, _ = SUITES["level"]
+    skipped = 0
+    for _, (lie_type, _, lam_d, mu_d, two_g) in grid(4, n):
+        mu_hat = _hat(mu_d, two_g, n)
+        table = twisted_branching(lie_type, n, lam_d, two_g)
+        full = Poly.zero(1)
+        for kappa, d in table.items():
+            full = full + d * kostka_foulkes(kappa, mu_hat)
+        assert level_formula(lie_type, n, lam_d, mu_d, two_g)[1] == full, (lie_type, lam_d, mu_d)
+        skipped += sum(1 for kappa, d in table.items() if d and size(kappa) != size(mu_hat))
+    assert skipped > 0
+
+
+def test_kostka_foulkes_sum_skips_other_sizes():
+    mu = (2, 1)
+    mixed = {(3,): 2, (2, 1): -1, (1, 1, 1): 0, (2,): 5, (4, 1): 7, (): 3}
+    want = 2 * kostka_foulkes((3,), mu) - kostka_foulkes((2, 1), mu)
+    assert kostka_foulkes_sum(mixed, mu) == want == Poly(1, {(1,): 2, (0,): -1})
+    assert kostka_foulkes_sum({(2,): 5, (4, 1): 7, (): 3}, mu) == Poly.zero(1)
+    assert kostka_foulkes_sum({}, mu) == Poly.zero(1)
+    # terms that cancel leave no zero coefficient behind
+    assert kostka_foulkes_sum({(2, 1): 1, (2, 1, 0): -1}, (1, 1, 1)).c == {}
 
 
 def test_xk_lhs_checks_listed_eps0(monkeypatch):
