@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
-from .identities import MIN_RANK, SUITES, default_two_g, level_formula, run_task, suite_tasks
+from .identities import SUITES, default_two_g, level_formula, run_task, suite_tasks
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
 from .letters import parse_word
@@ -190,9 +190,6 @@ def _jobs(flag):
 
 def cmd_verify(args):
     _rank(args.n)
-    low = MIN_RANK.get(args.suite, 1)
-    if args.n < low:
-        raise BadInput("--suite %s needs --n >= %d, got %d" % (args.suite, low, args.n))
     if args.max_weight < 0:
         raise BadInput("--max-weight %d must be nonnegative" % args.max_weight)
     jobs = _jobs(args.jobs)

@@ -8,6 +8,7 @@ the (possibly half-integral) bound g.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import (
     char_coeff,
@@ -61,11 +62,15 @@ class IdentityReport:
 # Lusztig side: combinatorial right-hand sides
 
 
+def _pad(lam, n):
+    """lam as a tuple of exactly n parts, zeros appended."""
+    return tuple(get(lam, i) for i in range(n))
+
+
 def _chain_energies(kind, lam, mu, n, g):
     """energy_counts over the chains of Theorem C (SSOT, bound g) or B
     (GSSOT, bound g + 1/2) at rank n: shape oc(lam), weight oc_bar(mu)."""
-    lam = tuple(get(lam, i) for i in range(n))
-    mu = tuple(get(mu, i) for i in range(n))
+    lam, mu = _pad(lam, n), _pad(mu, n)
     two_g = 2 * g + (1 if kind == GSSOT else 0)
     return energy_counts(kind, norm(oc(lam, g, n)), oc_bar(mu, g, n), two_g)
 
@@ -106,57 +111,47 @@ def _lambda_i(lam, n, i):
     )
 
 
-def morris_c(lam, mu, n):
-    """Type C recurrence, one level deep, closing with the oracle."""
-    if n < 2:
-        raise ValueError("the recurrence needs n >= 2")
-    lam = tuple(get(lam, i) for i in range(n))
-    mu = tuple(get(mu, i) for i in range(n))
-    mu_rest = tuple(2 * m for m in mu[1:])
-    out = Poly.zero(1)
+@lru_cache(maxsize=None)
+def _morris(lie_type, lam, mu, n):
+    """The Morris-type recurrence of type C (in q) or type B spin (in q, t)
+    on plain length-n partitions: peel mu_1 off, sum over i and the rohs
+    strips out of lambda^(i) that end in at most n - 1 rows, and recurse at
+    rank n - 1 on (nu, mu[1:]) down to rank 0, where the value is 1.  So
+    rank 1 gives q^{(lam_1 - mu_1)/2} in type C when lam_1 - mu_1 >= 0 is
+    even, t^{lam_1 - mu_1} in type B when lam_1 >= mu_1, and 0 otherwise.
+    The oracle is never called."""
+    c = lie_type == "C"
+    nvars = 1 if c else 2
+    if n == 0:
+        return Poly.one(nvars)
+    out = Poly.zero(nvars)
     for i in range(1, n + 1):
         total = lam[i - 1] - mu[0] + 1 - i
         if total < 0:
             continue
         li = _lambda_i(lam, n, i)
-        for r in range(total % 2, total + 1, 2):
-            m = (total - r) // 2
-            for strip in rohs_bounded_len(li, r, n - 1):
-                nu = strip[2]
-                nud = tuple(2 * get(nu, j) for j in range(n - 1))
-                term = kl_poly("C", n - 1, nud, mu_rest).shift((r + m,))
+        for r in range(total % 2, total + 1, 2) if c else range(total + 1):
+            shift = (r + (total - r) // 2,) if c else (r, total - r)
+            for _, _, nu in rohs_bounded_len(li, r, n - 1):
+                term = _morris(lie_type, _pad(nu, n - 1), mu[1:], n - 1).shift(shift)
                 out = out + (term if i % 2 == 1 else -term)
     return out
+
+
+def morris_c(lam, mu, n):
+    """Type C recurrence, recursing to full depth."""
+    return _morris("C", _pad(lam, n), _pad(mu, n), n)
 
 
 def morris_b_qt(lam, mu, n):
-    """Type B spin q,t recurrence, one level deep."""
-    if n < 2:
-        raise ValueError("the recurrence needs n >= 2")
-    lam = tuple(get(lam, i) for i in range(n))
-    mu = tuple(get(mu, i) for i in range(n))
-    mu_rest = tuple(2 * m + 1 for m in mu[1:])
-    out = Poly.zero(2)
-    for i in range(1, n + 1):
-        total = lam[i - 1] - mu[0] + 1 - i
-        if total < 0:
-            continue
-        li = _lambda_i(lam, n, i)
-        for r in range(0, total + 1):
-            m = total - r
-            for strip in rohs_bounded_len(li, r, n - 1):
-                nu = strip[2]
-                nud = tuple(2 * get(nu, j) + 1 for j in range(n - 1))
-                term = kl_qt_B(n - 1, nud, mu_rest).shift((r, m))
-                out = out + (term if i % 2 == 1 else -term)
-    return out
+    """Type B spin q,t recurrence, recursing to full depth."""
+    return _morris("B", _pad(lam, n), _pad(mu, n), n)
 
 
 def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
     """Append the complemented strip to a chain, realizing the recurrence
     bijection; returns (new chain, new weight vector)."""
-    lam = tuple(get(lam, j) for j in range(n))
-    mu = tuple(get(mu, j) for j in range(n))
+    lam, mu = _pad(lam, n), _pad(mu, n)
     li, zeta, nu = strip
     total = lam[i - 1] - mu[0] + 1 - i
     r = strip_len(strip)
@@ -176,8 +171,7 @@ def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
 def involution_partition(lam, mu, n, g):
     """The sets G_i of the sign-reversing involution, their two-block
     refinement, and the telescoping check data."""
-    lam = tuple(get(lam, i) for i in range(n))
-    mu = tuple(get(mu, i) for i in range(n))
+    lam, mu = _pad(lam, n), _pad(mu, n)
     gs = []
     for i in range(1, n + 1):
         first = lam[i - 1] - mu[0] + 1 - i
@@ -533,6 +527,14 @@ def check_morris_b(params, n, lam, mu):
     return _compare("morris-b", params, oracle, morris_b_qt(lam, mu, n), QT)
 
 
+def check_thm_c_rec(params, n, lam, mu, g):
+    return _compare("thm-c-rec", params, morris_c(lam, mu, n), thm_c_rhs(lam, mu, n, g), Q)
+
+
+def check_thm_b_rec(params, n, lam, mu, g):
+    return _compare("thm-b-rec", params, morris_b_qt(lam, mu, n), thm_b_rhs(lam, mu, n, g), QT)
+
+
 def check_level(params, *args):
     lhs, mid, rhs = level_formula(*args)
     mid_rhs = "%s / %s" % (poly_str(mid, Q), poly_str(rhs, Q))
@@ -555,14 +557,12 @@ SUITES = {
     "thm-b": (_thm_b_grid, check_thm_b),
     "morris-c": (_morris_grid, check_morris_c),
     "morris-b": (_morris_grid, check_morris_b),
+    "thm-c-rec": (_thm_c_grid, check_thm_c_rec),
+    "thm-b-rec": (_thm_b_grid, check_thm_b_rec),
     "level": (_bcd_grid, check_level),
     "xk": (_xk_grid, check_xk),
     "q1": (_bcd_grid, check_q1),
 }
-
-# the lowest rank of each suite above 1: the recurrences peel one row off mu
-MIN_RANK = {"morris-c": 2, "morris-b": 2}
-
 
 def suite_tasks(suite, max_weight, n):
     """The suite's instances at rank n and |lambda|, |mu| <= max_weight, as

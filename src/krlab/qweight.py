@@ -80,7 +80,7 @@ def simple_coords(lie_type, n, beta):
         cs = ps[: n - 2]
         if any(c % 2 for c in cs):
             return None
-        a = ps[n - 2] - (tot - ps[n - 2]) if n >= 2 else 0
+        a = ps[n - 2] - (tot - ps[n - 2])
         b = tot
         if a % 4 or b % 4:
             return None

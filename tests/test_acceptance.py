@@ -108,8 +108,8 @@ def test_criterion_03_theorem_b_spin_equivalence():
 
 def test_criterion_04_morris_recurrences():
     t0 = time.time()
-    checked = _check_suite("morris-c", (2, 3, 4), 6)
-    checked += _check_suite("morris-b", (2, 3), 5)
+    checked = _check_suite("morris-c", (1, 2, 3, 4), 6)
+    checked += _check_suite("morris-b", (1, 2, 3), 5)
     _stamp(4, "Morris recurrences, %d instances" % checked, t0)
 
 

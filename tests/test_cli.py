@@ -62,8 +62,6 @@ def test_usage_error_exit_code(capsys):
         ["energy", "--kind", "box", "--element", "1|1", "--caps", "1"],
         ["verify", "--suite", "thm-c", "--n", "2", "--max-weight", "-1"],
         ["energy", "--row", "--kind", "box", "--element", "1|2,1"],
-        ["verify", "--suite", "morris-c", "--n", "1"],
-        ["verify", "--suite", "morris-b", "--n", "1"],
         ["energy", "--row", "--kind", "hdom", "--element", "0|1", "--caps", "1,1"],
         ["energy", "--kind", "box", "--element", "0|1", "--caps", "1,1"],
         ["energy", "--kind", "box", "--element", "1,1", "--caps", "2"],
@@ -78,7 +76,7 @@ def test_usage_error_exit_code(capsys):
         "not-half-integral", "rank-0", "g-below-lambda1", "not-dominant", "g-not-half-integer",
         "element-not-integer", "caps-not-integer", "hdom-column", "word-over-capacity",
         "row-caps-short", "caps-short", "max-weight-negative", "row-word-unsorted",
-        "morris-c-rank-1", "morris-b-rank-1", "row-hdom-zero-letter", "column-zero-letter",
+        "row-hdom-zero-letter", "column-zero-letter",
         "column-word-repeated", "column-word-decreasing", "vdom-column-word-decreasing",
         "letter-over-rank-bound", "letter-over-rank-bound-misordered",
         "kl-type-D-rank-1", "level-type-D-rank-1",
@@ -90,6 +88,16 @@ def test_bad_input_exit_code(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("krlab %s: error: " % argv[0])
+
+
+@pytest.mark.parametrize("suite", ["morris-c", "morris-b"])
+def test_verify_morris_rank_1(capsys, suite):
+    # the recurrence's rank-1 values, q^((lam_1 - mu_1)/2) in type C and
+    # t^(lam_1 - mu_1) in type B, against the oracle
+    code, out = run(capsys, "verify", "--suite", suite, "--n", "1", "--max-weight", "5")
+    reports = json.loads(out)["reports"]
+    assert code == 0 and len(reports) == 36
+    assert all(r["equal"] for r in reports)
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "-3"]], ids=["jobs-negative"])
@@ -188,7 +196,9 @@ def test_verify_jobs_stable(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("suite", ["thm-c", "thm-b", "morris-c", "morris-b", "level", "xk", "q1"])
+@pytest.mark.parametrize(
+    "suite", ["thm-c", "thm-b", "morris-c", "morris-b", "thm-c-rec", "thm-b-rec", "level", "xk", "q1"]
+)
 def test_verify_jobs_matches_serial(capsys, suite):
     argv = ["verify", "--suite", suite, "--n", "2", "--max-weight", "3"]
     code1, out1 = run(capsys, *argv, "--jobs", "1")
@@ -212,6 +222,9 @@ _VERIFY_SHA256 = {
     "thm-b": "839ba901b99ffce08f1dbd71d640a659121016e3ef90dea4402150039e556917",
     "morris-c": "2687b9829bcd6bfa8e71d2f198706dda1cb4165d266293cafd9d94b0df76fceb",
     "morris-b": "a7c80d9ae25376dc6a8f989fee2887f4b2292ccec8151e7d5a6c24a489660dfe",
+    # recorded when the recurrence suites were added
+    "thm-c-rec": "225882734d5fbb45d3188593362e2af786d2424c4ad9aa6348f4193617464781",
+    "thm-b-rec": "f2ef24f3f44ea2478a603678a0f88025ac99d94b76c56444b98b4ff881eb4b52",
     "level": "4916a27eafc0117fed9b7691e689aa73933d6a354d57521a8e7988ad63831ca4",
     "xk": "ec7e55eb740f2433ce5cc7577a22d39efb68899ed3db8afb34d282d6c12a73f5",
     "q1": "567a0c378717ca334f619102b63e758270445bbb2bb5ed3525f0f4901f6240f5",
@@ -257,19 +270,13 @@ def test_verify_output_pinned_larger_grid(capsys, suite, n, max_weight):
     ],
 )
 def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
-    # count only outermost calls: morris_c and morris_b_qt call kl_poly and
-    # kl_qt_B themselves, through the same module globals
+    # no side calls the other: morris_c and morris_b_qt recurse through
+    # _morris and never reach kl_poly or kl_qt_B
     calls = dict.fromkeys(sides, 0)
-    depth = [0]
     for name in sides:
         def counted(*args, _name=name, _fn=getattr(krlab.identities, name)):
-            if not depth[0]:
-                calls[_name] += 1
-            depth[0] += 1
-            try:
-                return _fn(*args)
-            finally:
-                depth[0] -= 1
+            calls[_name] += 1
+            return _fn(*args)
 
         monkeypatch.setattr(krlab.identities, name, counted)
     code, out = run(capsys, "verify", "--suite", suite, "--n", "2", "--max-weight", "3")

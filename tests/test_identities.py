@@ -25,6 +25,8 @@ from krlab.identities import (
     add_rohs_phi,
     involution_partition,
     level_formula,
+    morris_b_qt,
+    morris_c,
     okada_K_B,
     okada_K_D,
     okada_M,
@@ -179,6 +181,47 @@ def test_add_rohs_bijection_and_energy():
                     d1 = energy_of_chain(new, SSOT, wts)
                     assert d1 == d0 + r + m
         assert len(built) == len(target)
+
+
+def test_morris_never_calls_the_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the recurrence reached the oracle")
+
+    monkeypatch.setattr(krlab.identities, "kl_poly", refuse)
+    monkeypatch.setattr(krlab.identities, "kl_qt_B", refuse)
+    monkeypatch.setattr(qweight, "q_kostant", refuse)
+    krlab.clear_caches()
+    for n in (1, 2, 3):
+        for lam in partitions_upto(3, max_len=n):
+            for mu in partitions_upto(3, max_len=n):
+                assert morris_c(lam, mu, n).nvars == 1
+                assert morris_b_qt(lam, mu, n).nvars == 2
+
+
+def _is_hstrip(outer, inner):
+    """outer / inner is a horizontal strip: the parts interlace."""
+    return all(
+        get(outer, i) >= get(inner, i) >= get(outer, i + 1) for i in range(len(outer))
+    ) and len(inner) <= len(outer)
+
+
+def test_rohs_bounded_len_against_definition():
+    # every (lam, zeta, nu): lam / zeta and nu / zeta horizontal strips,
+    # |lam| + |nu| - 2|zeta| = r and nu in at most max_len rows
+    for max_len in (0, 1, 2, 3):
+        for lam in partitions_upto(5, max_len=max_len):
+            zetas = [z for z in partitions_upto(size(lam)) if _is_hstrip(lam, z)]
+            for r in range(6):
+                want = {
+                    (lam, zeta, nu)
+                    for zeta in zetas
+                    for nu in partitions_upto(size(zeta) + r, max_len=max_len)
+                    if _is_hstrip(nu, zeta)
+                    and size(lam) + size(nu) - 2 * size(zeta) == r
+                }
+                got = rohs_bounded_len(lam, r, max_len)
+                assert len(got) == len(set(got))
+                assert set(got) == want, (lam, r, max_len)
 
 
 def test_involution_partition_example():
@@ -580,6 +623,7 @@ def test_clear_caches_empties_every_cache():
             level_formula("B", 2, (3, 1), (1, 1), 3),
             q1_count("D", 3, (2, 2, 0), (0, 0, 0), 2),
             r_matrix_row(RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,))),
+            morris_c((2, 1), (1, 0), 2),
         )
 
     before = compute()
@@ -588,7 +632,7 @@ def test_clear_caches_empties_every_cache():
                  "oscillating._strips_from", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
-                 "kr_row._energy_row"):
+                 "kr_row._energy_row", "identities._morris"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
