@@ -75,7 +75,7 @@ from .identities import (
 )
 from .rsk import alpha, beta, burge, phi_bc, row_insert, theta_1n
 
-from . import kr_row, oscillating, qweight
+from . import kr_column, kr_row, oscillating, qweight
 
 __version__ = "0.1.0"
 
@@ -94,13 +94,15 @@ _DICTS = {
     "oscillating._shapes": oscillating._shapes,
     "qweight._memo": qweight._memo,
     "kr_row._tables": kr_row._tables,
+    "kr_column._factors": kr_column._factors,
 }
 
 
 def cache_sizes():
     """Entries held by each memo table that clear_caches() empties, by
     module.name: every lru_cache, the strip cache's shape table, the
-    q-Kostant memo and the row R-matrix tables."""
+    q-Kostant memo, the row R-matrix tables and the table of interned KR
+    factors."""
     out = {name: fn.cache_info().currsize for name, fn in _lru_caches()}
     out.update((name, len(table)) for name, table in _DICTS.items())
     return out
@@ -109,8 +111,9 @@ def cache_sizes():
 def clear_caches():
     """Empty every memo table krlab keeps: each functools.lru_cache defined
     in its modules, the chain layer's strip cache with its shape table, the
-    q-Kostant memo and the row R-matrix tables.  Later results are the same,
-    only computed afresh."""
+    q-Kostant memo, the row R-matrix tables and the table of interned KR
+    factors.  Later results are the same, only computed afresh; a factor
+    built afresh equals the one it replaces."""
     for _, fn in _lru_caches():
         fn.cache_clear()
     for table in _DICTS.values():

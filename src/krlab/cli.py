@@ -13,7 +13,6 @@ import os
 import sys
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from fractions import Fraction
 
 from .identities import SUITES, default_two_g, level_formula, run_task, suite_tasks
@@ -204,7 +203,7 @@ def cmd_verify(args):
             work = list(pool.map(run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         work = [run_task(t) for t in tasks]
-    reports = [asdict(r) for r in work]
+    reports = [vars(r) for r in work]
     ok = all(r["equal"] for r in reports)
     if args.format == "csv":
         buf = io.StringIO()

@@ -6,7 +6,6 @@ data on the combinatorial side is plain.  Bounds called two_g hold twice
 the (possibly half-integral) bound g.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,13 +48,19 @@ from .qweight import kl_level_restricted, kl_poly, kl_qt_B
 from .roots import is_spin, weight_str
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    params: dict
-    lhs: str
-    rhs: str
-    equal: bool
+    """One checked instance: the identity, its parameters, both sides as
+    strings and whether they are equal."""
+
+    def __init__(self, identity, params, lhs, rhs, equal):
+        self.identity = identity
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = equal
+
+    def __repr__(self):
+        return "IdentityReport(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
 
 # ---------------------------------------------------------------------------

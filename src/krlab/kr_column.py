@@ -6,7 +6,6 @@ Chains are tuples of letters (EMPTY allowed for the single-box kind),
 leftmost factor first.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .crystal import column_tensor, is_hw
@@ -22,31 +21,83 @@ HDOM = "hdom"  # horizontal domino removed: affine C^{(1)} (rows only)
 COLUMN_KINDS = (BOX, VDOM)
 
 
-@dataclass(frozen=True)
-class ColumnKR:
+_factors = {}
+
+
+class KRFactor:
+    """An interned KR factor of one kind and capacity, holding a word.
+
+    Building a factor returns the one already held for (class, kind, cap,
+    word) in _factors, so equal factors are one object, hashed and checked
+    once; a word is checked (by the subclass's _check) only when it is new,
+    and a word that fails is not stored.  Equality is by value, identity
+    first, so a factor built again after clear_caches() empties the table
+    still equals the old one.  Factors are immutable.
+    """
+
+    __slots__ = ("kind", "cap", "word", "_hash")
+
+    def __new__(cls, kind, cap, word):
+        word = tuple(word)
+        key = (cls, kind, cap, word)
+        self = _factors.get(key)
+        if self is None:
+            cls._check(kind, cap, word)
+            self = object.__new__(cls)
+            for name, value in zip(KRFactor.__slots__, (kind, cap, word, hash((kind, cap, word)))):
+                object.__setattr__(self, name, value)
+            _factors[key] = self
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.kind == other.kind and self.cap == other.cap and self.word == other.word
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.cap, self.word)
+
+    def __repr__(self):
+        return "%s(kind=%r, cap=%r, word=%r)" % (type(self).__name__, self.kind, self.cap, self.word)
+
+    def __str__(self):
+        return "%s^%d[%s]" % (self.kind, self.cap, word_str(self.word))
+
+    def with_letters(self, letters):
+        return type(self)(self.kind, self.cap, sort_word(letters))
+
+
+class ColumnKR(KRFactor):
     """One factor of B^{r,1}; the word is a strict admissible column."""
 
-    kind: str
-    cap: int
-    word: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        # a tuple word keeps the factor hashable for the R-matrix cache
-        object.__setattr__(self, "word", tuple(self.word))
-        if self.kind not in COLUMN_KINDS:
-            raise ValueError("no column rules for kind %r" % (self.kind,))
-        if 0 in self.word:
+    @staticmethod
+    def _check(kind, cap, word):
+        if kind not in COLUMN_KINDS:
+            raise ValueError("no column rules for kind %r" % (kind,))
+        if 0 in word:
             raise ValueError("column words have no zero letter")
-        if not is_admissible(self.word):
-            raise ValueError("inadmissible column word %r" % (self.word,))
-        k = len(self.word)
-        if k > self.cap:
+        if not is_admissible(word):
+            raise ValueError("inadmissible column word %r" % (word,))
+        k = len(word)
+        if k > cap:
             raise ValueError("word longer than capacity")
-        if self.kind == VDOM and (self.cap - k) % 2:
+        if kind == VDOM and (cap - k) % 2:
             raise ValueError("vertical-domino column needs cap - len even")
-        w = self.word
-        if not all(prec(x, y) for x, y in zip(w, w[1:])):
-            raise ValueError("column word %s is not strictly increasing" % word_str(self.word))
+        if not all(prec(x, y) for x, y in zip(word, word[1:])):
+            raise ValueError("column word %s is not strictly increasing" % word_str(word))
 
     def vacancy(self):
         return self.cap - len(self.word)
@@ -54,12 +105,6 @@ class ColumnKR:
     def letters(self):
         """The letters in tensor order: the column embedding."""
         return column_tensor(self.word)
-
-    def with_letters(self, letters):
-        return ColumnKR(self.kind, self.cap, sort_word(letters))
-
-    def __str__(self):
-        return "%s^%d[%s]" % (self.kind, self.cap, word_str(self.word))
 
 
 def _largest(word):
@@ -217,28 +262,30 @@ def split_col(factors):
     return split_tensor(factors, r_matrix_col, split_factor)
 
 
-def local_H(x, y, kind):
-    """Local energy on B^{1,1} (x) B^{1,1} pairs of the chain."""
-    if kind == VDOM:
-        if x is EMPTY or y is EMPTY:
-            raise ValueError("no empty factor in vertical-domino chains")
-        if x == -1 and y == 1:
-            return 2
-        return 1 if prec(y, x) else 0
+# key ranks of the letters local_H singles out
+_EMPTY, _ONE, _BAR1, _ZERO = key(EMPTY), key(1), key(-1), key(0)
+
+
+def local_H(a, b, kind):
+    """Local energy of a pair x (x) y of a B^{1,1} chain, given the key ranks
+    a = key(x) and b = key(y): 1 when y precedes x, else 0, with these
+    exceptions.  Single box: an empty left factor gives 0 and two empty
+    factors 1.  Vertical domino: bar1 (x) 1 gives 2; no factor is empty.
+    Horizontal domino: no factor is empty or the zero-letter."""
     if kind == BOX:
-        if x is EMPTY and y is EMPTY:
-            return 1
-        if x is EMPTY:
-            return 0
-        if y is EMPTY:
-            return 1
-        return 1 if prec(y, x) else 0
+        return 1 if b < a or a == b == _EMPTY else 0
+    if kind == VDOM:
+        if a == _EMPTY or b == _EMPTY:
+            raise ValueError("no empty factor in vertical-domino chains")
+        if a == _BAR1 and b == _ONE:
+            return 2
+        return 1 if b < a else 0
     if kind == HDOM:
-        if x is EMPTY or y is EMPTY:
+        if a == _EMPTY or b == _EMPTY:
             raise ValueError("no empty factor in horizontal-domino chains")
-        if x == 0 or y == 0:
+        if a == _ZERO or b == _ZERO:
             raise ValueError("zero letters do not reach energy chains")
-        return 1 if prec(y, x) else 0
+        return 1 if b < a else 0
     raise ValueError(kind)
 
 
@@ -247,16 +294,15 @@ def energy_chain(chain, kind):
     vacancy count for the single-box kind.
 
     With the chain written b_n (x) ... (x) b_1, the pair (b_{i+1}, b_i) gets
-    weight n - i, doubled for the single-box kind.
+    weight n - i, doubled for the single-box kind.  The letters are turned
+    into key ranks once, for local_H.
     """
-    n = len(chain)
+    ranks = [key(x) for x in chain]
     total = 0
-    for idx in range(n - 1):
-        x, y = chain[idx], chain[idx + 1]
-        h = local_H(x, y, kind)
-        total += (2 if kind == BOX else 1) * (idx + 1) * h
+    for i in range(1, len(ranks)):
+        total += i * local_H(ranks[i - 1], ranks[i], kind)
     if kind == BOX:
-        total += sum(1 for x in chain if x is EMPTY)
+        return 2 * total + ranks.count(_EMPTY)
     return total
 
 

@@ -12,7 +12,6 @@ plus the unpaired 2's.  The paper-level gates are the crystal axioms, the
 closed forms, and the level-restriction identities.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .crystal import (
@@ -28,7 +27,7 @@ from .crystal import (
 )
 # bench/tracing.py wraps these names in this module
 from .crystal import eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
-from .kr_column import BOX, HDOM, VDOM, energy_chain, split_tensor
+from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor
 from .letters import EMPTY, prec, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
@@ -38,49 +37,38 @@ def row_ctx(kind, n):
     return ctx_C(n) if kind == HDOM else ctx_B(n)
 
 
-@dataclass(frozen=True)
-class RowKR:
+class RowKR(KRFactor):
     """One factor of B^{1,s}; the word is a weakly increasing multiset."""
 
-    kind: str
-    cap: int
-    word: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        # a tuple word keeps the factor hashable for the energy memo
-        object.__setattr__(self, "word", tuple(self.word))
-        if self.kind not in ROW_KINDS:
-            raise ValueError("unknown row kind %r" % (self.kind,))
-        k = len(self.word)
-        if self.kind == BOX and not 0 <= k <= self.cap:
+    @staticmethod
+    def _check(kind, cap, word):
+        if kind not in ROW_KINDS:
+            raise ValueError("unknown row kind %r" % (kind,))
+        k = len(word)
+        if kind == BOX and not 0 <= k <= cap:
             raise ValueError("single-box row needs 0 <= len <= cap")
-        if self.kind == HDOM and (k > self.cap or (self.cap - k) % 2):
+        if kind == HDOM and (k > cap or (cap - k) % 2):
             raise ValueError("horizontal-domino row needs len = cap mod 2")
-        if self.kind == VDOM and k != self.cap:
+        if kind == VDOM and k != cap:
             raise ValueError("vertical-domino row needs len = cap")
-        zeros = self.word.count(0)
+        zeros = word.count(0)
         if zeros > 1:
             raise ValueError("at most one zero letter")
-        if zeros and self.kind == HDOM:
+        if zeros and kind == HDOM:
             raise ValueError("the horizontal-domino alphabet has no zero letter")
-        w = self.word
-        if any(prec(y, x) for x, y in zip(w, w[1:])):
-            raise ValueError("row word %s is not weakly increasing" % word_str(self.word))
+        if any(prec(y, x) for x, y in zip(word, word[1:])):
+            raise ValueError("row word %s is not weakly increasing" % word_str(word))
 
     def letters(self):
         """The letters in tensor order: the row embedding."""
         return row_tensor(self.word)
 
-    def with_letters(self, letters):
-        return RowKR(self.kind, self.cap, sort_word(letters))
-
     def counts(self):
         """The numbers of 1, bar1, 2 and bar2 letters."""
         w = self.word
         return w.count(1), w.count(-1), w.count(2), w.count(-2)
-
-    def __str__(self):
-        return "%s^%d[%s]" % (self.kind, self.cap, word_str(self.word))
 
 
 def _drop(word, x):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -284,3 +287,12 @@ def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
     tasks = len(json.loads(out)["reports"])
     assert tasks > 0 and calls == dict.fromkeys(sides, tasks)
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[suite]
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter, so that modules other tests loaded do not count
+    src = os.path.dirname(os.path.dirname(krlab.cli.__file__))
+    code = "import sys, krlab, krlab.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import krlab
-from krlab import kr_row, oscillating, qweight
+from krlab import kr_column, kr_row, oscillating, qweight
 from krlab.characters import (
     char_coeff,
     character,
@@ -606,6 +606,7 @@ def _cache_sizes():
         "oscillating._shapes": len(oscillating._shapes),
         "qweight._memo": len(qweight._memo),
         "kr_row._tables": len(kr_row._tables),
+        "kr_column._factors": len(kr_column._factors),
     }
     for name, mod in list(sys.modules.items()):
         if name.startswith("krlab."):
@@ -632,7 +633,7 @@ def test_clear_caches_empties_every_cache():
                  "oscillating._strips_from", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
-                 "kr_row._energy_row", "identities._morris"):
+                 "kr_row._energy_row", "identities._morris", "kr_column._factors"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
@@ -646,7 +647,7 @@ def test_cache_sizes_reports_every_cleared_table():
     assert sizes == _cache_sizes()
     for name in ("oscillating._shapes", "oscillating._strips_from", "qweight._memo",
                  "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
-                 "charge.kostka_foulkes"):
+                 "charge.kostka_foulkes", "kr_column._factors"):
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}

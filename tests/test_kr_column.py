@@ -1,6 +1,8 @@
 """Column crystals: R-matrix case rules, splitting, energies, iota."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from krlab import kr_column
 from krlab.crystal import hw, is_hw, word_weight
 from krlab.kr_column import (
     BOX,
+    HDOM,
     VDOM,
     ColumnKR,
     energy_chain,
@@ -25,7 +28,8 @@ from krlab.kr_column import (
     vac_qt_energy,
 )
 from krlab.identities import thm_c_rhs
-from krlab.letters import EMPTY, is_admissible, sort_word
+from krlab.kr_row import RowKR
+from krlab.letters import EMPTY, is_admissible, key, prec, sort_word
 from krlab.partitions import partitions_upto
 from krlab.polynomials import Poly
 
@@ -168,13 +172,68 @@ def test_split_image_rejects_non_hw():
 
 
 def test_local_H_values():
-    assert local_H(-1, 1, VDOM) == 2
-    assert local_H(2, 2, VDOM) == 0
-    assert local_H(EMPTY, EMPTY, BOX) == 1
-    assert local_H(1, EMPTY, BOX) == 1
-    assert local_H(EMPTY, 1, BOX) == 0
+    assert local_H(key(-1), key(1), VDOM) == 2
+    assert local_H(key(2), key(2), VDOM) == 0
+    assert local_H(key(EMPTY), key(EMPTY), BOX) == 1
+    assert local_H(key(1), key(EMPTY), BOX) == 1
+    assert local_H(key(EMPTY), key(1), BOX) == 0
     with pytest.raises(ValueError):
-        local_H(EMPTY, 1, VDOM)
+        local_H(key(EMPTY), key(1), VDOM)
+
+
+def _local_H_on_letters(x, y, kind):
+    """The local-energy rule on letters with prec, as it read before
+    local_H took key ranks: the reference for the rank form."""
+    if kind == VDOM:
+        if x is EMPTY or y is EMPTY:
+            raise ValueError("no empty factor in vertical-domino chains")
+        if x == -1 and y == 1:
+            return 2
+        return 1 if prec(y, x) else 0
+    if kind == BOX:
+        if x is EMPTY and y is EMPTY:
+            return 1
+        if x is EMPTY:
+            return 0
+        if y is EMPTY:
+            return 1
+        return 1 if prec(y, x) else 0
+    if kind == HDOM:
+        if x is EMPTY or y is EMPTY:
+            raise ValueError("no empty factor in horizontal-domino chains")
+        if x == 0 or y == 0:
+            raise ValueError("zero letters do not reach energy chains")
+        return 1 if prec(y, x) else 0
+    raise ValueError(kind)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("raises", str(e))
+
+
+_LETTERS = (EMPTY, 0) + tuple(s * m for m in range(1, 5) for s in (1, -1))
+
+
+def test_local_H_on_ranks_matches_letter_rule():
+    for kind in (BOX, VDOM, HDOM, "other"):
+        for x, y in itertools.product(_LETTERS, repeat=2):
+            want = _outcome(_local_H_on_letters, x, y, kind)
+            assert _outcome(local_H, key(x), key(y), kind) == want, (kind, x, y)
+
+
+def test_energy_chain_matches_letter_rule():
+    rng = random.Random(23)
+    for kind, alphabet in ((BOX, _LETTERS), (VDOM, _LETTERS[1:]), (HDOM, _LETTERS[2:])):
+        for _ in range(300):
+            chain = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 9)))
+            want = sum(
+                (2 if kind == BOX else 1) * i * _local_H_on_letters(x, y, kind)
+                for i, (x, y) in enumerate(zip(chain, chain[1:]), 1)
+            ) + (chain.count(EMPTY) if kind == BOX else 0)
+            assert energy_chain(chain, kind) == want, (kind, chain)
 
 
 def test_energy_chain_examples():
@@ -297,3 +356,80 @@ def test_r_matrix_col_cache_matches_fresh(monkeypatch):
     for pair, image in warm.items():
         assert r_matrix_col(*pair) == image, pair
     assert r_matrix_col.cache_info().misses == len(seen)
+
+
+# ---------------------------------------------------------------------------
+# interned factors
+
+
+def test_equal_fields_give_one_factor():
+    assert ColumnKR(BOX, 3, [1, 2]) is ColumnKR(BOX, 3, (1, 2))
+    assert RowKR(HDOM, 3, [1, 1, -2]) is RowKR(HDOM, 3, (1, 1, -2))
+    assert C(VDOM, 4, (2, -2)).with_letters((-2, 2)) is C(VDOM, 4, (2, -2))
+    assert repr(ColumnKR(BOX, 2, [1, 2])) == "ColumnKR(kind='box', cap=2, word=(1, 2))"
+    assert repr(RowKR(BOX, 2, (0,))) == "RowKR(kind='box', cap=2, word=(0,))"
+
+
+def test_factors_equal_across_clear_caches():
+    old = (ColumnKR(VDOM, 3, (2,)), RowKR(BOX, 2, (1, -1)))
+    krlab.clear_caches()
+    assert len(kr_column._factors) == 0
+    new = (ColumnKR(VDOM, 3, (2,)), RowKR(BOX, 2, (1, -1)))
+    for u, v in zip(old, new):
+        assert u is not v and u == v and hash(u) == hash(v)
+        assert {u: 1}[v] == 1
+        assert u != type(u)(u.kind, u.cap + 2, u.word)
+
+
+def test_factors_survive_pickle_and_copy():
+    for u in (ColumnKR(BOX, 3, (1, -2)), RowKR(VDOM, 2, (0, -1)), RowKR(BOX, 0, ())):
+        for v in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)):
+            assert v == u and hash(v) == hash(u) and type(v) is type(u)
+        krlab.clear_caches()
+        v = pickle.loads(pickle.dumps(u))
+        assert v == u and v is type(u)(u.kind, u.cap, u.word)
+
+
+def test_factor_fields_are_read_only():
+    u = ColumnKR(BOX, 2, (1,))
+    for name, value in (("kind", VDOM), ("cap", 3), ("word", (2,)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(u, name, value)
+    with pytest.raises(AttributeError):
+        del u.word
+    assert (u.kind, u.cap, u.word) == (BOX, 2, (1,))
+
+
+BAD_FACTORS = [
+    (ColumnKR, "hdom", 2, (1,), "no column rules for kind 'hdom'"),
+    (ColumnKR, BOX, 3, (0,), "column words have no zero letter"),
+    (ColumnKR, VDOM, 4, (1, -1), "inadmissible column word (1, -1)"),
+    (ColumnKR, BOX, 1, [1, 2], "word longer than capacity"),
+    (ColumnKR, VDOM, 3, (1, 2), "vertical-domino column needs cap - len even"),
+    (ColumnKR, BOX, 3, (2, 1), "column word 2,1 is not strictly increasing"),
+    (ColumnKR, BOX, 3, (1, 1), "column word 1,1 is not strictly increasing"),
+    (RowKR, "col", 1, (1,), "unknown row kind 'col'"),
+    (RowKR, BOX, 1, (1, 1), "single-box row needs 0 <= len <= cap"),
+    (RowKR, HDOM, 3, (1, 1), "horizontal-domino row needs len = cap mod 2"),
+    (RowKR, VDOM, 3, (1, 1), "vertical-domino row needs len = cap"),
+    (RowKR, BOX, 2, (0, 0), "at most one zero letter"),
+    (RowKR, HDOM, 1, (0,), "the horizontal-domino alphabet has no zero letter"),
+    (RowKR, BOX, 2, [-2, 1], "row word -2,1 is not weakly increasing"),
+]
+
+
+@pytest.mark.parametrize("cls, kind, cap, word, message", BAD_FACTORS)
+def test_bad_factor_raises_and_is_not_stored(cls, kind, cap, word, message):
+    before = dict(kr_column._factors)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            cls(kind, cap, word)
+        assert str(info.value) == message
+    assert kr_column._factors == before
+
+
+def test_column_never_equals_row():
+    for kind, cap, word in ((BOX, 2, (1, 2)), (VDOM, 1, (1,)), (BOX, 0, ())):
+        u, v = ColumnKR(kind, cap, word), RowKR(kind, cap, word)
+        assert u != v and v != u and not u == v
+        assert len({u, v}) == 2
