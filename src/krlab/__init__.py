@@ -100,7 +100,7 @@ _DICTS = {
 
 def cache_sizes():
     """Entries held by each memo table that clear_caches() empties, by
-    module.name: every lru_cache, the strip cache's shape table, the
+    module.name: every lru_cache, the strip caches' shape table, the
     q-Kostant memo, the row R-matrix tables and the table of interned KR
     factors."""
     out = {name: fn.cache_info().currsize for name, fn in _lru_caches()}
@@ -110,9 +110,9 @@ def cache_sizes():
 
 def clear_caches():
     """Empty every memo table krlab keeps: each functools.lru_cache defined
-    in its modules, the chain layer's strip cache with its shape table, the
-    q-Kostant memo, the row R-matrix tables and the table of interned KR
-    factors.  Later results are the same, only computed afresh; a factor
+    in its modules, the chain layer's strip caches with their shape table,
+    the q-Kostant memo, the row R-matrix tables and the table of interned
+    KR factors.  Later results are the same, only computed afresh; a factor
     built afresh equals the one it replaces."""
     for _, fn in _lru_caches():
         fn.cache_clear()

@@ -8,7 +8,8 @@ strips; weights are nonnegative integer vectors, one strip per entry.
 """
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
+from operator import gt
 
 from . import kr_column
 from .crystal import hw
@@ -32,6 +33,7 @@ from .partitions import (
     horizontal_strips_below,
     is_horizontal_strip,
     norm,
+    row_box,
     size,
 )
 
@@ -83,7 +85,7 @@ def chain_c2(chain, kind, lengths):
 
 
 # Partitions inside cached strips, one tuple object per distinct value;
-# emptied together with the _strips_from cache by krlab.clear_caches().
+# emptied together with the strip caches by krlab.clear_caches().
 _shapes = {}
 
 
@@ -121,6 +123,47 @@ def _strips_from(inner, r, kind, two_g):
     )
 
 
+@lru_cache(maxsize=None)
+def _strips_between(inner, outer, r, kind, two_g):
+    """The strips of _strips_from(inner, r, kind, two_g) that end at outer,
+    in the same order, listed without the others.  With both ends fixed
+    only mid varies, row by row in a box: max(inner_j, outer_j) <= mid_j <=
+    min(inner_{j-1}, outer_{j-1}) and mid_1 <= g, or g - 1/2 on a GSSOT
+    strip of length r - 1 (SSOT, GSSOT); max(inner_{j+1}, outer_{j+1}) <=
+    mid_j <= min(inner_j, outer_j) and bound2 <= 2g (SSROT).  r sets |mid|;
+    an empty box, or a size outside it, gives () before any listing.
+    """
+    big, small = [], []  # row by row, the larger and the smaller of inner_j, outer_j
+    for x, y in zip_longest(inner, outer, fillvalue=0):
+        if x < y:
+            x, y = y, x
+        big.append(x)
+        small.append(y)
+    big.append(0)
+    small.append(0)
+    twice = sum(big) + sum(small)  # |inner| + |outer|, then 2|mid|
+    if kind == SSROT:
+        twice -= r
+        lows, highs = big[1:] or [0], small[:-1] or [0]  # one row if both ends are ()
+        if two_g is not None:  # bound2 of the strip is inner_1 + outer_1 + lows[0] - mid_1
+            lows[0] = max(lows[0], big[0] + small[0] + lows[0] - two_g)
+    elif kind in (SSOT, GSSOT):
+        twice += r
+        short = kind == GSSOT and twice % 2  # the strip has length r - 1
+        twice -= short
+        cap = big[0] + r if two_g is None else (two_g - short) // 2
+        lows, highs = big, [cap] + small[:-1]
+    else:
+        raise ValueError(kind)
+    low = sum(lows)
+    extra = twice // 2 - low
+    if twice % 2 or extra < 0 or extra > sum(highs) - low or any(map(gt, lows, highs)):
+        return ()
+    intern = _shapes.setdefault
+    outer = intern(outer, outer)
+    return tuple((inner, intern(mid, mid), outer) for mid in row_box(lows, highs, extra, extra))
+
+
 def _live(kind, shape, weight, two_g):
     """The live table of one chain search, or None when no chain exists:
     reach(i, inner) is the tuple of strips at position i from inner, in
@@ -132,7 +175,9 @@ def _live(kind, shape, weight, two_g):
     cannot close a size gap above rem; nor, for SSOT and SSROT, a gap of
     the other parity, since the change has r's parity (GSSOT strips may
     have length r - 1).  At the root it also rejects an empty weight with
-    a nonempty shape.
+    a nonempty shape.  The last strip's two ends are inner and shape, so
+    reach reads its strips from _strips_between, which lists no strip
+    ending elsewhere.
     """
     parity = kind != GSSOT
 
@@ -149,12 +194,15 @@ def _live(kind, shape, weight, two_g):
     def reach(i, inner):
         strips = live.get((i, inner))
         if strips is None:
-            strips = ()
-            if not dead(abs(target - size(inner)), rems[i]):
+            if dead(abs(target - size(inner)), rems[i]):
+                strips = ()
+            elif i == last:
+                strips = _strips_between(inner, shape, weight[i], kind, two_g)
+            else:
                 strips = tuple(
                     s
                     for s in _strips_from(inner, weight[i], kind, two_g)
-                    if (s[2] == shape if i == last else reach(i + 1, s[2]))
+                    if reach(i + 1, s[2])
                 )
             live[i, inner] = strips
         return strips
@@ -660,8 +708,7 @@ def iota_chain(chain):
 
 def kappa_count(kind, lam, mu, r, two_g):
     """Number of g-bounded strips of length r from inner mu to outer lam."""
-    strips = _strips_from(norm(mu), r, kind, two_g)
-    return sum(1 for s in strips if norm(s[2]) == norm(lam))
+    return len(_strips_between(norm(mu), norm(lam), r, kind, two_g))
 
 
 def energy_of_chain(chain, kind=SSOT, weight=None):

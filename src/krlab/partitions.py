@@ -89,10 +89,10 @@ def partitions_upto(n, max_len=None, max_part=None):
     return out
 
 
-def _strips(lows, highs, lo, hi):
+def row_box(lows, highs, lo, hi):
     """The vectors v with lows[i] <= v[i] <= highs[i] and lo <= |v| - |lows|
     <= hi, in lexicographic order, a zero last entry dropped so that v is a
-    partition (every low but the last, which is 0, is a positive part).
+    partition (every low but the last is a positive part).
 
     Prefixes grow one row at a time, each row's range cut by the cells the
     prefix has added and the room of the rows after it, so every prefix
@@ -107,11 +107,11 @@ def _strips(lows, highs, lo, hi):
             for v, added in level
             for x in range(max(l, l + lo - added - room), min(h, l + hi - added) + 1)
         ]
-    h = highs[-1]  # the last row: low 0, no rows after it
+    l, h = lows[-1], highs[-1]  # the last row: no rows after it
     return [
         v + (x,) if x else v
         for v, added in level
-        for x in range(max(0, lo - added), min(h, hi - added) + 1)
+        for x in range(max(l, l + lo - added), min(h, l + hi - added) + 1)
     ]
 
 
@@ -128,7 +128,7 @@ def horizontal_strips_above(mu, cap=None, cells=None):
         raise ValueError("cap required")
     mu = norm(mu)
     lo, hi = cells if cells is not None else (0, cap)  # a strip adds <= cap cells
-    return _strips(mu + (0,), (cap,) + mu, lo, hi)
+    return row_box(mu + (0,), (cap,) + mu, lo, hi)
 
 
 def horizontal_strips_below(nu, cells=None):
@@ -141,7 +141,7 @@ def horizontal_strips_below(nu, cells=None):
     lo, hi = cells if cells is not None else (0, size(nu))
     if not nu:
         return [()] if lo <= 0 <= hi else []
-    return _strips(nu[1:] + (0,), nu, nu[0] - hi, nu[0] - lo)
+    return row_box(nu[1:] + (0,), nu, nu[0] - hi, nu[0] - lo)
 
 
 def oc(lam, g, n=None):

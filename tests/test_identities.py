@@ -630,7 +630,7 @@ def test_clear_caches_empties_every_cache():
     before = compute()
     warm = _cache_sizes()
     for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
-                 "oscillating._strips_from", "qweight.kl_poly",
+                 "oscillating._strips_from", "oscillating._strips_between", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
                  "kr_row._energy_row", "identities._morris", "kr_column._factors"):
@@ -645,8 +645,8 @@ def test_cache_sizes_reports_every_cleared_table():
     level_formula("C", 2, (2, 2), (0, 0), 4)
     sizes = krlab.cache_sizes()
     assert sizes == _cache_sizes()
-    for name in ("oscillating._shapes", "oscillating._strips_from", "qweight._memo",
-                 "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
+    for name in ("oscillating._shapes", "oscillating._strips_from", "oscillating._strips_between",
+                 "qweight._memo", "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
                  "charge.kostka_foulkes", "kr_column._factors"):
         assert sizes[name] > 0, name
     krlab.clear_caches()

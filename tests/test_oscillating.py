@@ -130,11 +130,12 @@ def _reference_chains_from(inner, kind, weight, two_g):
 def test_enumerate_matches_reference_dfs(kind):
     weights = [
         (), (1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2), (2, -1, 1),
+        (1, 1, 1, 1), (1, 2, 1, 0, 1),
     ]
     bounds = [None, 2, 3, 4, 5]
     total = 0
     for weight in weights:
-        for shape in partitions_upto(sum(weight), max_len=3):
+        for shape in partitions_upto(sum(weight), max_len=4):
             for two_g in bounds:
                 got = enumerate_chains(kind, shape, weight, two_g=two_g)
                 assert got == _reference_chains(kind, shape, weight, two_g), (shape, weight, two_g)
@@ -184,6 +185,38 @@ def test_strips_from_is_a_shared_tuple():
     assert isinstance(first, tuple) and first
     assert osc._strips_from((1,), 2, SSOT, None) is first
     assert list(first) == _reference_strips((1,), 2, SSOT, None)
+
+
+def test_strips_between_is_filtered_strips_from():
+    """The last strip of a chain search, listed between its two ends, is
+    the reference listing out of inner kept at one outer shape, in order."""
+    shapes = partitions_upto(5, max_len=4)
+    total = 0
+    for kind in (SSOT, GSSOT, SSROT):
+        for two_g in [None] + list(range(10)):
+            for inner in shapes:
+                for r in range(6):
+                    ref = _reference_strips(inner, r, kind, two_g)
+                    for outer in shapes:
+                        got = osc._strips_between(inner, outer, r, kind, two_g)
+                        want = [s for s in ref if s[2] == outer]
+                        assert list(got) == want, (kind, two_g, inner, outer, r)
+                        total += len(got)
+    assert total > 9000
+    got = osc._strips_between((2, 1), (2, 1), 2, SSOT, None)
+    assert isinstance(got, tuple) and len(got) == 3
+    assert osc._strips_between((2, 1), (2, 1), 2, SSOT, None) is got
+    for _, mid, outer in got:
+        assert osc._shapes[mid] is mid and osc._shapes[outer] is outer
+
+
+def test_gssot_short_last_strip_at_even_bound():
+    # A short GSSOT strip needs 2 mid_1 + 1 <= 2g, so an even 2g caps mid_1
+    # at g - 1 on it: the one strip to (1,) has mid (1,).
+    assert enumerate_chains(GSSOT, (1,), (2,), 2) == []
+    assert enumerate_chains(GSSOT, (1,), (2,), 3) == [(((), (1,), (1,)),)]
+    counts = [len(enumerate_chains(GSSOT, (2, 1), (2, 2, 1), t)) for t in (2, 3, 4, 5)]
+    assert counts == [0, 0, 5, 8]
 
 
 def test_phi_c_phi_r_example_3_6():

@@ -1,3 +1,5 @@
+from itertools import product
+
 from krlab.partitions import (
     conjugate,
     dominates,
@@ -13,6 +15,7 @@ from krlab.partitions import (
     oc_bar,
     partitions,
     partitions_upto,
+    row_box,
     size,
 )
 
@@ -51,6 +54,18 @@ def test_strips_cell_window_matches_filtered():
                 assert horizontal_strips_below(mu, cells=(lo, hi)) == [
                     lam for lam in downs if lo <= size(mu) - size(lam) <= hi
                 ], (mu, lo, hi)
+
+
+def test_row_box_matches_product_of_ranges():
+    """Every vector of the box in order, a zero last entry dropped; the last
+    row's low may be positive."""
+    boxes = [((2, 1, 0), (3, 2, 1)), ((3, 0), (4, 2)), ((2,), (4,)), ((0,), (3,)), ((3, 2), (3, 1))]
+    for lows, highs in boxes:
+        every = list(product(*(range(l, h + 1) for l, h in zip(lows, highs))))
+        for lo in range(-1, 6):
+            for hi in range(lo, 7):
+                want = [norm(v) for v in every if lo <= sum(v) - sum(lows) <= hi]
+                assert row_box(lows, highs, lo, hi) == want, (lows, highs, lo, hi)
 
 
 def _strips_above_reference(mu, cap, cells=None):
