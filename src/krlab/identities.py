@@ -39,6 +39,7 @@ from .partitions import (
     norm,
     oc,
     oc_bar,
+    pad,
     partitions,
     partitions_upto,
     size,
@@ -67,15 +68,10 @@ class IdentityReport:
 # Lusztig side: combinatorial right-hand sides
 
 
-def _pad(lam, n):
-    """lam as a tuple of exactly n parts, zeros appended."""
-    return tuple(get(lam, i) for i in range(n))
-
-
 def _chain_energies(kind, lam, mu, n, g):
     """energy_counts over the chains of Theorem C (SSOT, bound g) or B
-    (GSSOT, bound g + 1/2) at rank n: shape oc(lam), weight oc_bar(mu)."""
-    lam, mu = _pad(lam, n), _pad(mu, n)
+    (GSSOT, bound g + 1/2) at rank n: shape oc(lam), weight oc_bar(mu),
+    both padded to n parts there."""
     two_g = 2 * g + (1 if kind == GSSOT else 0)
     return energy_counts(kind, norm(oc(lam, g, n)), oc_bar(mu, g, n), two_g)
 
@@ -138,25 +134,25 @@ def _morris(lie_type, lam, mu, n):
         for r in range(total % 2, total + 1, 2) if c else range(total + 1):
             shift = (r + (total - r) // 2,) if c else (r, total - r)
             for _, _, nu in rohs_bounded_len(li, r, n - 1):
-                term = _morris(lie_type, _pad(nu, n - 1), mu[1:], n - 1).shift(shift)
+                term = _morris(lie_type, pad(nu, n - 1), mu[1:], n - 1).shift(shift)
                 out = out + (term if i % 2 == 1 else -term)
     return out
 
 
 def morris_c(lam, mu, n):
     """Type C recurrence, recursing to full depth."""
-    return _morris("C", _pad(lam, n), _pad(mu, n), n)
+    return _morris("C", pad(lam, n), pad(mu, n), n)
 
 
 def morris_b_qt(lam, mu, n):
     """Type B spin q,t recurrence, recursing to full depth."""
-    return _morris("B", _pad(lam, n), _pad(mu, n), n)
+    return _morris("B", pad(lam, n), pad(mu, n), n)
 
 
 def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
     """Append the complemented strip to a chain, realizing the recurrence
     bijection; returns (new chain, new weight vector)."""
-    lam, mu = _pad(lam, n), _pad(mu, n)
+    lam, mu = pad(lam, n), pad(mu, n)
     li, zeta, nu = strip
     total = lam[i - 1] - mu[0] + 1 - i
     r = strip_len(strip)
@@ -176,7 +172,7 @@ def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
 def involution_partition(lam, mu, n, g):
     """The sets G_i of the sign-reversing involution, their two-block
     refinement, and the telescoping check data."""
-    lam, mu = _pad(lam, n), _pad(mu, n)
+    lam, mu = pad(lam, n), pad(mu, n)
     gs = []
     for i in range(1, n + 1):
         first = lam[i - 1] - mu[0] + 1 - i

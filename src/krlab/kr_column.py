@@ -213,8 +213,10 @@ def r_matrix_col(u: ColumnKR, c):
     return dp, ColumnKR(kind, a, new), "4-2"
 
 
+@lru_cache(maxsize=None)
 def split_factor(u: ColumnKR):
-    """The one-column splitting S-hat into a chain of letters."""
+    """The one-column splitting S-hat into a chain of letters, built once
+    per factor."""
     w = u.word
     pad = u.cap - len(w)
     chain = list(reversed(w))

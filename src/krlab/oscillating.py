@@ -27,7 +27,6 @@ from .kr_column import (
 from .kr_row import RowKR, eps0
 from .letters import red, sort_word
 from .partitions import (
-    conjugate,
     get,
     horizontal_strips_above,
     horizontal_strips_below,
@@ -284,21 +283,17 @@ def energy_counts(kind, shape, weight, two_g):
 
 
 def cind(strip):
-    """Column indices: unbarred for cells added inner->mid, barred for cells
-    removed mid->outer; valid for ohs strips."""
+    """Column indices of an ohs strip, read off its rows: row j adds
+    columns inner_j+1 .. mid_j (unbarred) and removes outer_j+1 .. mid_j
+    (barred), no column twice; unbarred rows bottom-up, barred top-down."""
     inner, mid, outer = strip
-    ci = conjugate(inner)
-    cm = conjugate(mid)
-    co = conjugate(outer)
     word = []
-    top = get(mid, 0)
-    for j in range(1, top + 1):
-        if get(cm, j - 1) == get(ci, j - 1) + 1:
-            word.append(j)
-    for j in range(1, top + 1):
-        if get(cm, j - 1) == get(co, j - 1) + 1:
-            word.append(-j)
-    return sort_word(word)
+    rows = list(zip_longest(mid, inner, outer, fillvalue=0))
+    for m, i, _ in reversed(rows):
+        word += range(i + 1, m + 1)
+    for m, _, o in rows:
+        word += range(-m, -o)
+    return tuple(word)
 
 
 def rind_ohs(strip):

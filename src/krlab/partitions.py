@@ -144,19 +144,23 @@ def horizontal_strips_below(nu, cells=None):
     return row_box(nu[1:] + (0,), nu, nu[0] - hi, nu[0] - lo)
 
 
+def pad(lam, n):
+    """lam as a tuple of exactly n parts, zeros appended; a nonzero part
+    past the n-th raises ValueError, so that no weight is cut short."""
+    lam = tuple(lam)
+    if any(lam[n:]):
+        raise ValueError("%r has a nonzero part past rank %d" % (lam, n))
+    return (lam + (0,) * n)[:n]
+
+
 def oc(lam, g, n=None):
-    """Orthogonal complement (g - lam_n, ..., g - lam_1) of a length-n vector."""
-    if n is None:
-        n = len(lam)
-    v = tuple(get(lam, i) for i in range(n))
-    return tuple(g - v[n - 1 - i] for i in range(n))
+    """Orthogonal complement (g - lam_n, ..., g - lam_1) of lam padded to n parts."""
+    return tuple([g - x for x in reversed(pad(lam, len(lam) if n is None else n))])
 
 
 def oc_bar(lam, g, n=None):
-    """Reversed complement (g - lam_1, ..., g - lam_n)."""
-    if n is None:
-        n = len(lam)
-    return tuple(g - get(lam, i) for i in range(n))
+    """Reversed complement (g - lam_1, ..., g - lam_n) of lam padded to n parts."""
+    return tuple([g - x for x in pad(lam, len(lam) if n is None else n)])
 
 
 def flip(lam, two_g, n=None):

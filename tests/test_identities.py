@@ -198,6 +198,19 @@ def test_morris_never_calls_the_oracle(monkeypatch):
                 assert morris_b_qt(lam, mu, n).nvars == 2
 
 
+def test_weight_past_rank_is_refused():
+    # cut to rank 2, (2, 2, 2) would read as (2, 2), whose value is q; the
+    # oracle refuses it, and so must both combinatorial sides
+    with pytest.raises(ValueError):
+        thm_c_rhs((2, 2, 2), (2,), 2, 2)
+    with pytest.raises(ValueError):
+        morris_c((2, 2, 2), (2,), 2)
+    with pytest.raises(ValueError):
+        qweight.kl_poly("C", 2, dbl((2, 2, 2), 3), dbl((2,), 2))
+    q = Poly(1, {(1,): 1})
+    assert thm_c_rhs((2, 2, 0), (2, 0, 0), 2, 2) == morris_c((2, 2, 0), (2,), 2) == q
+
+
 def _is_hstrip(outer, inner):
     """outer / inner is a horizontal strip: the parts interlace."""
     return all(
@@ -633,7 +646,8 @@ def test_clear_caches_empties_every_cache():
                  "oscillating._strips_from", "oscillating._strips_between", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
-                 "kr_row._energy_row", "identities._morris", "kr_column._factors"):
+                 "kr_row._energy_row", "identities._morris", "kr_column._factors",
+                 "kr_column.split_factor"):
         assert warm[name] > 0, name
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
@@ -643,11 +657,12 @@ def test_clear_caches_empties_every_cache():
 def test_cache_sizes_reports_every_cleared_table():
     krlab.clear_caches()
     level_formula("C", 2, (2, 2), (0, 0), 4)
+    thm_c_rhs((2, 1), (1, 0), 2, 2)
     sizes = krlab.cache_sizes()
     assert sizes == _cache_sizes()
     for name in ("oscillating._shapes", "oscillating._strips_from", "oscillating._strips_between",
                  "qweight._memo", "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
-                 "charge.kostka_foulkes", "kr_column._factors"):
+                 "charge.kostka_foulkes", "kr_column._factors", "kr_column.split_factor"):
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}

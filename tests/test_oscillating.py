@@ -7,6 +7,7 @@ import krlab.oscillating as osc
 from krlab.crystal import is_hw
 from krlab.kr_column import BOX, VDOM, energy_col, vac, vac_qt_energy
 from krlab.kr_row import eps0
+from krlab.letters import sort_word
 from krlab.oscillating import (
     GSSOT,
     SSOT,
@@ -34,6 +35,7 @@ from krlab.oscillating import (
     strip_len,
 )
 from krlab.partitions import (
+    conjugate,
     flip,
     get,
     horizontal_strips_above,
@@ -57,6 +59,31 @@ def test_cind_rind_example():
     ident = ((2, 1), (2, 1), (2, 1))
     assert cind(ident) == ()
     assert len(cind(T)) == strip_len(T)
+
+
+def _cind_reference(strip):
+    """cind by conjugates: column j is unbarred when it gains a cell from
+    inner to mid, barred when it loses one from mid to outer."""
+    inner, mid, outer = strip
+    ci, cm, co = conjugate(inner), conjugate(mid), conjugate(outer)
+    cols = range(1, get(mid, 0) + 1)
+    word = [j for j in cols if get(cm, j - 1) == get(ci, j - 1) + 1]
+    word += [-j for j in cols if get(cm, j - 1) == get(co, j - 1) + 1]
+    return sort_word(word)
+
+
+def test_cind_rows_match_conjugate_reference():
+    total = 0
+    for kind in (SSOT, GSSOT):
+        for two_g in (None, 3, 6):
+            for inner in partitions_upto(5, max_len=4):
+                for r in range(5):
+                    for strip in osc._strips_from(inner, r, kind, two_g):
+                        assert cind(strip) == _cind_reference(strip), strip
+                        total += 1
+    assert total > 3000
+    # trailing zero rows read as empty rows
+    assert cind(((2, 1, 0), (3, 2, 0, 0), (3, 0))) == (2, 3, -2, -1)
 
 
 def test_enumerate_worked_examples():

@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from krlab.partitions import (
     conjugate,
     dominates,
@@ -13,6 +15,7 @@ from krlab.partitions import (
     norm,
     oc,
     oc_bar,
+    pad,
     partitions,
     partitions_upto,
     row_box,
@@ -145,6 +148,32 @@ def test_oc():
         v = tuple(list(lam) + [0] * (3 - len(lam)))
         assert oc(oc(v, 5), 5) == v
         assert is_partition(oc(v, 5))
+
+
+def test_pad_oc_oc_bar_match_get_references():
+    """Padding by slicing agrees with reading one part at a time through
+    get: n=None, n above the length, and trailing zeros cut at n."""
+    checked = 0
+    for lam in partitions_upto(5, max_len=4):
+        for v in (lam, lam + (0,), lam + (0, 0, 0)):
+            for n in [None] + list(range(len(lam), 7)):
+                m = len(v) if n is None else n
+                ref = tuple(get(v, i) for i in range(m))
+                if n is not None:
+                    assert pad(v, n) == ref
+                for g in (0, 3, 5):
+                    assert oc(v, g, n) == tuple(g - ref[m - 1 - i] for i in range(m))
+                    assert oc_bar(v, g, n) == tuple(g - get(v, i) for i in range(m))
+                checked += 1
+    assert checked > 300
+    assert pad([2, 1], 3) == (2, 1, 0) and pad((), 0) == ()
+
+
+def test_nonzero_part_past_rank_raises():
+    for f, args in ((pad, ((2, 2, 2), 2)), (oc, ((2, 2, 2), 2, 2)), (oc_bar, ((2, 2, 2), 2, 2)),
+                    (pad, ((1, 0, 1), 1)), (oc_bar, ((0, 0, 1), 0, 2))):
+        with pytest.raises(ValueError):
+            f(*args)
 
 
 def test_flip_involution():
