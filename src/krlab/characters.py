@@ -137,22 +137,22 @@ def _orbit_classes(lie_type, nu):
 
 def _rearrangements(key):
     """The distinct rearrangements of a tuple, each once."""
-    counts = Counter(key)
-    word = []
+    return _rearrange(len(key), Counter(key), [])
 
-    def rec():
-        if len(word) == len(key):
-            yield tuple(word)
-            return
-        for x, k in counts.items():
-            if k:
-                counts[x] -= 1
-                word.append(x)
-                yield from rec()
-                word.pop()
-                counts[x] += 1
 
-    return rec()
+def _rearrange(length, counts, word):
+    """The words of the given length that extend word by the letters left
+    in counts, each once."""
+    if len(word) == length:
+        yield tuple(word)
+        return
+    for x, k in counts.items():
+        if k:
+            counts[x] -= 1
+            word.append(x)
+            yield from _rearrange(length, counts, word)
+            word.pop()
+            counts[x] += 1
 
 
 @lru_cache(maxsize=None)

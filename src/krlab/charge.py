@@ -61,20 +61,21 @@ def ssyt_chains(shape, cells):
     semistandard tableau."""
     shape = norm(shape)
     out = []
-
-    def rec(level, chain):
-        cur = chain[-1]
-        if level == len(cells):
-            if norm(cur) == shape:
-                out.append(tuple(chain))
-            return
-        for nxt in horizontal_strips_above(cur, cap=get(shape, 0), cells=cells[level]):
-            if not contains(shape, nxt):
-                continue
-            rec(level + 1, chain + [nxt])
-
-    rec(0, [()])
+    _ssyt_walk([()], shape, cells, out)
     return out
+
+
+def _ssyt_walk(chain, shape, cells, out):
+    """Append to out every chain of ssyt_chains that extends chain."""
+    cur = chain[-1]
+    level = len(chain) - 1
+    if level == len(cells):
+        if norm(cur) == shape:
+            out.append(tuple(chain))
+        return
+    for nxt in horizontal_strips_above(cur, cap=get(shape, 0), cells=cells[level]):
+        if contains(shape, nxt):
+            _ssyt_walk(chain + [nxt], shape, cells, out)
 
 
 def chain_to_rows(chain):

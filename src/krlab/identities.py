@@ -399,24 +399,27 @@ def _vertical_strip_covers(lam, mu, n):
     """Partitions xi with xi/lam and xi/mu vertical strips, length <= n."""
     rows = min(n, max(len(lam), len(mu)) + 1)
     out = []
-
-    def rec(i, acc):
-        if i == rows:
-            xi = norm(tuple(acc))
-            if len(xi) <= n:
-                out.append(xi)
-            return
-        lo = max(get(lam, i), get(mu, i))
-        hi = min(get(lam, i), get(mu, i)) + 1
-        if i > 0:
-            hi = min(hi, acc[i - 1])
-        for v in range(lo, hi + 1):
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
+    _vertical_strip_walk([], lam, mu, n, rows, out)
     return out
+
+
+def _vertical_strip_walk(acc, lam, mu, n, rows, out):
+    """Append to out every cover of _vertical_strip_covers whose first
+    rows are acc."""
+    i = len(acc)
+    if i == rows:
+        xi = norm(tuple(acc))
+        if len(xi) <= n:
+            out.append(xi)
+        return
+    lo = max(get(lam, i), get(mu, i))
+    hi = min(get(lam, i), get(mu, i)) + 1
+    if i > 0:
+        hi = min(hi, acc[i - 1])
+    for v in range(lo, hi + 1):
+        acc.append(v)
+        _vertical_strip_walk(acc, lam, mu, n, rows, out)
+        acc.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -374,10 +374,13 @@ def split_row(factors):
     (`_split_factor_row`) are built once and kept until clear_caches()."""
     factors = tuple(factors)
     n = row_rank(x for f in factors for x in f.word)
+    fetched = set()  # capacities whose table this call has brought to rank n or above
 
     def r_matrix(u, x):
+        if u.cap not in fetched:
+            fetched.add(u.cap)
+            _table(u.kind, u.cap, n)
         # the step goes through r_matrix_row, whose calls bench/tracing.py counts
-        _table(u.kind, u.cap, n)
         c, u = r_matrix_row(u, _box(u.kind, x))
         return (c.word[0] if c.word else EMPTY), u
 

@@ -165,9 +165,10 @@ def _strips_between(inner, outer, r, kind, two_g):
 
 def _live(kind, shape, weight, two_g):
     """The live table of one chain search, or None when no chain exists:
-    reach(i, inner) is the tuple of strips at position i from inner, in
-    _strips_from's order, whose outer shape still reaches shape.  A node's
-    entry is filled, its subtree first, before reach returns it.
+    a plain dict {(i, inner): strips}, where strips is the tuple of strips
+    at position i from inner, in _strips_from's order, whose outer shape
+    still reaches shape.  _fill enters the nodes depth first from the
+    root, each after its subtree; an empty weight fills nothing.
 
     The gap test cuts a node before its strips are generated: a strip of
     length r changes the size by at most r, so strips of total weight rem
@@ -175,38 +176,43 @@ def _live(kind, shape, weight, two_g):
     the other parity, since the change has r's parity (GSSOT strips may
     have length r - 1).  At the root it also rejects an empty weight with
     a nonempty shape.  The last strip's two ends are inner and shape, so
-    reach reads its strips from _strips_between, which lists no strip
-    ending elsewhere.
+    its strips come from _strips_between, which lists no strip ending
+    elsewhere.
     """
     parity = kind != GSSOT
-
-    def dead(gap, rem):
-        return gap > rem or (parity and (rem - gap) % 2)
-
     target = size(shape)
-    if any(w < 0 for w in weight) or dead(target, sum(weight)):
+    if any(w < 0 for w in weight) or _dead(target, sum(weight), parity):
         return None
-    rems = list(accumulate(reversed(weight), initial=0))[::-1]
-    last = len(weight) - 1
     live = {}
+    if weight:
+        rems = list(accumulate(reversed(weight), initial=0))[::-1]
+        _fill(live, 0, (), kind, shape, weight, two_g, rems, target, parity)
+    return live
 
-    def reach(i, inner):
-        strips = live.get((i, inner))
-        if strips is None:
-            if dead(abs(target - size(inner)), rems[i]):
-                strips = ()
-            elif i == last:
-                strips = _strips_between(inner, shape, weight[i], kind, two_g)
-            else:
-                strips = tuple(
-                    s
-                    for s in _strips_from(inner, weight[i], kind, two_g)
-                    if reach(i + 1, s[2])
-                )
-            live[i, inner] = strips
-        return strips
 
-    return reach
+def _dead(gap, rem, parity):
+    return gap > rem or (parity and (rem - gap) % 2)
+
+
+def _fill(live, i, inner, kind, shape, weight, two_g, rems, target, parity):
+    """Enter live[i, inner] for _live, after the nodes below it.  A module
+    function with its state in arguments, so that the table is freed by
+    reference counting when the search returns."""
+    if _dead(abs(target - size(inner)), rems[i], parity):
+        strips = ()
+    elif i == len(weight) - 1:
+        strips = _strips_between(inner, shape, weight[i], kind, two_g)
+    else:
+        kept = []
+        for s in _strips_from(inner, weight[i], kind, two_g):
+            below = live.get((i + 1, s[2]))
+            if below is None:
+                below = _fill(live, i + 1, s[2], kind, shape, weight, two_g, rems, target, parity)
+            if below:
+                kept.append(s)
+        strips = tuple(kept)
+    live[i, inner] = strips
+    return strips
 
 
 def enumerate_chains(kind, shape, weight, two_g=None):
@@ -220,24 +226,24 @@ def enumerate_chains(kind, shape, weight, two_g=None):
     weight = tuple(weight)
     if kind not in (SSOT, GSSOT, SSROT):
         raise ValueError(kind)
-    reach = _live(kind, shape, weight, two_g)
-    if reach is None:
+    live = _live(kind, shape, weight, two_g)
+    if live is None:
         return []
     if not weight:
         return [()]
-    last = len(weight) - 1
     out = []
-
-    def rec(i, inner, prefix):
-        for strip in reach(i, inner):
-            chain = prefix + (strip,)
-            if i == last:
-                out.append(chain)
-            else:
-                rec(i + 1, strip[2], chain)
-
-    rec(0, (), ())
+    _chains(live, 0, (), (), len(weight) - 1, out)
     return out
+
+
+def _chains(live, i, inner, prefix, last, out):
+    """Append to out every chain that extends prefix from node (i, inner)."""
+    strips = live[i, inner]
+    if i == last:
+        out += [prefix + (s,) for s in strips]
+    else:
+        for s in strips:
+            _chains(live, i + 1, s[2], prefix + (s,), last, out)
 
 
 def energy_counts(kind, shape, weight, two_g):
@@ -256,30 +262,32 @@ def energy_counts(kind, shape, weight, two_g):
     col_kind = COL_KIND[kind]
     shape = norm(shape)
     weight = tuple(weight)
-    reach = _live(kind, shape, weight, two_g)
-    if reach is None:
+    live = _live(kind, shape, weight, two_g)
+    if live is None:
         return {}
     if not weight:
         return {(0, 0): 1}
-    last = len(weight) - 1
-    r_matrix = kr_column.r_matrix_col  # read per call, so a replaced one is seen
     counts = {}
-
-    def walk(i, inner, chain, v):
-        cap = weight[i]
-        for strip in reach(i, inner):
-            u = _col_factor(col_kind, cap, strip)
-            split = split_step(chain, u, r_matrix, split_factor)
-            vac = v + u.vacancy()
-            if i == last:
-                key = (energy_chain(split, col_kind), vac)
-                counts[key] = counts.get(key, 0) + 1
-            else:
-                walk(i + 1, strip[2], split, vac)
-
-    walk(0, (), (), 0)
+    # r_matrix_col is read per call, so a replaced one is seen
+    _energy_walk(live, 0, (), (), 0, weight, col_kind, kr_column.r_matrix_col, counts)
     shift = split_shift(col_kind, weight)
     return {(d - shift, v): c for (d, v), c in counts.items()}
+
+
+def _energy_walk(live, i, inner, chain, v, weight, col_kind, r_matrix, counts):
+    """Count into counts the (energy, vacancy) keys of the chains below
+    node (i, inner), whose prefix has splitting chain `chain` and vacancy v."""
+    cap = weight[i]
+    last = i == len(weight) - 1
+    for strip in live[i, inner]:
+        u = _col_factor(col_kind, cap, strip)
+        split = split_step(chain, u, r_matrix, split_factor)
+        vac = v + u.vacancy()
+        if last:
+            key = (energy_chain(split, col_kind), vac)
+            counts[key] = counts.get(key, 0) + 1
+        else:
+            _energy_walk(live, i + 1, strip[2], split, vac, weight, col_kind, r_matrix, counts)
 
 
 def cind(strip):

@@ -220,26 +220,30 @@ def weyl_terms(lie_type, n, lam, mu, group):
     lam_rho = tuple(l + x for l, x in zip(lam, r))
     target = tuple(m + x for m, x in zip(mu, r))
     signs = (1,) if group == "A" else (1, -1)
-    beta = [0] * n
     out = []
-
-    def walk(i, free, acc, par, sgn):
-        if i == n:
-            out.append((tuple(beta), par * sgn))
-            return
-        last_d = group == "D" and i == n - 1
-        for k, j in enumerate(free):
-            # the k unused sources below j each make one inversion
-            rest = free[:k] + free[k + 1:]
-            p = -par if k % 2 else par
-            for s in (sgn,) if last_d else signs:
-                b = s * lam_rho[j] - target[i]
-                if acc + b >= 0:
-                    beta[i] = b
-                    walk(i + 1, rest, acc + b, p, sgn * s)
-
-    walk(0, tuple(range(n)), 0, 1, 1)
+    _signed_walk(0, tuple(range(n)), 0, 1, 1, [0] * n, lam_rho, target, signs, group == "D", out)
     return out
+
+
+def _signed_walk(i, free, acc, par, sgn, beta, lam_rho, target, signs, type_d, out):
+    """Append to out the (beta, det) of weyl_terms whose first i coordinates
+    are beta[:i], with the sources in free unused; a module function with
+    its state in arguments, so that nothing outlives the walk."""
+    if not free:
+        out.append((tuple(beta), par * sgn))
+        return
+    last_d = type_d and len(free) == 1
+    for k, j in enumerate(free):
+        # the k unused sources below j each make one inversion
+        rest = free[:k] + free[k + 1:]
+        p = -par if k % 2 else par
+        for s in (sgn,) if last_d else signs:
+            b = s * lam_rho[j] - target[i]
+            if acc + b >= 0:
+                beta[i] = b
+                _signed_walk(
+                    i + 1, rest, acc + b, p, sgn * s, beta, lam_rho, target, signs, type_d, out
+                )
 
 
 def _alternating_sum(lie_type, n, lam, mu, tag, group):

@@ -2,6 +2,7 @@
 partition, the level-restriction triple, the filtered expansion, the q = 1
 counts, and the symmetric-function identities behind them."""
 
+import gc
 import hashlib
 import sys
 
@@ -16,6 +17,7 @@ from krlab.characters import (
     m_hyperoct,
     ps_D,
     pss_bar_D,
+    schur,
 )
 from krlab.identities import (
     DIAMOND,
@@ -666,3 +668,57 @@ def test_cache_sizes_reports_every_cleared_table():
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}
+
+
+def _on_grid(suite, max_weight, n, fn):
+    grid = SUITES[suite][0]
+    return lambda: [fn(*args) for _, args in grid(max_weight, n)]
+
+
+NO_CYCLE_CALLS = {
+    "thm_c_rhs": _on_grid("thm-c", 4, 3, lambda n, lam, mu, g: thm_c_rhs(lam, mu, n, g)),
+    "thm_b_rhs": _on_grid("thm-b", 3, 3, lambda n, lam, mu, g: thm_b_rhs(lam, mu, n, g)),
+    "kl_poly": _on_grid(
+        "morris-c", 4, 3, lambda n, lam, mu: qweight.kl_poly("C", n, dbl(lam, n), dbl(mu, n))
+    ),
+    "kl_qt_B": _on_grid(
+        "morris-b", 3, 3, lambda n, lam, mu: kl_qt_B(n, dbl(lam, n, True), dbl(mu, n, True))
+    ),
+    "level_formula": _on_grid("level", 3, 3, level_formula),
+    "q1_count": _on_grid("q1", 3, 3, q1_count),
+    "enumerate_chains": lambda: [
+        enumerate_chains(kind, shape, (2, 1, 2, 1), two_g)
+        for kind in (SSOT, GSSOT, SSROT)
+        for shape in partitions_upto(4, max_len=3)
+        for two_g in (None, 4, 5)
+    ],
+    "schur": lambda: [schur(n, lam) for n in (2, 3, 4) for lam in partitions_upto(4, max_len=n)],
+    "okada_K": lambda: [
+        okada(lam, mu, r, 3)
+        for okada in (okada_K_B, okada_K_D)
+        for lam in partitions_upto(3, max_len=3)
+        for mu in partitions_upto(3, max_len=3)
+        for r in range(4)
+    ],
+    "character": lambda: [
+        character(lie_type, 3, dbl(lam, 3, spin))
+        for lie_type in "BCD"
+        for lam in partitions_upto(3, max_len=3)
+        for spin in ((False, True) if lie_type != "C" else (False,))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_CYCLE_CALLS))
+def test_entry_points_leave_no_cyclic_garbage(name):
+    # every search frees its working tables by reference counting when it
+    # returns, so with the collector off nothing is left for it to find
+    krlab.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        NO_CYCLE_CALLS[name]()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0, name

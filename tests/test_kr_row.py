@@ -398,6 +398,30 @@ def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
     krlab.clear_caches()
 
 
+def test_split_row_one_r_matrix_call_per_step(monkeypatch):
+    # a factor of capacity above one passes one letter of the chain to its
+    # right per step, and each step is one call of the module-level
+    # r_matrix_row: as many calls as the summed capacities to its right
+    calls = []
+    real = kr_row.r_matrix_row
+
+    def counted(u, c):
+        calls.append((u, c))
+        return real(u, c)
+
+    monkeypatch.setattr(kr_row, "r_matrix_row", counted)
+    krlab.clear_caches()
+    for kind in (BOX, HDOM, VDOM):
+        rows = {s: enumerate_row(kind, s, 2) for s in (1, 2, 3)}
+        for caps in ((2, 2), (3, 1, 2), (1, 3), (2, 1, 3, 2)):
+            tensor = tuple(rows[s][(7 * i) % len(rows[s])] for i, s in enumerate(caps))
+            calls.clear()
+            split_row(tensor)
+            steps = sum(sum(caps[j + 1:]) for j, s in enumerate(caps) if s > 1)
+            assert len(calls) == steps, (kind, caps)
+    krlab.clear_caches()
+
+
 def test_split_row_single_factors():
     assert split_row((RowKR(HDOM, 3, (1, 2, 3)),)) == (1, 2, 3)
     assert split_row((RowKR(BOX, 3, (2,)),))[0] == -1
