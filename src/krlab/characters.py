@@ -9,17 +9,20 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
+from operator import add
 
 from .charge import ssyt_chains
 from .partitions import get, norm, partitions_upto, size
 from .polynomials import Poly
-from .qweight import weight_multiplicity
-from .roots import is_dominant, is_spin
+from .roots import inner, is_dominant, is_spin, positive_roots, rho
 
 # unused here since schur walks charge.ssyt_chains and orbit builds on
 # S_n-classes; bench/tracing.py still wraps these names in this module
 from .partitions import horizontal_strips_above  # noqa: F401
 from .roots import apply_w, weyl_group  # noqa: F401
+
+# unused here since multiplicities come from Freudenthal's formula
+from .qweight import weight_multiplicity  # noqa: F401  bench/tracing.py wraps this name here
 
 
 @lru_cache(maxsize=None)
@@ -53,23 +56,73 @@ def _dominant_candidates(lie_type, n, lam):
     return tuple(out)
 
 
+def _dominant_rep(lie_type, w):
+    """The dominant weight of w's Weyl orbit: w sorted decreasingly in type
+    A; the |w_i| sorted decreasingly in types B and C, and in type D with
+    the last entry negated when w has an odd number of negative entries
+    and no 0."""
+    if lie_type == "A":
+        return tuple(sorted(w, reverse=True))
+    out = sorted(map(abs, w), reverse=True)
+    if lie_type == "D" and out[-1] and sum(x < 0 for x in w) % 2:
+        out[-1] = -out[-1]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _multiplicities(lie_type, n, lam):
-    """The (nu, m) pairs of lam's character: each dominant weight nu with
-    its multiplicity m, given by the q-analog at q = 1, where m != 0."""
+    """{nu: m} over the dominant weights nu of lam's character, m != 0, in
+    _dominant_candidates' order, by Freudenthal's formula (Humphreys §22.3):
+
+        ((lam+rho, lam+rho) - (nu+rho, nu+rho)) m(nu)
+            = 2 sum_{a > 0} sum_{k >= 1} m(nu + k a) (nu + k a, a).
+
+    In doubled coordinates both sides scale by 4.  The dominant
+    representative of nu + k a, k >= 1, has a larger (. + rho)-norm than
+    nu, so the candidates are taken in decreasing norm, and m(nu + k a) is
+    read at that representative.  The candidates are the lattice points of
+    a convex set, so each a-string leaves them once: it stops at the first
+    representative that is not one.  A candidate whose norm is not below
+    lam's is not a weight, m = 0; an inexact division raises.  Type A
+    weights need nonnegative entries, the only candidates listed."""
     if not is_dominant(lie_type, n, lam):
         raise ValueError("weight is not dominant")
+    if lie_type == "A" and lam[-1] < 0:
+        raise ValueError("type A multiplicities need nonnegative entries")
     cands = _dominant_candidates(lie_type, n, lam)
-    pairs = ((nu, weight_multiplicity(lie_type, n, lam, nu)) for nu in cands)
-    return tuple((nu, m) for nu, m in pairs if m)
+    roots = positive_roots(lie_type, n)
+    r = rho(lie_type, n)
+    norms = {}
+    for nu in cands:
+        shifted = tuple(map(add, nu, r))
+        norms[nu] = inner(shifted, shifted)
+    top = norms[lam]
+    m = {}
+    for nu in sorted(cands, key=norms.__getitem__, reverse=True):
+        gap = top - norms[nu]
+        if nu == lam or gap <= 0:
+            m[nu] = int(nu == lam)
+            continue
+        total = 0
+        for a in roots:
+            v = tuple(map(add, nu, a))
+            # norms is keyed by exactly the candidates
+            while (rep := _dominant_rep(lie_type, v)) in norms:
+                total += m[rep] * inner(v, a)
+                v = tuple(map(add, v, a))
+        mult, rem = divmod(2 * total, gap)
+        if rem:
+            raise ArithmeticError("inexact Freudenthal division at %r" % (nu,))
+        m[nu] = mult
+    return {nu: m[nu] for nu in cands if m[nu]}
 
 
 @lru_cache(maxsize=None)
 def character(lie_type, n, lam):
     """Weyl character as a Poly: each dominant weight's multiplicity on its
     orbit.  Distinct dominant weights have disjoint orbits."""
-    pairs = _multiplicities(lie_type, n, tuple(lam))
-    return Poly(n, {w: m for nu, m in pairs for w in orbit(lie_type, n, nu)})
+    mults = _multiplicities(lie_type, n, tuple(lam))
+    return Poly(n, {w: m for nu, m in mults.items() for w in orbit(lie_type, n, nu)})
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +211,38 @@ def _rearrange(length, counts, word):
 @lru_cache(maxsize=None)
 def _monomial_schur(n, top):
     """Schur expansion of the monomial symmetric polynomial m_top (doubled
-    keys), by schur_expand, which raises unless top is even and
-    nonnegative."""
-    return schur_expand(Poly(n, dict.fromkeys(_rearrangements(top), 1)))
+    keys) by straightening, as schur_expand does, without building m_top:
+    only the distinct rearrangements alpha of top whose alpha/2 + delta
+    has distinct entries are listed, each with the sign of the inversions
+    made as it is built.  Raises unless top is even and nonnegative."""
+    if any(a % 2 or a < 0 for a in top):
+        raise ValueError("not a polynomial in the Schur span")
+    out = {}
+    _straighten(n, Counter(a // 2 for a in top), [], 1, out)
+    return {k: v for k, v in out.items() if v}
+
+
+def _straighten(n, counts, shifted, sign, out):
+    """Add to out sign(sigma) at kappa for each completion of shifted, the
+    first entries of alpha/2 + delta, by the halved letters left in counts
+    that keeps the entries distinct; sigma sorts the completion into
+    kappa + delta, and sign is that of the inversions in shifted."""
+    i = len(shifted)
+    if i == n:
+        ordered = sorted(shifted, reverse=True)
+        kappa = norm(tuple(v - (n - 1 - j) for j, v in enumerate(ordered)))
+        out[kappa] = out.get(kappa, 0) + sign
+        return
+    for a, k in counts.items():
+        s = a + n - 1 - i
+        if k and s not in shifted:
+            # each smaller entry before s makes one inversion
+            flips = sum(x < s for x in shifted)
+            counts[a] -= 1
+            shifted.append(s)
+            _straighten(n, counts, shifted, -sign if flips % 2 else sign, out)
+            shifted.pop()
+            counts[a] += 1
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +258,7 @@ def twisted_branching(lie_type, n, lam, two_g):
     monomial symmetric polynomial m_top, top = sort(2g - w) decreasing.
     """
     out = {}
-    for nu, m in _multiplicities(lie_type, n, lam):
+    for nu, m in _multiplicities(lie_type, n, lam).items():
         for w in _orbit_classes(lie_type, nu):
             top = tuple(two_g - x for x in reversed(w))
             for kappa, c in _monomial_schur(n, top).items():
@@ -277,11 +359,5 @@ def _exact_divide(num, den):
 
 def char_coeff(lie_type, n, lam, mu):
     """[x^mu] s^{g_n}_lam as an integer: the multiplicity of mu's dominant
-    representative, the largest of its classes modulo S_n."""
-    lam = tuple(lam)
-    if not is_dominant(lie_type, n, lam):
-        raise ValueError("weight is not dominant")
-    nu = max(_orbit_classes(lie_type, tuple(mu)))
-    if nu not in _dominant_candidates(lie_type, n, lam):
-        return 0
-    return weight_multiplicity(lie_type, n, lam, nu)
+    representative in the table of _multiplicities."""
+    return _multiplicities(lie_type, n, tuple(lam)).get(_dominant_rep(lie_type, mu), 0)

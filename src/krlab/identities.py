@@ -25,6 +25,7 @@ from .oscillating import (
     SSOT,
     SSROT,
     aug,
+    count_chains,
     energy_counts,
     enumerate_chains,
     energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
@@ -224,7 +225,14 @@ def level_formula(lie_type, n, lam_d, mu_d, two_g):
     Returns (lhs, mid, rhs) as one-variable polynomials.
     """
     lhs = kl_level_restricted(lie_type, n, lam_d, mu_d)
+    return (lhs,) + level_mid_rhs(lie_type, n, lam_d, mu_d, two_g)
 
+
+def level_mid_rhs(lie_type, n, lam_d, mu_d, two_g):
+    """The middle and right expressions of the level-restriction theorem,
+    (mid, rhs), neither of which calls the oracle: the twisted branching
+    coefficients times Kostka-Foulkes polynomials, and the filtered energy
+    sum."""
     lam_hat = _hat(lam_d, two_g, n)
     mu_hat = _hat(mu_d, two_g, n)
 
@@ -232,7 +240,7 @@ def level_formula(lie_type, n, lam_d, mu_d, two_g):
 
     # the g-bounded chains are exactly the elements with eps_0 <= zeta g
     rhs = xk_lhs(DIAMOND[lie_type], mu_hat, lam_hat, ZETA[lie_type] * two_g // 2)
-    return lhs, mid, rhs
+    return mid, rhs
 
 
 def p_diamond_member(kind, gamma):
@@ -339,10 +347,6 @@ def _solve_exact(mat, vec):
 
 # ---------------------------------------------------------------------------
 # q = 1 counting identities and the kappa-level lemmas
-
-
-def count_chains(kind, shape, weight, two_g):
-    return len(enumerate_chains(kind, norm(shape), tuple(weight), two_g=two_g))
 
 
 def q1_count(lie_type, n, lam_d, mu_d, two_g):
@@ -546,6 +550,10 @@ def check_level(params, *args):
     return IdentityReport("level", params, poly_str(lhs, Q), mid_rhs, equal)
 
 
+def check_level_mid(params, *args):
+    return _compare("level-mid", params, *level_mid_rhs(*args), Q)
+
+
 def check_xk(params, kind, mu, lam):
     lhs, rhs = xk_lhs(kind, mu, lam), xk_rhs_unfiltered(kind, mu, lam)
     return _compare("xk", params, lhs, rhs, Q)
@@ -564,6 +572,7 @@ SUITES = {
     "thm-c-rec": (_thm_c_grid, check_thm_c_rec),
     "thm-b-rec": (_thm_b_grid, check_thm_b_rec),
     "level": (_bcd_grid, check_level),
+    "level-mid": (_bcd_grid, check_level_mid),
     "xk": (_xk_grid, check_xk),
     "q1": (_bcd_grid, check_q1),
 }

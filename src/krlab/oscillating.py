@@ -246,6 +246,31 @@ def _chains(live, i, inner, prefix, last, out):
             _chains(live, i + 1, s[2], prefix + (s,), last, out)
 
 
+def count_chains(kind, shape, weight, two_g=None):
+    """len(enumerate_chains(kind, shape, weight, two_g)), with no chain
+    list: each node of _live's table counts the chains below it, the sum
+    over its strips of their outer node's count (1 at the last position).
+    The table holds each node after its subtree, so one pass in its order
+    finds every count it adds."""
+    shape = norm(shape)
+    weight = tuple(weight)
+    if kind not in (SSOT, GSSOT, SSROT):
+        raise ValueError(kind)
+    live = _live(kind, shape, weight, two_g)
+    if live is None:
+        return 0
+    if not weight:
+        return 1
+    last = len(weight) - 1
+    counts = {}
+    for (i, inner), strips in live.items():
+        if i == last:
+            counts[i, inner] = len(strips)
+        else:
+            counts[i, inner] = sum(counts[i + 1, s[2]] for s in strips)
+    return counts[0, ()]
+
+
 def energy_counts(kind, shape, weight, two_g):
     """{(D, vac): count} over the SSOT or GSSOT chains of enumerate_chains
     bounded by two_g, where D = energy_col(phi_c(chain, kind, weight)) and

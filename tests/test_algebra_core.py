@@ -11,6 +11,9 @@ import pytest
 
 from krlab.characters import (
     _dominant_candidates,
+    _monomial_schur,
+    _multiplicities,
+    _rearrangements,
     char_coeff,
     character,
     e_poly,
@@ -401,6 +404,51 @@ def _character_reference(lie_type, n, lam):
         for w in _orbit_reference(lie_type, n, nu):
             out[w] = out.get(w, 0) + m
     return Poly(n, out)
+
+
+def _multiplicities_reference(lie_type, n, lam):
+    """{nu: m} over the dominant candidates, m from the q = 1 oracle, m != 0."""
+    pairs = ((nu, weight_multiplicity(lie_type, n, lam, nu)) for nu in _dominant_candidates(lie_type, n, lam))
+    return {nu: m for nu, m in pairs if m}
+
+
+def test_freudenthal_matches_oracle():
+    # B, C and D at n <= 4, spin weights, type D's negative last entry and
+    # D_2 included, and type A's partitions, each in the candidates' order
+    cases = list(_dominant_grid(5, 4))
+    cases += [("A", n, dbl(lam, n)) for n in range(1, 5) for lam in partitions_upto(5, max_len=n)]
+    for lie_type, n, lam in cases:
+        want = _multiplicities_reference(lie_type, n, lam)
+        assert list(_multiplicities(lie_type, n, lam).items()) == list(want.items()), (lie_type, lam)
+    assert len(cases) == 306 + 52
+    assert sum(t == "D" and n == 2 for t, n, _ in cases) == 42
+    # type A candidates are nonnegative: a weight below 0 is refused, not
+    # given a character without it
+    with pytest.raises(ValueError, match="nonnegative"):
+        _multiplicities("A", 2, (0, -2))
+
+
+def _monomial_schur_reference(n, top):
+    """m_top built in full from its distinct rearrangements and straightened
+    by schur_expand."""
+    return schur_expand(Poly(n, dict.fromkeys(_rearrangements(top), 1)))
+
+
+def test_monomial_schur_matches_full_straightening():
+    tops = 0
+    for n in range(1, 7):
+        for kappa in partitions_upto(7, max_len=n):
+            top = dbl(kappa, n)
+            for key in (top, top[::-1]):
+                want = _monomial_schur_reference(n, key)
+                assert list(_monomial_schur(n, key).items()) == list(want.items()), (n, key)
+            tops += 1
+    assert tops == 183
+    for top in ((3, 0), (2, -2), (0, 1), (4, -4)):
+        with pytest.raises(ValueError, match="Schur span"):
+            _monomial_schur_reference(2, top)
+        with pytest.raises(ValueError, match="Schur span"):
+            _monomial_schur(2, top)
 
 
 def test_orbit_matches_weyl_group_reference():

@@ -200,7 +200,8 @@ def test_verify_jobs_stable(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite", ["thm-c", "thm-b", "morris-c", "morris-b", "thm-c-rec", "thm-b-rec", "level", "xk", "q1"]
+    "suite",
+    ["thm-c", "thm-b", "morris-c", "morris-b", "thm-c-rec", "thm-b-rec", "level", "level-mid", "xk", "q1"],
 )
 def test_verify_jobs_matches_serial(capsys, suite):
     argv = ["verify", "--suite", suite, "--n", "2", "--max-weight", "3"]
@@ -229,6 +230,8 @@ _VERIFY_SHA256 = {
     "thm-c-rec": "225882734d5fbb45d3188593362e2af786d2424c4ad9aa6348f4193617464781",
     "thm-b-rec": "f2ef24f3f44ea2478a603678a0f88025ac99d94b76c56444b98b4ff881eb4b52",
     "level": "4916a27eafc0117fed9b7691e689aa73933d6a354d57521a8e7988ad63831ca4",
+    # recorded when the suite was added
+    "level-mid": "78481fc9753d3b477649d295384d38916c8f3fd375eabd0983170b5fe1b6d3ba",
     "xk": "ec7e55eb740f2433ce5cc7577a22d39efb68899ed3db8afb34d282d6c12a73f5",
     "q1": "567a0c378717ca334f619102b63e758270445bbb2bb5ed3525f0f4901f6240f5",
 }

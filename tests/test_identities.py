@@ -18,6 +18,7 @@ from krlab.characters import (
     ps_D,
     pss_bar_D,
     schur,
+    twisted_branching,
 )
 from krlab.identities import (
     DIAMOND,
@@ -27,6 +28,7 @@ from krlab.identities import (
     add_rohs_phi,
     involution_partition,
     level_formula,
+    level_mid_rhs,
     morris_b_qt,
     morris_c,
     okada_K_B,
@@ -330,6 +332,41 @@ def test_xk_lhs_checks_listed_eps0(monkeypatch):
     with pytest.raises(ValueError, match="eps_0 3 over 2"):
         xk_lhs(HDOM, (2, 2), (2, 2), 2)
     assert xk_lhs(HDOM, (2, 2), (2, 2)).subs_all_one() == len(listed)
+
+
+def test_characters_middle_side_and_q1_never_call_the_oracle(monkeypatch):
+    # multiplicities come from Freudenthal's formula, so with the oracle
+    # refusing every call these give the values they give with it
+    grid = [args for _, args in SUITES["q1"][0](3, 3)]
+
+    def compute():
+        krlab.clear_caches()
+        return [
+            (
+                character(lie_type, n, lam_d),
+                twisted_branching(lie_type, n, lam_d, two_g),
+                char_coeff(lie_type, n, lam_d, mu_d),
+                q1_count(lie_type, n, lam_d, mu_d, two_g),
+                level_mid_rhs(lie_type, n, lam_d, mu_d, two_g),
+            )
+            for lie_type, n, lam_d, mu_d, two_g in grid
+        ]
+
+    want = compute()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(qweight, "kl_poly", refuse)
+    assert compute() == want
+    assert len(want) == 245
+    with pytest.raises(AssertionError, match="oracle"):
+        level_formula(*grid[0])
+
+
+def test_level_formula_shares_the_level_mid_sides():
+    for _, args in SUITES["level"][0](3, 3):
+        assert level_formula(*args)[1:] == level_mid_rhs(*args), args
 
 
 def test_level_q1_is_weight_multiplicity():

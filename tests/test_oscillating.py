@@ -16,6 +16,7 @@ from krlab.oscillating import (
     aug_via_hw,
     chain_c2,
     cind,
+    count_chains,
     deaug_last_row,
     energy_counts,
     enumerate_chains,
@@ -166,6 +167,7 @@ def test_enumerate_matches_reference_dfs(kind):
             for two_g in bounds:
                 got = enumerate_chains(kind, shape, weight, two_g=two_g)
                 assert got == _reference_chains(kind, shape, weight, two_g), (shape, weight, two_g)
+                assert count_chains(kind, shape, weight, two_g) == len(got), (shape, weight, two_g)
                 total += len(got)
     assert total > 200
 
