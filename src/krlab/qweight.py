@@ -12,8 +12,10 @@ a_k, a_{k+1}, ... and the simple roots,
 
 with P_k(v - a_k) = 0 once v - a_k has a negative coordinate.  Past the
 last non-simple root v is a sum of simple roots in exactly one way, so the
-count closes in one monomial.  States are kept in `_memo` as dense integer
-coefficients; `q_kostant` returns a `Poly`.
+count closes in one monomial.  States are dense integer coefficient tuples
+in `_memo`: one entry per (lie_type, n, tag) holds one dict per root index
+k, mapping v to P_k(v), and one table of the distinct tuples, so that equal
+states share one tuple.  `q_kostant` returns a `Poly`.
 """
 
 from functools import lru_cache
@@ -152,32 +154,51 @@ def _context(lie_type, n, tag):
     return tuple(others), simple_evs, nvars, _add_qt if nvars == 2 else _add
 
 
-# (lie_type, n, tag, idx, v) -> P_idx(v), see _count; emptied by clear_caches
-_memo = {}
+class _Memo(dict):
+    """(lie_type, n, tag) -> (tables, values): tables[idx] maps v to
+    P_idx(v), see _count, and values maps each distinct coefficient tuple to
+    itself.  len() counts the states of every table."""
+
+    def __len__(self):
+        return sum(len(t) for tables, _ in self.values() for t in tables)
+
+
+# emptied by clear_caches
+_memo = _Memo()
 
 
 def q_kostant(lie_type, n, beta, tag=L_ONE):
     """[e^beta] prod 1/(1 - q^{L(a)} e^a) over the positive roots."""
+    if len(beta) != n:
+        raise ValueError("beta has length %d, not n = %d" % (len(beta), n))
     roots = _context(lie_type, n, tag)
     nvars = roots[2]
     v = simple_coords(lie_type, n, tuple(beta))
     if v is None or any(x < 0 for x in v):
         return Poly.zero(nvars)
-    return _to_poly(_count((lie_type, n, tag), roots, 0, v), nvars)
+    key = (lie_type, n, tag)
+    memo = _memo.get(key)
+    if memo is None:
+        memo = _memo[key] = ([{} for _ in range(len(roots[0]) + 1)], {})
+    tables, values = memo
+    return _to_poly(_count(roots, tables, values, 0, v), nvars)
 
 
-def _count(ctx, roots, idx, v):
+def _count(roots, tables, values, idx, v):
     """P_idx(v) for v >= 0 as dense coefficients, by the recurrence of the
     module docstring.  The a-string below v is walked down to its first
-    stored state, then filled upwards, so recursion only deepens with idx."""
-    key = ctx + (idx, v)
-    hit = _memo.get(key)
+    stored state, then filled upwards, so recursion only deepens with idx.
+    Each stored tuple is first looked up in values, so equal states share
+    one object."""
+    table = tables[idx]
+    hit = table.get(v)
     if hit is not None:
         return hit
     others, simple_evs, nvars, plus = roots
     if idx == len(others):
         e = [sum(m * ev[i] for m, ev in zip(v, simple_evs)) for i in range(nvars)]
-        out = _memo[key] = _mono(e)
+        out = _mono(e)
+        out = table[v] = values.setdefault(out, out)
         return out
     c, ev = others[idx]
     string = [v]
@@ -186,14 +207,14 @@ def _count(ctx, roots, idx, v):
         w = tuple(map(sub, string[-1], c))
         if min(w) < 0:
             break
-        acc = _memo.get(ctx + (idx, w))
+        acc = table.get(w)
         if acc is not None:
             break
         string.append(w)
     for w in reversed(string):
-        below = _count(ctx, roots, idx + 1, w)
+        below = _count(roots, tables, values, idx + 1, w)
         acc = below if acc is None else plus(below, _shift(acc, ev))
-        _memo[ctx + (idx, w)] = acc
+        acc = table[w] = values.setdefault(acc, acc)
     return acc
 
 

@@ -4,6 +4,7 @@ function, alternating sums, characters, and branching data."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from krlab.characters import (
     twisted_branching,
     twisted_branching_d,
 )
-from krlab import clear_caches
+from krlab import clear_caches, qweight
 from krlab.charge import charge, kostka_foulkes, reading_word, ssyt
 from krlab.partitions import get, is_partition, norm, partitions, partitions_upto
 from krlab.polynomials import Poly, poly_str
@@ -325,6 +326,83 @@ def test_q_kostant_matches_poly_reference():
                             assert q_kostant(lie_type, n, beta, tag) == term, (beta, tag)
                             want = want + (term if det == 1 else -term)
                         assert fn(lie_type, n, lam, mu, tag) == want, (n, lam, mu, group, tag)
+
+
+def test_q_kostant_rejects_beta_of_wrong_length():
+    # a short beta once read as a different vector: (4,) at rank 3 gave
+    # 2q^3 + 2q^2, where (4, 0, 0) is q^5 + 2q^4 + 4q^3 + 2q^2 + q
+    with pytest.raises(ValueError, match="length 1, not n = 3"):
+        q_kostant("C", 3, (4,))
+    with pytest.raises(ValueError, match="length 4, not n = 3"):
+        q_kostant("B", 3, (2, 0, 0, 0))
+    assert q_kostant("C", 3, (4, 0, 0)) == Poly(
+        1, {(5,): 1, (4,): 2, (3,): 4, (2,): 2, (1,): 1}
+    )
+
+
+# states held after one cold call; the memo's layout must not change them
+MEMO_STATES = [
+    (kl_poly, ("C", 4, (8, 4, 4, 0), (0,) * 4), 6470),
+    (kl_poly, ("B", 4, (6, 4, 2, 2), (0,) * 4), 5918),
+    (kl_poly, ("D", 4, (6, 4, 2, 0), (0,) * 4), 1402),
+    (kl_qt_B, (4, (7, 3, 1, 1), (1, 1, 1, 1)), 2015),
+]
+
+
+@pytest.mark.parametrize("fn,args,states", MEMO_STATES, ids=["C4", "B4", "D4", "qtB4"])
+def test_memo_state_count_pinned(fn, args, states):
+    clear_caches()
+    fn(*args)
+    assert len(qweight._memo) == states
+
+
+def _memo_grid():
+    calls = []
+    for lie_type in ("B", "C", "D"):
+        for lam in _dominant_weights(lie_type, 3, 4):
+            if lam[0] % 2 == 0:
+                calls.append((kl_poly, (lie_type, 3, lam, (0,) * 3)))
+                calls.append((kl_level_restricted, (lie_type, 3, lam, (0,) * 3)))
+            else:
+                calls.append((kl_poly, (lie_type, 3, lam, (1,) * 3)))
+    calls.append((kl_qt_B, (3, (4, 2, 2), (0, 0, 0))))
+    return calls
+
+
+def test_memo_fill_order_independent():
+    calls = _memo_grid()
+    clear_caches()
+    forward = [fn(*args) for fn, args in calls]
+    states = len(qweight._memo)
+    clear_caches()
+    backward = [fn(*args) for fn, args in reversed(calls)][::-1]
+    assert backward == forward
+    assert len(qweight._memo) == states > 0
+
+
+def test_memo_equal_states_are_one_object():
+    clear_caches()
+    for fn, args in _memo_grid():
+        fn(*args)
+    for tables, values in qweight._memo.values():
+        stored = [p for table in tables for p in table.values()]
+        assert len({id(p) for p in stored}) == len(set(stored)) == len(values)
+        assert all(values[p] is p for p in stored)
+
+
+def test_memo_bytes_per_state():
+    # one flat dict keyed by (type, n, tag, idx, v), with a tuple per state,
+    # holds 267 traced bytes a state; tables per root index with shared
+    # tuples hold about 166
+    clear_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kl_poly("C", 4, (8, 4, 4, 0), (0,) * 4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(qweight._memo) < 210
 
 
 def test_stable_kl_level_restricted_expansion():
