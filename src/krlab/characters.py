@@ -14,6 +14,7 @@ from operator import add
 from .charge import ssyt_chains
 from .partitions import get, norm, partitions_upto, size
 from .polynomials import Poly
+from .qweight import check_pair
 from .roots import inner, is_dominant, is_spin, positive_roots, rho
 
 # unused here since schur walks charge.ssyt_chains and orbit builds on
@@ -32,7 +33,6 @@ def orbit(lie_type, n, w):
     return frozenset(v for top in _orbit_classes(lie_type, w) for v in _rearrangements(top))
 
 
-@lru_cache(maxsize=None)
 def _dominant_candidates(lie_type, n, lam):
     """Dominant weights that can support the character of lam.
 
@@ -359,5 +359,7 @@ def _exact_divide(num, den):
 
 def char_coeff(lie_type, n, lam, mu):
     """[x^mu] s^{g_n}_lam as an integer: the multiplicity of mu's dominant
-    representative in the table of _multiplicities."""
+    representative in the table of _multiplicities, lam and mu checked as
+    the oracle checks them."""
+    check_pair(lie_type, n, lam, mu)
     return _multiplicities(lie_type, n, tuple(lam)).get(_dominant_rep(lie_type, mu), 0)

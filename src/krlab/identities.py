@@ -150,7 +150,7 @@ def morris_b_qt(lam, mu, n):
     return _morris("B", pad(lam, n), pad(mu, n), n)
 
 
-def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
+def add_rohs_phi(i, strip, chain, lam, mu, n, g):
     """Append the complemented strip to a chain, realizing the recurrence
     bijection; returns (new chain, new weight vector)."""
     lam, mu = pad(lam, n), pad(mu, n)
@@ -158,16 +158,14 @@ def add_rohs_phi(i, strip, chain, lam, mu, n, g, chain_weight=None):
     total = lam[i - 1] - mu[0] + 1 - i
     r = strip_len(strip)
     m = (total - r) // 2
-    zeta_oc = tuple(g - get(zeta, n - 2 - j) for j in range(n - 1))
-    mid = tuple(sorted(zeta_oc + (m,), reverse=True))
+    mid = tuple(sorted(oc(zeta, g, n - 1) + (m,), reverse=True))
     new_strip = (
         norm(oc(nu, g, n - 1)),
         norm(mid),
         norm(oc(li, g, n - 1)),
     )
-    if chain_weight is None:
-        chain_weight = tuple(strip_len(s) for s in chain)
-    return tuple(chain) + (new_strip,), tuple(chain_weight) + (total,)
+    chain_weight = tuple(strip_len(s) for s in chain)
+    return tuple(chain) + (new_strip,), chain_weight + (total,)
 
 
 def involution_partition(lam, mu, n, g):

@@ -111,6 +111,14 @@ def _largest(word):
     return max(word, key=key)
 
 
+def _pivot(top, ws, case):
+    """The largest q <= top whose bar is not in ws: case `case`'s pivot."""
+    for q in range(top, 0, -1):
+        if -q not in ws:
+            return q
+    raise ValueError("case %s found no pivot" % case)
+
+
 @lru_cache(maxsize=None)
 def r_matrix_col(u: ColumnKR, c):
     """R: B^{a,1} (x) B^{1,1} -> B^{1,1} (x) B^{a,1}, by the case rules.
@@ -161,26 +169,19 @@ def r_matrix_col(u: ColumnKR, c):
     ws = set(w)
     if c is EMPTY:
         raise ValueError("empty right factor only pairs with case 1")
+    ui = max((x for x in w if not prec(c, x)), key=key)  # used by cases 2 and 3
     if c > 0:
-        ui = max((x for x in w if not prec(c, x)), key=key)
         if -ui not in ws:
             new = sort_word(tuple(x for x in w if x != ui) + (c,))
             return ui, ColumnKR(kind, a, new), "2-1"
-        p = max((q for q in range(1, ui) if -q not in ws), default=None)
-        if p is None:
-            raise ValueError("case 2-2 found no pivot")
+        p = _pivot(ui - 1, ws, "2-2")
         new = sort_word(tuple(x for x in w if x not in (ui, -ui)) + (c, -p))
         return p, ColumnKR(kind, a, new), "2-2"
 
     cmag = -c
     if cmag not in ws:
-        ui = max((x for x in w if not prec(c, x)), key=key)
         if 0 < ui < cmag and -ui in ws:
-            p = max(
-                (q for q in range(1, ui + 1) if -q not in ws), default=None
-            )
-            if p is None:
-                raise ValueError("case 3-1 found no pivot")
+            p = _pivot(ui, ws, "3-1")
             new = sort_word(
                 tuple(x for x in w if x not in (ui, -ui)) + (c, -p)
             )
@@ -195,9 +196,7 @@ def r_matrix_col(u: ColumnKR, c):
     )
     iprime = red(sort_word(shifted))
     if not iprime:
-        p = max((q for q in range(1, cmag + 1) if -q not in ws), default=None)
-        if p is None:
-            raise ValueError("case 4-1 found no pivot")
+        p = _pivot(cmag, ws, "4-1")
         new = sort_word(tuple(x for x in w if x != cmag) + (-p,))
         return p, ColumnKR(kind, a, new), "4-1"
     d = _largest(iprime)
@@ -405,9 +404,8 @@ def split_image_hw(u: ColumnKR, uprime: ColumnKR):
     tol, midd = tol_midd(u, uprime)
     nbar = p - q + 1
 
-    def assemble(pp, pairs2):
-        chain = list(range(k, 0, -1))
-        chain += [-1, 1] * pairs2
+    def assemble(pp, middle):
+        chain = list(range(k, 0, -1)) + middle
         chain += [-x for x in range(q, pp + 1)]
         chain += list(range(pp, 0, -1))
         pad = a + b - len(chain)
@@ -419,20 +417,17 @@ def split_image_hw(u: ColumnKR, uprime: ColumnKR):
         return tuple(chain)
 
     if u.kind == BOX:
-        chain = list(range(k, 0, -1)) + [EMPTY] * midd
-        chain += [-x for x in range(q, p + 1)]
-        chain += list(range(p, 0, -1))
-        chain += [EMPTY] * (a + b - len(chain))
-        return tuple(chain)
+        return assemble(p, [EMPTY] * midd)
 
     half = midd // 2
+    middle = [-1, 1] * half
     if nbar % 2 == 1 and tol == 2 * half:
-        return assemble(p - 1, half)
+        return assemble(p - 1, middle)
     if nbar % 2 == 0:
         v = sort_word(u.word + (p + 1, -(p + 1)))
         if len(v) <= a and is_admissible(v):
             t2 = _tol_word(v, n)
             m2 = min(t2, a - len(v))
             if t2 == 2 * (m2 // 2):
-                return assemble(p + 1, half)
-    return assemble(p, half)
+                return assemble(p + 1, middle)
+    return assemble(p, middle)

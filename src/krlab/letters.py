@@ -61,39 +61,33 @@ def sort_word(letters):
     return tuple(sorted(letters, key=key))
 
 
+def _worst_pair(w):
+    """The i of the (i, bar-i) pair of w that offends admissibility most, or None:
+    largest excess #(below i) + #(above bar-i) - i >= -1, smallest i on ties."""
+    s = set(w)
+    worst = None
+    for x in sorted(c for c in s if c > 0 and -c in s):
+        below = sum(1 for c in w if prec(c, x))
+        above = sum(1 for c in w if prec(-x, c))
+        excess = below + above - x
+        if excess >= -1 and (worst is None or excess > worst[0]):
+            worst = (excess, x)
+    return None if worst is None else worst[1]
+
+
 def is_admissible(w):
     """Column admissibility: for every i with i and bar-i both present,
     #(letters below i) + #(letters above bar-i) < i - 1."""
-    s = set(w)
-    for x in w:
-        if x > 0 and -x in s:
-            below = sum(1 for c in w if prec(c, x))
-            above = sum(1 for c in w if prec(-x, c))
-            if below + above >= x - 1:
-                return False
-    return True
+    return _worst_pair(w) is None
 
 
 def red(w):
-    """Reduce to an admissible word by deleting offending (i, bar-i) pairs.
-
-    At each step the pair with the largest score (count excess over i) is
-    deleted, smallest i winning ties.
-    """
+    """Reduce to an admissible word by deleting offending (i, bar-i) pairs,
+    the worst first (_worst_pair) until none is left."""
     w = sort_word(w)
-    while True:
-        s = set(w)
-        best = None
-        for x in sorted(c for c in w if c > 0 and -c in s):
-            below = sum(1 for c in w if prec(c, x))
-            above = sum(1 for c in w if prec(-x, c))
-            score = below + above - x
-            if score >= -1 and (best is None or score > best[0]):
-                best = (score, x)
-        if best is None:
-            return w
-        x = best[1]
+    while (x := _worst_pair(w)) is not None:
         w = tuple(c for c in w if c not in (x, -x))
+    return w
 
 
 def unred(w, r):

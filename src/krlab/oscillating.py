@@ -27,6 +27,7 @@ from .kr_column import (
 from .kr_row import RowKR, eps0
 from .letters import red, sort_word
 from .partitions import (
+    added_cell,
     get,
     horizontal_strips_above,
     horizontal_strips_below,
@@ -177,8 +178,11 @@ def _live(kind, shape, weight, two_g):
     have length r - 1).  At the root it also rejects an empty weight with
     a nonempty shape.  The last strip's two ends are inner and shape, so
     its strips come from _strips_between, which lists no strip ending
-    elsewhere.
+    elsewhere.  An unknown kind raises ValueError.
     """
+    if kind not in (SSOT, GSSOT, SSROT):
+        raise ValueError(kind)
+    shape = norm(shape)
     parity = kind != GSSOT
     target = size(shape)
     if any(w < 0 for w in weight) or _dead(target, sum(weight), parity):
@@ -222,10 +226,7 @@ def enumerate_chains(kind, shape, weight, two_g=None):
     in a deterministic order, outermost strip choices lexicographic.  A
     depth-first search over _live's table, so every branch reaches shape.
     """
-    shape = norm(shape)
     weight = tuple(weight)
-    if kind not in (SSOT, GSSOT, SSROT):
-        raise ValueError(kind)
     live = _live(kind, shape, weight, two_g)
     if live is None:
         return []
@@ -252,10 +253,7 @@ def count_chains(kind, shape, weight, two_g=None):
     over its strips of their outer node's count (1 at the last position).
     The table holds each node after its subtree, so one pass in its order
     finds every count it adds."""
-    shape = norm(shape)
     weight = tuple(weight)
-    if kind not in (SSOT, GSSOT, SSROT):
-        raise ValueError(kind)
     live = _live(kind, shape, weight, two_g)
     if live is None:
         return 0
@@ -285,7 +283,6 @@ def energy_counts(kind, shape, weight, two_g):
     subtracted once at the end.
     """
     col_kind = COL_KIND[kind]
-    shape = norm(shape)
     weight = tuple(weight)
     live = _live(kind, shape, weight, two_g)
     if live is None:
@@ -469,28 +466,16 @@ def hw_row_elements(kind, mu, lam, two_g=None):
 
 
 def std(strip):
-    """Standardization: the one-cell-at-a-time shape path of an ohs."""
-    inner, mid, outer = strip
-    word = cind(strip)
-    seq = [norm(inner)]
-    cur = list(inner) + [0]
-    for x in word:
-        if x > 0:
-            col = x
-            i = 0
-            while get(tuple(cur), i) >= col:
-                i += 1
-            if len(cur) <= i:
-                cur.extend([0] * (i + 1 - len(cur)))
-            cur[i] += 1
-        else:
-            col = -x
-            i = len(cur) - 1
-            while i >= 0 and get(tuple(cur), i) < col:
-                i -= 1
-            cur[i] -= 1
-        seq.append(norm(tuple(cur)))
-    assert seq[-1] == norm(outer)
+    """Standardization: the one-cell-at-a-time shape path of an ohs, each
+    letter of cind(strip) adding (unbarred) or removing (barred) a cell."""
+    seq = [norm(strip[0])]
+    for x in cind(strip):
+        nxt = _add_in_column(seq[-1], x) if x > 0 else _remove_in_column(seq[-1], -x)
+        if nxt is None:
+            raise ValueError("no cell to move in column %d" % abs(x))
+        seq.append(nxt)
+    if seq[-1] != norm(strip[2]):
+        raise ValueError("standardization did not end at the outer shape")
     return tuple(seq)
 
 
@@ -511,39 +496,28 @@ def fg_step(mu, lam, zeta):
         raise ValueError("zeta/mu must be a horizontal strip")
     dsz = size(lam) - size(mu)
     if dsz == 1:
-        a = _changed_column(lam, mu)
-        for b in range(a, 0, -1):
-            eta = _add_in_column(zeta, b)
-            if eta is not None:
-                if not is_horizontal_strip(eta, lam):
-                    raise ValueError("growth step left the strip family")
-                return eta
-        raise ValueError("no growth column found")
-    if dsz == -1:
-        a = _changed_column(mu, lam)
-        for b in range(a, get(zeta, 0) + 1):
-            eta = _remove_in_column(zeta, b)
-            if eta is not None:
-                if not is_horizontal_strip(eta, lam):
-                    raise ValueError("growth step left the strip family")
-                return eta
-        raise ValueError("no shrink column found")
-    raise ValueError("shapes must differ by one cell")
-
-
-def _changed_column(big, small):
-    for i in range(len(big)):
-        if get(big, i) != get(small, i):
-            return get(big, i)
-    raise ValueError("equal shapes")
+        columns = range(added_cell(lam, mu)[1] + 1, 0, -1)
+        move, missing = _add_in_column, "no growth column found"
+    elif dsz == -1:
+        columns = range(added_cell(mu, lam)[1] + 1, get(zeta, 0) + 1)
+        move, missing = _remove_in_column, "no shrink column found"
+    else:
+        raise ValueError("shapes must differ by one cell")
+    for b in columns:
+        eta = move(zeta, b)
+        if eta is not None:
+            if not is_horizontal_strip(eta, lam):
+                raise ValueError("growth step left the strip family")
+            return eta
+    raise ValueError(missing)
 
 
 def _add_in_column(zeta, col):
     out = list(zeta) + [0]
-    for i in range(len(out)):
-        if get(tuple(out), i) == col - 1 and (i == 0 or out[i - 1] >= col):
+    for i, part in enumerate(out):
+        if part == col - 1 and (i == 0 or out[i - 1] >= col):
             out[i] += 1
-            return norm(tuple(out))
+            return norm(out)
     return None
 
 
@@ -552,7 +526,7 @@ def _remove_in_column(zeta, col):
     for i in range(len(out) - 1, -1, -1):
         if out[i] == col and (i == len(out) - 1 or out[i + 1] < col):
             out[i] -= 1
-            return norm(tuple(out))
+            return norm(out)
     return None
 
 
@@ -698,11 +672,11 @@ def _reverse_fg(path, final):
         lam = out[0]
         dsz = size(eta) - size(zeta)
         if dsz == 1:
-            a = _changed_column(eta, zeta)
+            a = added_cell(eta, zeta)[1] + 1
             candidates = range(a, get(lam, 0) + 1)
             move = _remove_in_column
         elif dsz == -1:
-            a = _changed_column(zeta, eta)
+            a = added_cell(zeta, eta)[1] + 1
             candidates = range(a, 0, -1)
             move = _add_in_column
         else:

@@ -52,6 +52,15 @@ def is_horizontal_strip(lam, mu):
     return all(get(lam, i + 1) <= get(mu, i) for i in range(len(lam)))
 
 
+def added_cell(big, small):
+    """The cell (row, column), both 0-based, that big has and small lacks,
+    for shapes one cell apart: the first row where they differ."""
+    for r, part in enumerate(big):
+        if part != get(small, r):
+            return r, part - 1
+    raise ValueError("equal shapes")
+
+
 def dominates(lam, mu):
     """lam >= mu in dominance order (equal sizes assumed)."""
     s = t = 0

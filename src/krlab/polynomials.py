@@ -44,6 +44,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.c == ({} if other == 0 else {(0,) * self.nvars: other})
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.nvars == other.nvars and self.c == other.c
 
     def __hash__(self):

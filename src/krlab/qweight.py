@@ -218,7 +218,8 @@ def _count(roots, tables, values, idx, v):
     return acc
 
 
-def _check_pair(lie_type, n, lam, mu):
+def check_pair(lie_type, n, lam, mu):
+    """Raise ValueError unless lam and mu have length n and one spin parity."""
     if len(lam) != n or len(mu) != n:
         raise ValueError("weights must have length n")
     if is_spin(lam) != is_spin(mu):
@@ -268,7 +269,7 @@ def _signed_walk(i, free, acc, par, sgn, beta, lam_rho, target, signs, type_d, o
 
 
 def _alternating_sum(lie_type, n, lam, mu, tag, group):
-    _check_pair(lie_type, n, lam, mu)
+    check_pair(lie_type, n, lam, mu)
     out = Poly.zero(2 if tag == L_QT_B else 1)
     for beta, det in weyl_terms(lie_type, n, lam, mu, group):
         term = q_kostant(lie_type, n, beta, tag)

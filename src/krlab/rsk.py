@@ -8,11 +8,12 @@ and pairwise distinct entries.  Column insertion and deletion are row
 insertion and deletion on the transposed tableau.
 """
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .crystal import ctx_D, hw, word_weight
 from .letters import key
-from .partitions import norm
+from .partitions import added_cell, norm
 
 
 def tab_shape(t):
@@ -33,25 +34,24 @@ def is_distinct_tableau(t):
     return all(len(a) >= len(b) for a, b in zip(t, t[1:]))
 
 
+def _bump(row, x):
+    """Row-insert x into one weakly increasing row, a list, in place: the
+    0-based column x lands in and the entry it bumps, or None."""
+    c = bisect_right(row, x)
+    bumped = row[c] if c < len(row) else None
+    row[c:c + 1] = [x]
+    return c, bumped
+
+
 def row_insert(t, x):
     """(T <- x): bump the leftmost larger entry down the rows."""
     rows = [list(r) for r in t]
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
+    for row in rows:
+        x = _bump(row, x)[1]
+        if x is None:
             break
-        row = rows[r]
-        pos = None
-        for c, v in enumerate(row):
-            if v > x:
-                pos = c
-                break
-        if pos is None:
-            row.append(x)
-            break
-        row[pos], x = x, row[pos]
-        r += 1
+    else:
+        rows.append([x])
     return tuple(tuple(r) for r in rows)
 
 
@@ -77,14 +77,9 @@ def row_delete(t, cell):
     y = rows[r].pop(c)
     if not rows[r]:
         rows.pop(r)
-    for rr in range(r - 1, -1, -1):
-        row = rows[rr]
-        pos = None
-        for i in range(len(row) - 1, -1, -1):
-            if row[i] < y:
-                pos = i
-                break
-        if pos is None:
+    for row in reversed(rows[:r]):
+        pos = bisect_left(row, y) - 1  # the rightmost entry smaller than y
+        if pos < 0:
             raise ValueError("deletion path broke")
         row[pos], y = y, row[pos]
     return tuple(tuple(x) for x in rows), y
@@ -160,13 +155,9 @@ def burge(cols):
             t = column_insert(i, t)
         else:
             t2 = column_insert(i, t)
-            cell = _new_cell(t, t2)
+            cell = added_cell(tab_shape(t2), tab_shape(t))
             t = _add_cell_below(t2, cell[1] + 1, j)
     return t
-
-
-def _new_cell(old, new):
-    return _diff_cell(tab_shape(new), tab_shape(old))
 
 
 def _add_cell_below(t, col, val):
@@ -207,36 +198,23 @@ def truncate(t, k):
     return tuple(tuple(row[:k]) for row in t if row[:k])
 
 
+def _first_row(word):
+    """Yield per letter _bump's column (1-based) and bumped entry in the first
+    row of row insertion, which changes independently of the rows below it."""
+    row = []
+    for x in word:
+        c, bumped = _bump(row, x)
+        yield c + 1, bumped
+
+
 def second(word):
     """Letters bumped out of the first row while row-inserting the word."""
-    out = []
-    t = ()
-    for x in word:
-        if t and any(v > x for v in t[0]):
-            out.append(min(v for v in t[0] if v > x))
-        t = row_insert(t, x)
-    return tuple(out)
-
-
-def _first_row_columns(word):
-    """For each letter, the first-row column (1-based) it lands in."""
-    t = ()
-    out = []
-    for x in word:
-        row = t[0] if t else ()
-        pos = len(row)
-        for i, v in enumerate(row):
-            if v > x:
-                pos = i
-                break
-        out.append(pos + 1)
-        t = row_insert(t, x)
-    return out
+    return tuple(b for _, b in _first_row(word) if b is not None)
 
 
 def lseq(word):
     """The recursive left subsequence through the first-row columns."""
-    cols = _first_row_columns(word)
+    cols = [c for c, _ in _first_row(word)]
     ell = cols[-1]
     idx = [None] * (ell + 1)
     idx[ell] = len(word) - 1
@@ -265,25 +243,18 @@ def phi_bc_stage1(chain):
     for j, cur in enumerate(chain[1:], start=1):
         cur = norm(cur)
         if sum(cur) == sum(prev) + 1:
-            cell = _diff_cell(cur, prev)
+            cell = added_cell(cur, prev)
             t = _place(t, cell, j)
         elif cur == prev:
             cols.append((j, j))
         elif sum(cur) == sum(prev) - 1:
-            cell = _diff_cell(prev, cur)
+            cell = added_cell(prev, cur)
             t, x = row_delete(t, cell)
             cols.append((j, x))
         else:
             raise ValueError("steps must move at most one cell")
         prev = cur
     return t, tuple(cols)
-
-
-def _diff_cell(big, small):
-    for r in range(len(big)):
-        if r >= len(small) or big[r] != small[r]:
-            return (r, big[r] - 1)
-    raise ValueError("equal shapes")
 
 
 def _place(t, cell, val):
@@ -312,7 +283,7 @@ def phi_bc(chain):
     q = {}
     for x in word:
         p2 = row_insert(p, x)
-        cell = _new_cell(p, p2)
+        cell = added_cell(tab_shape(p2), tab_shape(p))
         q[cell] = col_of[x]
         p = p2
     return p, q

@@ -47,6 +47,7 @@ from krlab.qweight import (
 from krlab.roots import (
     apply_w,
     is_dominant,
+    is_spin,
     positive_roots,
     reflection_length,
     rho,
@@ -663,11 +664,33 @@ def test_char_coeff_matches_character():
         assert character(lie_type, n, lam_d) == ch
         box = range(-abs(lam_d[0]) - 2, abs(lam_d[0]) + 3)
         for mu in itertools.product(box, repeat=n):
-            assert char_coeff(lie_type, n, lam_d, mu) == ch.coeff(mu), (lie_type, lam_d, mu)
             triples += 1
+            if is_spin(mu) != is_spin(lam_d):
+                # no weight of lam_d has the other parity; char_coeff refuses it, as the oracle does
+                assert ch.coeff(mu) == 0
+                continue
+            assert char_coeff(lie_type, n, lam_d, mu) == ch.coeff(mu), (lie_type, lam_d, mu)
+        with pytest.raises(ValueError, match="mixed spin parity"):
+            char_coeff(lie_type, n, lam_d, tuple(x + 1 for x in lam_d))
     assert triples == 237353
     with pytest.raises(ValueError, match="not dominant"):
         char_coeff("C", 2, (0, 2), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "lam, mu, message",
+    [
+        ((2, 0), (2,), "weights must have length n"),
+        ((2, 0), (2, 0, 0), "weights must have length n"),
+        ((2,), (2,), "weights must have length n"),
+        ((2, 0), (1, 1), "mixed spin parity"),
+        ((1, 1), (2, 0), "mixed spin parity"),
+    ],
+)
+def test_char_coeff_refuses_what_the_oracle_refuses(lam, mu, message):
+    for fn in (char_coeff, weight_multiplicity):
+        with pytest.raises(ValueError, match=message):
+            fn("C", 2, lam, mu)
 
 
 def test_e_poly():

@@ -47,6 +47,45 @@ def test_red_examples():
             assert red(w) == w
 
 
+def _is_admissible_reference(w):
+    s = set(w)
+    for x in w:
+        if x > 0 and -x in s:
+            below = sum(1 for c in w if prec(c, x))
+            above = sum(1 for c in w if prec(-x, c))
+            if below + above >= x - 1:
+                return False
+    return True
+
+
+def _red_reference(w):
+    """red with its own scoring loop: delete the pair of largest excess
+    below + above - i (at least -1), smallest i on ties, until none."""
+    w = sort_word(w)
+    while True:
+        s = set(w)
+        best = None
+        for x in sorted(c for c in w if c > 0 and -c in s):
+            below = sum(1 for c in w if prec(c, x))
+            above = sum(1 for c in w if prec(-x, c))
+            score = below + above - x
+            if score >= -1 and (best is None or score > best[0]):
+                best = (score, x)
+        if best is None:
+            return w
+        w = tuple(c for c in w if c not in (best[1], -best[1]))
+
+
+def test_admissible_and_red_match_reference():
+    total = 0
+    for length in range(11):
+        for w in strict_words(5, length):
+            assert is_admissible(w) == _is_admissible_reference(w), w
+            assert red(w) == _red_reference(w), w
+            total += 1
+    assert total == 2 ** 10
+
+
 def test_unred():
     assert unred((), 0) == ()
     assert unred((), 1) == (1, -1)

@@ -87,6 +87,43 @@ def test_cind_rows_match_conjugate_reference():
     assert cind(((2, 1, 0), (3, 2, 0, 0), (3, 0))) == (2, 3, -2, -1)
 
 
+def _std_reference(strip):
+    """std by its own cell moves: an unbarred letter grows the first row
+    shorter than its column, a barred one shrinks the last row reaching
+    its column."""
+    inner, mid, outer = strip
+    seq = [norm(inner)]
+    cur = list(inner) + [0]
+    for x in cind(strip):
+        if x > 0:
+            i = 0
+            while get(tuple(cur), i) >= x:
+                i += 1
+            if len(cur) <= i:
+                cur.extend([0] * (i + 1 - len(cur)))
+            cur[i] += 1
+        else:
+            i = len(cur) - 1
+            while i >= 0 and get(tuple(cur), i) < -x:
+                i -= 1
+            cur[i] -= 1
+        seq.append(norm(tuple(cur)))
+    assert seq[-1] == norm(outer)
+    return tuple(seq)
+
+
+def test_std_matches_reference():
+    total = 0
+    for inner in partitions_upto(5):
+        for r in range(6):
+            for strip in osc._strips_from(inner, r, SSOT, None):
+                assert std(strip) == _std_reference(strip), strip
+                total += 1
+    assert total == 1400
+    with pytest.raises(ValueError, match="outer shape"):
+        std(((1,), (1,), (2,)))
+
+
 def test_enumerate_worked_examples():
     lam, mu, g = (1, 1, 0, 0), (0, 0, 0, 0), 1
     chains = enumerate_chains(SSOT, norm(oc(lam, g)), oc_bar(mu, g), two_g=2 * g)

@@ -58,3 +58,12 @@ def test_variable_count_mismatch_raises():
             bad()
     assert qt.shift((1, 0)) == Poly(2, {(2, 1): 1})
     assert q * 3 == 3 * q == Poly(1, {(1,): 3})
+
+
+def test_equality_with_other_types():
+    p = Poly(1, {(1,): 1})
+    assert not p == None  # noqa: E711
+    assert p != None  # noqa: E711
+    assert p != "q" and p != (1,)
+    assert None in [None, p] and p in [None, p]
+    assert Poly.one(1) == 1 and Poly.zero(1) == 0

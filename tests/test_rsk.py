@@ -193,6 +193,41 @@ def test_second_lseq():
     assert second((1, 2, 3)) == ()
 
 
+def _second_reference(word):
+    """second by full row insertion: the least first-row entry above each
+    letter, watched on the whole tableau."""
+    out = []
+    t = ()
+    for x in word:
+        if t and any(v > x for v in t[0]):
+            out.append(min(v for v in t[0] if v > x))
+        t = row_insert(t, x)
+    return tuple(out)
+
+
+def _lseq_reference(word):
+    """lseq with the first-row columns read off full row insertion."""
+    t = ()
+    cols = []
+    for x in word:
+        row = t[0] if t else ()
+        cols.append(next((i for i, v in enumerate(row) if v > x), len(row)) + 1)
+        t = row_insert(t, x)
+    ell = cols[-1]
+    idx = [None] * (ell + 1)
+    idx[ell] = len(word) - 1
+    for k in range(ell, 1, -1):
+        idx[k - 1] = next(i for i in range(idx[k]) if word[i] < word[idx[k]] and cols[i] == k - 1)
+    return tuple(word[idx[k]] for k in range(1, ell + 1))
+
+
+def test_second_lseq_match_reference():
+    for n in range(1, 8):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert second(w) == _second_reference(w), w
+            assert lseq(w) == _lseq_reference(w), w
+
+
 def test_phi_bc_worked_example():
     # the nine-step chain with one stall and two shrinks; the shrink at step
     # seven row-deletes the corner and pops the displaced first-row entry
