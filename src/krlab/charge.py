@@ -7,51 +7,35 @@ from .partitions import contains, get, horizontal_strips_above, is_partition, no
 from .polynomials import Poly
 
 
-def charge_standard(word):
-    """Charge of a word containing each of 1..m exactly once."""
-    pos = {v: i for i, v in enumerate(word)}
-    idx = 0
-    total = 0
-    for v in range(2, len(word) + 1):
-        if pos[v] > pos[v - 1]:
-            idx += 1
-        total += idx
-    return total
-
-
 def charge(word):
-    """Charge of a word with partition content, by standard-subword extraction.
+    """Charge of a word with partition content, in one cyclic scan per
+    standard subword.
 
     Scan right to left cyclically: take the first 1, then the first 2 to the
-    left of it, and so on; each extracted subword is standard and contributes
-    its own charge.
+    left of it, and so on, and remove the subword taken.  A letter found
+    only after wrapping round has index one more than the letter before it
+    (1 has index 0); the charge is the sum of the indices of all letters.
+    The content is checked once: taking one of each letter 1..m keeps it a
+    partition, so every scan finds its letter.
     """
     word = list(word)
+    content = [word.count(v) for v in range(1, max(word, default=0) + 1)]
+    if sum(content) != len(word) or 0 in content or content != sorted(content, reverse=True):
+        raise ValueError("content must be a partition")
     total = 0
     while word:
-        m = max(word)
-        content = [word.count(v) for v in range(1, m + 1)]
-        if min(content) <= 0 or any(a < b for a, b in zip(content, content[1:])):
-            raise ValueError("content must be a partition")
         picked = set()
-        order = []
-        i = len(word) - 1
-        need = 1
-        scanned = 0
-        while need <= m:
-            if word[i] == need and i not in picked:
-                picked.add(i)
-                order.append(i)
-                need += 1
-                scanned = 0
-            i = i - 1 if i > 0 else len(word) - 1
-            scanned += 1
-            if scanned > 2 * len(word) + 2:
-                raise ValueError("extraction failed")
-        sub = [word[j] for j in sorted(picked)]
-        total += charge_standard(sub)
-        for j in sorted(picked, reverse=True):
-            word.pop(j)
+        pos = len(word)
+        idx = 0
+        for need in range(1, max(word) + 1):
+            left = [j for j in range(pos) if word[j] == need]
+            if not left:  # wrap round to the right end
+                idx += 1
+                left = [j for j in range(pos, len(word)) if word[j] == need]
+            pos = left[-1]
+            picked.add(pos)
+            total += idx
+        word = [x for j, x in enumerate(word) if j not in picked]
     return total
 
 

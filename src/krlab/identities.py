@@ -15,7 +15,7 @@ from .characters import (
     twisted_branching,
 )
 from .charge import kostka_foulkes, kostka_foulkes_sum
-from .kr_column import BOX, HDOM, VDOM
+from .kr_column import BOX, HDOM, VDOM, qt_exponents
 from .kr_column import vac_qt_energy  # noqa: F401  bench/tracing.py wraps this name here
 from . import oscillating
 from .kr_row import energy_row
@@ -88,12 +88,8 @@ def thm_c_rhs(lam, mu, n, g):
 def thm_b_rhs(lam, mu, n, g):
     """q,t-energy generating function over generalized chains for type B
     spin weights: q^{(D - vac)/2} t^{vac} per chain."""
-    counts = {}
-    for (d, v), c in _chain_energies(GSSOT, lam, mu, n, g).items():
-        if (d - v) % 2:
-            raise ValueError("odd energy-vacancy gap")
-        counts[((d - v) // 2, v)] = c
-    return Poly(2, counts)
+    counts = _chain_energies(GSSOT, lam, mu, n, g)
+    return Poly(2, {qt_exponents(d, v): c for (d, v), c in counts.items()})
 
 
 def rohs_bounded_len(lam, r, max_len):

@@ -216,14 +216,18 @@ def r_matrix_col(u: ColumnKR, c):
 def split_factor(u: ColumnKR):
     """The one-column splitting S-hat into a chain of letters, built once
     per factor."""
-    w = u.word
-    pad = u.cap - len(w)
-    chain = list(reversed(w))
-    if u.kind == BOX:
-        chain.extend([EMPTY] * pad)
-    else:
-        chain.extend([-1, 1] * (pad // 2))
-    return tuple(chain)
+    return tuple(reversed(u.word)) + _padding(u.kind, u.cap - len(u.word))
+
+
+def _padding(kind, boxes):
+    """The letters a splitting chain of the given kind fills `boxes` boxes
+    with: one EMPTY per box for the single-box kind, one bar1 (x) 1 pair per
+    two boxes for the vertical-domino kind."""
+    if kind == BOX:
+        return (EMPTY,) * boxes
+    if boxes < 0 or boxes % 2:
+        raise ValueError("a vertical-domino pad needs an even number of boxes, not %d" % boxes)
+    return (-1, 1) * (boxes // 2)
 
 
 def split_step(chain, u, r_matrix, split):
@@ -333,16 +337,20 @@ def vac(factors):
     return sum(f.vacancy() for f in factors)
 
 
+def qt_exponents(d, v):
+    """The exponents ((D - vac)/2, vac) of the q,t-energy monomial of energy
+    D and vacancy vac."""
+    if (d - v) % 2:
+        raise ValueError("odd energy-vacancy gap")
+    return (d - v) // 2, v
+
+
 def vac_qt_energy(factors):
     """q,t-energy monomial q^{(D - vac)/2} t^{vac} for single-box tensors."""
     factors = tuple(factors)
     if any(f.kind != BOX for f in factors):
         raise ValueError("q,t-energy is defined for the single-box kind")
-    d = energy_col(factors)
-    v = vac(factors)
-    if (d - v) % 2:
-        raise ValueError("odd energy-vacancy gap")
-    return Poly.mono(((d - v) // 2, v))
+    return Poly.mono(qt_exponents(energy_col(factors), vac(factors)))
 
 
 def iota_factor(u: ColumnKR):
@@ -355,11 +363,17 @@ def iota_col(factors):
     return tuple(iota_factor(f) for f in factors)
 
 
-def _tol_word(word, n):
-    """Largest t <= n - k with [1..k+t | rest of word] still admissible."""
+def _ones_prefix(word):
+    """The k with word = [1..k | rest] and rest not starting with k + 1."""
     k = 0
     while k < len(word) and word[k] == k + 1:
         k += 1
+    return k
+
+
+def _tol_word(word, n):
+    """Largest t <= n - k with [1..k+t | rest of word] still admissible."""
+    k = _ones_prefix(word)
     rest = word[k:]
     best = 0
     for t in range(0, n - k + 1):
@@ -388,9 +402,7 @@ def split_image_hw(u: ColumnKR, uprime: ColumnKR):
         raise ValueError("not a classical highest weight pair")
     # parse u = [1..k | n+1..p | bar p..bar q] with p >= n >= k
     n = len(uprime.word)
-    k = 0
-    while k < min(len(u.word), n) and u.word[k] == k + 1:
-        k += 1
+    k = _ones_prefix(u.word[:n])
     mid = [x for x in u.word[k:] if x > 0]
     barred = sorted((-x for x in u.word if x < 0))
     p = mid[-1] if mid else (barred[-1] if barred else n)
@@ -405,22 +417,16 @@ def split_image_hw(u: ColumnKR, uprime: ColumnKR):
     nbar = p - q + 1
 
     def assemble(pp, middle):
-        chain = list(range(k, 0, -1)) + middle
-        chain += [-x for x in range(q, pp + 1)]
-        chain += list(range(pp, 0, -1))
-        pad = a + b - len(chain)
-        if u.kind == BOX:
-            chain += [EMPTY] * pad
-        else:
-            assert pad % 2 == 0 and pad >= 0
-            chain += [-1, 1] * (pad // 2)
-        return tuple(chain)
+        chain = tuple(range(k, 0, -1)) + middle
+        chain += tuple(-x for x in range(q, pp + 1))
+        chain += tuple(range(pp, 0, -1))
+        return chain + _padding(u.kind, a + b - len(chain))
 
     if u.kind == BOX:
-        return assemble(p, [EMPTY] * midd)
+        return assemble(p, _padding(BOX, midd))
 
     half = midd // 2
-    middle = [-1, 1] * half
+    middle = _padding(VDOM, 2 * half)
     if nbar % 2 == 1 and tol == 2 * half:
         return assemble(p - 1, middle)
     if nbar % 2 == 0:

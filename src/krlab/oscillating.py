@@ -51,6 +51,14 @@ def strip_len(strip):
     return 2 * size(mid) - size(inner) - size(outer)
 
 
+def _weight(chain, weight, sign=1):
+    """weight, or when it is None the strip lengths of chain, times sign:
+    strip_len measures an ohs, and an rohs has the negated length."""
+    if weight is None:
+        return tuple(sign * strip_len(s) for s in chain)
+    return weight
+
+
 def check_ohs(strip):
     inner, mid, outer = strip
     return is_horizontal_strip(mid, inner) and is_horizontal_strip(mid, outer)
@@ -347,32 +355,18 @@ def rind_rohs(strip):
     return sort_word(word)
 
 
-def _counts(word):
-    up = {}
-    down = {}
-    for x in word:
-        if x > 0:
-            up[x] = up.get(x, 0) + 1
-        else:
-            down[-x] = down.get(-x, 0) + 1
-    return up, down
-
-
 def gamma(strip):
     """The pair-cancelling bijection from an ohs to an rohs.
 
     Every matched (i, bar-i) pair slides down one row; pairs in row one
-    disappear.
+    disappear.  Row i of rind_ohs has mid_i - max(inner_i, outer_i) pairs,
+    so zeta_i = min(inner_i, outer_i) less the pairs of row i + 1.
     """
+    if not check_ohs(strip):
+        raise ValueError("gamma needs an ohs")
     inner, mid, outer = strip
-    up, down = _counts(rind_ohs(strip))
-    top = max(len(mid), 1)
-    k = {i: min(up.get(i, 0), down.get(i, 0)) for i in range(1, top + 2)}
-    zeta = []
-    for i in range(1, top + 1):
-        b_bar = down.get(i, 0) - k.get(i, 0) + k.get(i + 1, 0)
-        zeta.append(get(inner, i - 1) - b_bar)
-    zeta = norm(tuple(zeta))
+    pairs = [get(mid, i) - max(get(inner, i), get(outer, i)) for i in range(1, len(mid) + 1)]
+    zeta = norm(tuple(min(get(inner, i), get(outer, i)) - pairs[i] for i in range(len(mid))))
     out = (inner, zeta, outer)
     if not check_rohs(out):
         raise ValueError("gamma produced an invalid rohs")
@@ -380,21 +374,17 @@ def gamma(strip):
 
 
 def gamma_inv(strip, r):
-    """Inverse of gamma onto ohs strips of length r."""
+    """Inverse of gamma onto ohs strips of length r: the min(inner_i,
+    outer_i) - zeta_i pairs of row i of rind_rohs rise to row i + 1, and the
+    (r - |inner| - |outer| + 2|zeta|) / 2 new pairs go to row one."""
+    if not check_rohs(strip):
+        raise ValueError("gamma_inv needs an rohs")
     inner, zeta, outer = strip
-    word = rind_rohs(strip)
-    up, down = _counts(word)
-    top = max(len(inner), len(outer), len(zeta), 1)
-    m = {i: min(up.get(i, 0), down.get(i, 0)) for i in range(1, top + 2)}
-    k2 = r - len(word)
+    k2 = r - size(inner) - size(outer) + 2 * size(zeta)
     if k2 < 0 or k2 % 2:
         raise ValueError("length mismatch")
-    k = k2 // 2
-    mid = []
-    for i in range(1, top + 2):
-        a_up = up.get(i, 0) - m.get(i, 0) + (m.get(i - 1, 0) if i > 1 else k)
-        mid.append(get(inner, i - 1) + a_up)
-    mid = norm(tuple(mid))
+    pairs = [k2 // 2] + [min(get(inner, i), get(outer, i)) - get(zeta, i) for i in range(len(inner))]
+    mid = norm(tuple(max(get(inner, i), get(outer, i)) + pairs[i] for i in range(len(pairs))))
     out = (inner, mid, outer)
     if not check_ohs(out) or strip_len(out) != r:
         raise ValueError("gamma_inv produced an invalid ohs")
@@ -410,8 +400,7 @@ def _col_factor(col_kind, cap, strip):
 def phi_c(chain, kind=SSOT, weight=None):
     """Column-index image: a classical highest weight tensor of ColumnKR
     factors, last strip leftmost."""
-    if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
+    weight = _weight(chain, weight)
     return tuple(
         _col_factor(COL_KIND[kind], cap, strip)
         for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
@@ -428,10 +417,7 @@ def _row_factor(kind, cap, strip):
 
 def phi_r(chain, kind, weight=None):
     """Row-index image into the row crystals, last strip leftmost."""
-    if weight is None:
-        # strip_len measures an ohs; an rohs has the negated length
-        sign = -1 if kind == SSROT else 1
-        weight = tuple(sign * strip_len(s) for s in chain)
+    weight = _weight(chain, weight, -1 if kind == SSROT else 1)
     return tuple(
         _row_factor(kind, cap, strip)
         for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
@@ -555,15 +541,23 @@ def _chain_from_path(first_strip, path, lengths):
 
 
 def _glued_std(chain_tail):
+    """The standardizations of consecutive strips glued into one path."""
     full = []
     for s in chain_tail:
         block = std(s)
-        if full:
-            assert full[-1] == block[0]
-            full.extend(block[1:])
-        else:
-            full.extend(block)
+        if full and full[-1] != block[0]:
+            raise ValueError("a strip does not start where the previous one ended")
+        full.extend(block[1:] if full else block)
     return full
+
+
+def _first_strip(length, outer):
+    """The one-row first strip ((), (v,), outer) of a widened or narrowed
+    chain, of the given length."""
+    first = ((), norm(((length + get(outer, 0)) // 2,)), norm(outer))
+    if strip_len(first) != length:
+        raise ValueError("no first strip of length %d ends at %r" % (length, outer))
+    return first
 
 
 def aug(chain, r, weight=None):
@@ -572,15 +566,11 @@ def aug(chain, r, weight=None):
     Computed by the growth rule on the glued standardizations; the result
     has weight (mu_1 + r, mu_2, ...).
     """
-    if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
+    weight = _weight(chain, weight)
     if r == 0:
         return tuple(chain)
     k = get(chain[0][2], 0)
-    mu1 = weight[0]
-    v = (mu1 + r + k + r) // 2
-    first = ((), norm((v,)), norm((k + r,)))
-    assert strip_len(first) == mu1 + r
+    first = _first_strip(weight[0] + r, (k + r,))
     full = _glued_std(chain[1:])
     if not full:
         return (first,)
@@ -592,12 +582,11 @@ def aug(chain, r, weight=None):
 def aug_via_hw(chain, r, kind=SSOT, weight=None):
     """Cross-check value of aug through the crystal: widen the rightmost
     tensor factor and take the classical highest weight element."""
-    if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
-    factors = list(phi_c(chain, kind, weight))
+    factors = list(phi_c(chain, kind, _weight(chain, weight)))
     last = factors[-1]
     k = len(last.word)
-    assert last.word == tuple(range(1, k + 1))
+    if last.word != tuple(range(1, k + 1)):
+        raise ValueError("the last factor %s is not 1..%d" % (last, k))
     factors[-1] = ColumnKR(last.kind, last.cap + r, tuple(range(1, k + r + 1)))
     return hw(tuple(factors))
 
@@ -607,8 +596,7 @@ def deaug_last_row(chain, weight=None):
 
     Strip i loses lam_n cells from its last relevant row.
     """
-    if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
+    weight = _weight(chain, weight)
     n = len(chain)
     lam = chain[-1][2]
     if len(norm(lam)) != n:
@@ -616,23 +604,9 @@ def deaug_last_row(chain, weight=None):
     ln = get(lam, n - 1)
     if ln == 0:
         return tuple(chain)
-    k = get(chain[0][2], 0)
-    mu1 = weight[0] - ln
-    v = (mu1 + k - ln) // 2
-    first = ((), norm((v,)), norm((k - ln,)))
-    if strip_len(first) != mu1:
-        raise ValueError("first strip length mismatch")
-    out = [first]
+    out = [_first_strip(weight[0] - ln, (get(chain[0][2], 0) - ln,))]
     for i in range(1, n):
-        inner, mid, outer = chain[i]
-        new_inner = tuple(get(inner, j) for j in range(i - 1)) + (
-            get(inner, i - 1) - ln,
-        )
-        new_mid = tuple(get(mid, j) for j in range(i)) + (get(mid, i) - ln,)
-        new_outer = tuple(get(outer, j) for j in range(i)) + (
-            get(outer, i) - ln,
-        )
-        strip = (norm(new_inner), norm(new_mid), norm(new_outer))
+        strip = _cut_rows(chain[i], (i, i + 1, i + 1), last=-ln)
         if not check_ohs(strip):
             raise ValueError("deaug produced an invalid strip")
         out.append(strip)
@@ -645,8 +619,7 @@ def reshape_aug(chain, r, new_shape, weight=None):
     r' = |tau| - |new_shape| where tau is the shape of Aug(T, r); the first
     strip length of T' follows from weight bookkeeping.
     """
-    if weight is None:
-        weight = tuple(strip_len(s) for s in chain)
+    weight = _weight(chain, weight)
     big = aug(chain, r, weight)
     tau = big[-1][2]
     new_shape = norm(new_shape)
@@ -655,11 +628,7 @@ def reshape_aug(chain, r, new_shape, weight=None):
     if not path:
         raise ValueError("nothing to reshape")
     new_path = _reverse_fg(path, new_shape)
-    k_new = new_path[0]
-    v = (first_len + get(k_new, 0)) // 2
-    first = ((), norm((v,)), norm(k_new))
-    if strip_len(first) != first_len:
-        raise ValueError("reshape length mismatch")
+    first = _first_strip(first_len, new_path[0])
     lengths = tuple(strip_len(s) for s in big[1:])
     return _chain_from_path(first, new_path, lengths)
 
@@ -699,13 +668,16 @@ def _reverse_fg(path, final):
 
 def iota_chain(chain):
     """Shift a chain one column to the right, strip i moving by i cells."""
-    out = []
-    for i, (inner, mid, outer) in enumerate(chain, start=1):
-        ninner = tuple(get(inner, j) + 1 for j in range(i - 1))
-        nmid = tuple(get(mid, j) + 1 for j in range(i))
-        nouter = tuple(get(outer, j) + 1 for j in range(i))
-        out.append((norm(ninner), norm(nmid), norm(nouter)))
-    return tuple(out)
+    return tuple(_cut_rows(strip, (i - 1, i, i), shift=1) for i, strip in enumerate(chain, start=1))
+
+
+def _cut_rows(strip, rows, shift=0, last=0):
+    """The strip with each shape cut to its count in rows, every row kept
+    moved by shift and the last row kept by last more."""
+    return tuple(
+        norm(tuple(get(shape, j) + shift + (last if j == c - 1 else 0) for j in range(c)))
+        for shape, c in zip(strip, rows)
+    )
 
 
 def kappa_count(kind, lam, mu, r, two_g):

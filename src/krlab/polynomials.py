@@ -127,7 +127,8 @@ class Poly:
 
     def subs_t_q(self):
         """For a two-variable poly in (q,t), set t = q."""
-        assert self.nvars == 2
+        if self.nvars != 2:
+            raise ValueError("subs_t_q needs a polynomial in (q, t), not in %d variables" % self.nvars)
         out = {}
         for (a, b), v in self.c.items():
             k = (a + b,)

@@ -90,7 +90,8 @@ def rho(lie_type, n):
     for a in r:
         for i, x in enumerate(a):
             acc[i] += x
-    assert all(x % 2 == 0 for x in acc)
+    if any(x % 2 for x in acc):
+        raise ValueError("the positive roots of %s%d do not sum to an even vector" % (lie_type, n))
     return tuple(x // 2 for x in acc)
 
 
@@ -188,5 +189,6 @@ def weyl_dimension(lie_type, n, lam):
     for a in positive_roots(lie_type, n):
         num *= inner(lam_rho, a)
         den *= inner(rho(lie_type, n), a)
-    assert num % den == 0
+    if num % den:
+        raise ValueError("%r is not an integral weight of %s%d" % (lam, lie_type, n))
     return num // den

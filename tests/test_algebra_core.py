@@ -29,7 +29,7 @@ from krlab.characters import (
     twisted_branching,
     twisted_branching_d,
 )
-from krlab import clear_caches, qweight
+from krlab import clear_caches, qweight, roots
 from krlab.charge import charge, kostka_foulkes, reading_word, ssyt
 from krlab.partitions import get, is_partition, norm, partitions, partitions_upto
 from krlab.polynomials import Poly, poly_str
@@ -68,6 +68,15 @@ def test_positive_roots_counts_and_rho():
     assert rho("C", 3) == (6, 4, 2)
     assert rho("B", 3) == (5, 3, 1)
     assert set(positive_roots("B", 2)) == {(2, -2), (2, 2), (2, 0), (0, 2)}
+
+
+def test_rho_and_weyl_dimension_refuse_non_integral_input(monkeypatch):
+    with pytest.raises(ValueError, match="not an integral weight of C1"):
+        weyl_dimension("C", 1, (1,))
+    # a root system whose positive roots sum to an odd vector has no rho
+    monkeypatch.setattr(roots, "positive_roots", lambda lie_type, n: [(1, 0), (0, 2)])
+    with pytest.raises(ValueError, match="do not sum to an even vector"):
+        rho.__wrapped__("C", 2)
 
 
 def test_unsupported_type():
@@ -453,6 +462,51 @@ def test_monotonicity_spot_check():
 def test_kostka_foulkes_values():
     assert kostka_foulkes((2, 1), (1, 1, 1)) == Poly(1, {(1,): 1, (2,): 1})
     assert kostka_foulkes((3, 1), (3, 1)) == Poly.one(1)
+
+
+def _charge_two_pass(word):
+    """Charge as it was computed before the one-scan form: extract each
+    standard subword by a cyclic scan, then find its letters again."""
+
+    def charge_standard(sub):
+        pos = {v: i for i, v in enumerate(sub)}
+        idx = total = 0
+        for v in range(2, len(sub) + 1):
+            if pos[v] > pos[v - 1]:
+                idx += 1
+            total += idx
+        return total
+
+    word = list(word)
+    total = 0
+    while word:
+        picked = []
+        i = len(word) - 1
+        for need in range(1, max(word) + 1):
+            while word[i] != need or i in picked:
+                i = i - 1 if i > 0 else len(word) - 1
+            picked.append(i)
+        total += charge_standard([word[j] for j in sorted(picked)])
+        word = [x for j, x in enumerate(word) if j not in picked]
+    return total
+
+
+def test_charge_matches_two_pass_reference():
+    words = 0
+    for m in range(1, 8):
+        for mu in partitions(m):
+            letters = [v for v, c in enumerate(mu, start=1) for _ in range(c)]
+            for word in set(itertools.permutations(letters)):
+                assert charge(word) == _charge_two_pass(word), word
+                words += 1
+    assert words == 13390
+    assert charge(()) == 0
+
+
+@pytest.mark.parametrize("word", [(2,), (1, 2, 2), (1, 3), (0, 1), (1, -1)])
+def test_charge_refuses_content_that_is_not_a_partition(word):
+    with pytest.raises(ValueError, match="content must be a partition"):
+        charge(word)
 
 
 def test_kostka_foulkes_matches_type_A_oracle():

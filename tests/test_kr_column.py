@@ -287,6 +287,20 @@ def test_qt_energy_examples():
     assert vac_qt_energy(full) == Poly.one(2)
 
 
+def test_qt_exponents_refuse_an_odd_gap():
+    assert kr_column.qt_exponents(5, 1) == (2, 1)
+    with pytest.raises(ValueError, match="odd energy-vacancy gap"):
+        kr_column.qt_exponents(4, 1)
+
+
+def test_padding_of_a_splitting_chain():
+    assert kr_column._padding(BOX, 2) == (EMPTY, EMPTY)
+    assert kr_column._padding(VDOM, 4) == (-1, 1, -1, 1)
+    for boxes in (3, -2):
+        with pytest.raises(ValueError, match="even number of boxes"):
+            kr_column._padding(VDOM, boxes)
+
+
 def test_vac_invariant_under_R():
     random.seed(9)
     pairs = [

@@ -316,6 +316,33 @@ def test_hw_rows_are_the_rows_of_ones():
                 assert hw_rows == ones, (kind, s, n)
 
 
+def test_target_index_has_one_target_per_key():
+    # so RMatrixTable.apply never needs its bfs_map fallback at these ranks
+    keys = 0
+    for kind in (BOX, HDOM, VDOM):
+        for s in (1, 2, 3, 4):
+            for n in (3, 4, 5):
+                index = RMatrixTable(kind, s, n)._target_index()
+                assert all(len(targets) == 1 for targets in index.values()), (kind, s, n)
+                keys += len(index)
+    assert keys == 240
+
+
+def test_level_pass_never_falls_back_to_bfs_map(monkeypatch):
+    calls = []
+    real = RMatrixTable.bfs_map
+
+    def counted(self):
+        calls.append((self.kind, self.s, self.n))
+        return real(self)
+
+    monkeypatch.setattr(RMatrixTable, "bfs_map", counted)
+    krlab.clear_caches()
+    assert all(run_task(task).equal for task in suite_tasks("level", 4, 3))
+    assert calls == []
+    krlab.clear_caches()
+
+
 def test_yang_baxter():
     # with R trivial on equal one-box factors the two routes coincide
     for kind in (BOX, HDOM, VDOM):

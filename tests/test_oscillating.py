@@ -371,6 +371,93 @@ def test_gamma_roundtrip_and_fixed_points():
     assert tested > 300
 
 
+def _letter_counts(word):
+    up, down = {}, {}
+    for x in word:
+        side = up if x > 0 else down
+        side[abs(x)] = side.get(abs(x), 0) + 1
+    return up, down
+
+
+def _gamma_by_counts(strip):
+    """gamma as it was computed before it read its rows off the shapes: by
+    re-counting the letters of rind_ohs."""
+    inner, mid, outer = strip
+    up, down = _letter_counts(rind_ohs(strip))
+    top = max(len(mid), 1)
+    k = {i: min(up.get(i, 0), down.get(i, 0)) for i in range(1, top + 2)}
+    zeta = [get(inner, i - 1) - (down.get(i, 0) - k[i] + k[i + 1]) for i in range(1, top + 1)]
+    return (inner, norm(tuple(zeta)), outer)
+
+
+def _gamma_inv_by_counts(strip, r):
+    """gamma_inv as it was computed before: by re-counting rind_rohs."""
+    inner, zeta, outer = strip
+    word = rind_rohs(strip)
+    up, down = _letter_counts(word)
+    top = max(len(inner), len(outer), len(zeta), 1)
+    m = {i: min(up.get(i, 0), down.get(i, 0)) for i in range(0, top + 2)}
+    if r < len(word) or (r - len(word)) % 2:
+        return None
+    m[0] = (r - len(word)) // 2
+    mid = [get(inner, i - 1) + up.get(i, 0) - m[i] + m[i - 1] for i in range(1, top + 2)]
+    out = (inner, norm(tuple(mid)), outer)
+    return out if osc.check_ohs(out) and strip_len(out) == r else None
+
+
+# every triple of shapes with parts <= 4 and at most 3 rows
+_BOX_SHAPES = partitions_upto(12, max_len=3, max_part=4)
+_TRIPLES = [(a, b, c) for a in _BOX_SHAPES for b in _BOX_SHAPES for c in _BOX_SHAPES]
+
+
+def test_gamma_matches_count_reference():
+    strips = {s for inner in partitions_upto(6, max_len=4) for r in range(5) for s in osc._strips_from(inner, r, SSOT, None)}
+    strips.update(t for t in _TRIPLES if osc.check_ohs(t))
+    for s in strips:
+        assert gamma(s) == _gamma_by_counts(s), s
+    assert len(strips) == 2462
+
+
+def test_gamma_inv_matches_count_reference():
+    tested = 0
+    for t in _TRIPLES:
+        if osc.check_rohs(t):
+            for r in range(6):
+                want = _gamma_inv_by_counts(t, r)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        gamma_inv(t, r)
+                else:
+                    assert gamma_inv(t, r) == want, (t, r)
+                    assert gamma(want) == t
+                    tested += 1
+    assert tested == 2209
+
+
+def _refusal(f, *args):
+    try:
+        f(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_gamma_and_gamma_inv_refuse_inputs_outside_their_domain():
+    non_ohs = non_rohs = 0
+    for t in _TRIPLES:
+        if not osc.check_ohs(t):
+            assert _refusal(gamma, t) == "gamma needs an ohs", t
+            non_ohs += 1
+        if not osc.check_rohs(t):
+            for r in range(6):
+                assert _refusal(gamma_inv, t, r) == "gamma_inv needs an rohs", (t, r)
+            non_rohs += 1
+    assert non_ohs == non_rohs == 41325
+    # both returned a value here before the domain check
+    assert _refusal(gamma, ((), (), (1,))) == "gamma needs an ohs"
+    assert _refusal(gamma_inv, ((1,), (2,), (1,)), 0) == "gamma_inv needs an rohs"
+
+
 def test_aug_worked_example():
     T = (((), (2,), (2,)), ((2,), (4,), (3,)), ((3,), (5,), (2,)))
     A = aug(T, 5)
@@ -450,9 +537,25 @@ def test_deaug_roundtrip_and_uniqueness():
             try:
                 if aug(cand, 1, small) == c:
                     preimages.append(cand)
-            except (ValueError, AssertionError):
+            except ValueError:
                 pass
         assert len(preimages) == 1, (c, preimages)
+
+
+def test_widening_refuses_bad_input():
+    chain = enumerate_chains(SSOT, (2, 1), (2, 1, 2))[0]
+    # a first strip of odd length + width has no one-row form
+    with pytest.raises(ValueError, match="no first strip of length 4"):
+        aug(chain, 1, (3, 1, 2))
+    with pytest.raises(ValueError, match="no first strip of length 2"):
+        deaug_last_row(enumerate_chains(SSOT, (2, 1, 1), (2, 2, 2))[0], (3, 2, 2))
+    # the second strip starts at (1,), where the first one does not end
+    broken = (((), (1,), (1,)), ((1,), (2,), (2,)), ((1,), (2,), (2,)))
+    with pytest.raises(ValueError, match="does not start where the previous one ended"):
+        aug(broken, 1)
+    # a first strip away from () gives a last factor other than 1..k
+    with pytest.raises(ValueError, match="is not 1..1"):
+        aug_via_hw((((1,), (2,), (2,)),), 1)
 
 
 def test_reshape_aug():

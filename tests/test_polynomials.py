@@ -33,6 +33,11 @@ def test_subs():
     assert qt.subs_all_one() == 2
 
 
+def test_subs_t_q_needs_two_variables():
+    with pytest.raises(ValueError, match="not in 1 variables"):
+        Poly(1, {(2,): 1}).subs_t_q()
+
+
 def test_laurent():
     x = Poly.mono((2, 0))
     y = Poly.mono((0, 2))
