@@ -152,7 +152,7 @@ def add_rohs_phi(i, strip, chain, lam, mu, n, g):
     lam, mu = pad(lam, n), pad(mu, n)
     li, zeta, nu = strip
     total = lam[i - 1] - mu[0] + 1 - i
-    r = strip_len(strip)
+    r = size(li) + size(nu) - 2 * size(zeta)  # the rohs length; strip_len measures an ohs
     m = (total - r) // 2
     mid = tuple(sorted(oc(zeta, g, n - 1) + (m,), reverse=True))
     new_strip = (

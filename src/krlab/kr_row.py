@@ -15,7 +15,6 @@ closed forms, and the level-restriction identities.
 from functools import lru_cache
 
 from .crystal import (
-    apply_e,
     apply_f,
     ctx_B,
     ctx_C,
@@ -26,7 +25,7 @@ from .crystal import (
     word_weight,
 )
 # bench/tracing.py wraps these names in this module
-from .crystal import eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
+from .crystal import apply_e, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
 from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor
 from .letters import EMPTY, prec, sort_word, word_str
 
@@ -139,17 +138,14 @@ def _affine_rule(t):
     return signature([(phi0_row(f), eps0_row(f)) for f in t])
 
 
-def eps0(b):
-    """Affine raising capacity of a factor or a tensor of factors."""
-    if isinstance(b, RowKR):
-        return eps0_row(b)
-    return _affine_rule(b)[0]
+def eps0(t):
+    """Affine raising capacity of a tensor of row factors; a single factor
+    goes through eps0_row."""
+    return _affine_rule(t)[0]
 
 
-def phi0(b):
-    if isinstance(b, RowKR):
-        return phi0_row(b)
-    return _affine_rule(b)[1]
+def phi0(t):
+    return _affine_rule(t)[1]
 
 
 def tensor_e0(t):
@@ -199,49 +195,38 @@ class RMatrixTable:
     Components are matched by the classical weight and eps_0 of their
     highest weight elements.  The targets are the highest weight pairs
     c (x) 1^k over the one-box factors c and the rows 1^k of B^{1,s}, so no
-    other row is built; an ambiguous match falls back to the affine
-    propagation from the anchor 1^s (x) 1, `bfs_map`, which the tests also
-    use as the reference.  `map` holds every image found so far: each query
-    stores the images along its raising path, so a component is matched
-    once.
+    other row is built.  `targets` maps each key to its targets; a key with
+    other than one target is refused.  `map` holds every image found so
+    far: each query stores the images along its raising path, so a
+    component is matched once.
     """
 
     def __init__(self, kind, s, n):
-        self.kind = kind
-        self.s = s
         self.n = n
         self.ctx = row_ctx(kind, n)
         self.map = {}
-        self._hw_target = None
-
-    def _target_index(self):
-        if self._hw_target is not None:
-            return self._hw_target
-        index = {}
+        self.targets = {}
         # eps_i(c (x) u) = eps_i(u) + max(0, eps_i(c) - phi_i(u)) by the
         # signature rule, so only highest weight rows u can pair into one,
         # and those are the rows 1^k (test_hw_rows_are_the_rows_of_ones)
-        rows = [RowKR(self.kind, self.s, (1,) * k) for k in _row_lengths(self.kind, self.s)]
+        rows = [RowKR(kind, s, (1,) * k) for k in _row_lengths(kind, s)]
         rows = [u for u in rows if is_hw(u, self.ctx)]
-        for c in enumerate_row(self.kind, 1, self.n):
+        for c in enumerate_row(kind, 1, n):
             for u in rows:
                 t = (c, u)
-                if not is_hw(t, self.ctx):
-                    continue
-                keyv = (
-                    word_weight(c.word + u.word, self.n),
-                    eps0(t),
-                )
-                index.setdefault(keyv, []).append(t)
-        self._hw_target = index
-        return index
+                if is_hw(t, self.ctx):
+                    self.targets.setdefault(self._key(t), []).append(t)
+
+    def _key(self, t):
+        """The classical weight and eps_0 of a pair."""
+        return word_weight(t[0].word + t[1].word, self.n), eps0(t)
 
     def apply(self, u: RowKR, c: RowKR):
         """The image of u (x) c.  The element is raised, smallest index first
         as crystal.hw raises, until it reaches one whose image is known or
-        its highest weight element, whose image is matched; that image is
-        lowered back along the path, and the image of every element passed
-        is stored."""
+        its highest weight element, whose image is its key's one target;
+        that image is lowered back along the path, and the image of every
+        element passed is stored."""
         t = (u, c)
         img = self.map.get(t)
         if img is not None:
@@ -256,11 +241,12 @@ class RMatrixTable:
             top = step[1]
         img = self.map.get(top)
         if img is None:
-            keyv = (word_weight(top[0].word + top[1].word, self.n), eps0(top))
-            matches = self._target_index().get(keyv, [])
+            matches = self.targets.get(self._key(top), [])
             if len(matches) != 1:
-                self.map.update(self.bfs_map())
-                return self.map[t]
+                raise ValueError(
+                    "%d R-matrix targets for the highest weight element %s (x) %s"
+                    % (len(matches), word_str(top[0].word), word_str(top[1].word))
+                )
             img = matches[0]
             self.map[top] = img
         for b, i in reversed(path):
@@ -269,39 +255,6 @@ class RMatrixTable:
                 raise ValueError("target component is shorter than source")
             self.map[b] = img
         return img
-
-    def bfs_map(self):
-        """The whole map, propagated from the anchor along all affine
-        operators."""
-        ones = RowKR(self.kind, self.s, (1,) * self.s)
-        one = RowKR(self.kind, 1, (1,))
-        start = (ones, one)
-        table = {start: (one, ones)}
-        frontier = [start]
-        ops = []
-        for i in range(1, self.n + 1):
-            ops.append(lambda b, i=i: apply_e(b, i, self.ctx))
-            ops.append(lambda b, i=i: apply_f(b, i, self.ctx))
-        ops += [tensor_e0, tensor_f0]
-        while frontier:
-            nxt = []
-            for src in frontier:
-                img = table[src]
-                for op in ops:
-                    a = op(src)
-                    if a is None:
-                        continue
-                    bimg = op(img)
-                    if bimg is None:
-                        raise ValueError("affine graphs disagree")
-                    if a in table:
-                        if table[a] != bimg:
-                            raise ValueError("inconsistent affine propagation")
-                        continue
-                    table[a] = bimg
-                    nxt.append(a)
-            frontier = nxt
-        return table
 
 
 _tables = {}

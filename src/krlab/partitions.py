@@ -24,10 +24,6 @@ def size(lam):
     return sum(lam)
 
 
-def length(lam):
-    return len(norm(lam))
-
-
 def get(lam, i):
     """Part i (0-based), zero past the end."""
     return lam[i] if 0 <= i < len(lam) else 0
@@ -124,17 +120,15 @@ def row_box(lows, highs, lo, hi):
     ]
 
 
-def horizontal_strips_above(mu, cap=None, cells=None):
+def horizontal_strips_above(mu, cap, cells=None):
     """All partitions nu with nu/mu a horizontal strip, nu_1 <= cap, and,
     with cells = (lo, hi), lo <= |nu| - |mu| <= hi.
 
-    Enumeration is finite only with a cap.  nu/mu is a horizontal strip
+    The cap keeps the enumeration finite.  nu/mu is a horizontal strip
     exactly when mu_i <= nu_i <= mu_{i-1} row by row, so only the cell
     window ties one row's range to the others; the list is in
     lexicographic order.
     """
-    if cap is None:
-        raise ValueError("cap required")
     mu = norm(mu)
     lo, hi = cells if cells is not None else (0, cap)  # a strip adds <= cap cells
     return row_box(mu + (0,), (cap,) + mu, lo, hi)

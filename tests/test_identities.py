@@ -55,7 +55,7 @@ from krlab.oscillating import (
     kappa_count,
     phi_c,
 )
-from krlab.partitions import flip, get, norm, oc, oc_bar, partitions, partitions_upto, size
+from krlab.partitions import flip, get, norm, oc, oc_bar, pad, partitions, partitions_upto, size
 from krlab.polynomials import Poly, poly_str
 from krlab.qweight import kl_qt_B
 from krlab.charge import kostka_foulkes, kostka_foulkes_sum
@@ -150,41 +150,88 @@ def test_lambda_shift_vectors():
     assert _lambda_i(lam, 4, 4) == (4, 3, 2)
 
 
-def test_add_rohs_bijection_and_energy():
-    # the appended-strip bijection hits every bounded chain exactly once and
-    # adds r + m to the energy
-    n, g = 2, 4
-    lam, mu = (3, 1), (1, 0)
+def _add_rohs_images(n, lam, mu, g, i):
+    """The target chains of the recurrence bijection at one (n, lam, mu, g,
+    i), and each chain add_rohs_phi builds, with its energy minus the old
+    chain's energy minus r + m (None when the chain is no target)."""
     from krlab.identities import _lambda_i
 
-    for i in (1, 2):
-        total = get(lam, i - 1) - mu[0] + 1 - i
-        if total < 0:
-            continue
-        li = _lambda_i(lam, n, i)
-        gamma_w = tuple(g - mu[j] for j in range(1, n)) + (total,)
-        target = enumerate_chains(
-            SSOT, norm(oc(li, g, n - 1)), gamma_w, two_g=2 * g
-        )
-        built = set()
-        for r in range(total % 2, total + 1, 2):
-            m = (total - r) // 2
-            for strip in rohs_bounded_len(li, r, n - 1):
-                nu = strip[2]
-                for chain in enumerate_chains(
-                    SSOT,
-                    norm(oc(nu, g, n - 1)),
-                    oc_bar(mu[1:], g, n - 1),
-                    two_g=2 * g,
-                ):
-                    new, wts = add_rohs_phi(i, strip, chain, lam, mu, n, g)
-                    assert new in target, (strip, chain)
-                    assert new not in built
-                    built.add(new)
+    lam, mu = pad(lam, n), pad(mu, n)
+    total = lam[i - 1] - mu[0] + 1 - i
+    li = _lambda_i(lam, n, i)
+    gamma_w = tuple(g - mu[j] for j in range(1, n)) + (total,)
+    target = set(enumerate_chains(SSOT, norm(oc(li, g, n - 1)), gamma_w, two_g=2 * g))
+    images = []
+    for r in range(total % 2, total + 1, 2):
+        m = (total - r) // 2
+        for strip in rohs_bounded_len(li, r, n - 1):
+            nu = strip[2]
+            for chain in enumerate_chains(
+                SSOT, norm(oc(nu, g, n - 1)), oc_bar(mu[1:], g, n - 1), two_g=2 * g
+            ):
+                new, wts = add_rohs_phi(i, strip, chain, lam, mu, n, g)
+                shift = None
+                if new in target:
                     d0 = energy_of_chain(chain, SSOT, wts[:-1])
-                    d1 = energy_of_chain(new, SSOT, wts)
-                    assert d1 == d0 + r + m
-        assert len(built) == len(target)
+                    shift = energy_of_chain(new, SSOT, wts) - d0 - r - m
+                images.append((new, shift))
+    return target, images
+
+
+def _one_to_one_onto(target, images):
+    built = [new for new, _ in images]
+    return len(set(built)) == len(built) and set(built) == target
+
+
+# (lam, mu, g) of the grid below where the energy grows by r + m + 1, at n =
+# 2, 3 and i = 1, 2; test_add_rohs_open_instances holds them
+ADD_ROHS_ENERGY_OFF = {((2, 2), (), 3)}
+
+
+def test_add_rohs_bijection_and_energy():
+    # the appended-strip bijection hits every bounded chain exactly once and
+    # adds r + m to the energy: n = 2, 3, |lam|, |mu| <= 4, g = lam_1 + 1,
+    # lam_1 + 2, lam_1 + 3 and every i with a nonnegative total
+    cases = chains = 0
+    for n in (2, 3):
+        for lam in partitions_upto(4, max_len=n):
+            for mu in partitions_upto(4, max_len=n):
+                for g in range(get(lam, 0) + 1, get(lam, 0) + 4):
+                    for i in range(1, n + 1):
+                        if get(lam, i - 1) - get(mu, 0) + 1 - i < 0:
+                            continue
+                        case = (n, lam, mu, g, i)
+                        target, images = _add_rohs_images(*case)
+                        assert _one_to_one_onto(target, images), case
+                        if (lam, mu, g) not in ADD_ROHS_ENERGY_OFF:
+                            assert all(shift == 0 for _, shift in images), case
+                        cases += 1
+                        chains += len(images)
+    assert (cases, chains) == (423, 508)
+
+
+_ENERGY_OFF = "some built chains gain r + m + 1, one more than the recurrence's shift"
+_NOT_BIJECTIVE = "built chains land outside the targets or coincide"
+
+
+@pytest.mark.parametrize(
+    "n, lam, g, i",
+    [
+        pytest.param(n, (2, 2), 3, i, marks=pytest.mark.xfail(strict=True, reason=_ENERGY_OFF))
+        for n in (2, 3)
+        for i in (1, 2)
+    ]
+    + [
+        pytest.param(2, (3, 3), 4, i, marks=pytest.mark.xfail(strict=True, reason=_NOT_BIJECTIVE))
+        for i in (1, 2)
+    ],
+)
+def test_add_rohs_open_instances(n, lam, g, i):
+    # instances at g = lam_1 + 1 with lam_1 = lam_2 where add_rohs_phi is not
+    # yet the recurrence bijection with its energy shift
+    target, images = _add_rohs_images(n, lam, (), g, i)
+    assert _one_to_one_onto(target, images)
+    assert all(shift == 0 for _, shift in images)
 
 
 def test_morris_never_calls_the_oracle(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 import krlab
 from krlab import kr_column
-from krlab.crystal import hw, is_hw, word_weight
+from krlab.crystal import CTX_INF, apply_e, apply_f, ctx_C, hw, is_hw, word_weight
 from krlab.kr_column import (
     BOX,
     HDOM,
@@ -94,6 +94,47 @@ def test_r_matrix_weight_preserving_and_involutive():
                     key = (l, r.word)
                     assert key not in table, (u, c, table[key])
                     table[key] = (u.word, c)
+
+
+def _col_image(u, box):
+    """R on a (column, one-box factor) pair, as a pair of factors, and the
+    case tag that fired."""
+    letter, r, case = r_matrix_col(u, box.word[0] if box.word else EMPTY)
+    return (C(u.kind, 1, () if letter is EMPTY else (letter,)), r), case
+
+
+def test_r_matrix_commutes_with_crystal_operators():
+    # R is a crystal isomorphism: on every pair of an admissible column of
+    # capacity 2..n and a one-box factor, letters up to n, R(x(b)) = x(R(b))
+    # for x = e_i and f_i, unbounded (i <= n + 1) and at type C rank n
+    # (i <= n), for n = 3 and 4, and x(b) is defined exactly when x(R(b))
+    # is.  The domain stops at capacity n: at capacity n + 1, case 1-4 adds
+    # the letters n + 1 and -(n + 1), which lie outside the C_n alphabet.
+    cases = set()
+    checks = 0
+    for kind in (BOX, VDOM):
+        for n in (3, 4):
+            for ctx, top in ((CTX_INF, n + 1), (ctx_C(n), n)):
+                for a in range(2, n + 1):
+                    for u in all_columns(kind, a, n):
+                        for c in one_boxes(kind, n):
+                            b = (u, C(kind, 1, () if c is EMPTY else (c,)))
+                            img, case = _col_image(*b)
+                            cases.add((kind, case))
+                            for i in range(1, top + 1):
+                                for op in (apply_e, apply_f):
+                                    x, y = op(b, i, ctx), op(img, i, ctx)
+                                    assert (x is None) == (y is None), (b, i, ctx)
+                                    if x is not None:
+                                        assert _col_image(*x)[0] == y, (b, i, ctx)
+                                    checks += 1
+    assert checks == 70456
+    assert len(cases) == 18
+    # past the domain: at capacity n + 1, 2..n (x) 1 is case 1-4 and its image
+    # holds n + 1 and -(n + 1)
+    for n in (3, 4):
+        (box, col), case = _col_image(C(VDOM, n + 1, range(2, n + 1)), C(VDOM, 1, (1,)))
+        assert (box.word, col.word, case) == ((-n - 1,), tuple(range(1, n + 2)), "1-4")
 
 
 def test_splitting_invariance_under_R():

@@ -3,12 +3,13 @@ splitting, energy, and the X = K identity."""
 
 import itertools
 import random
+import re
 
 import pytest
 
 import krlab
 from krlab import kr_row
-from krlab.crystal import apply_e, apply_f, is_hw, word_weight
+from krlab.crystal import apply_e, apply_f, hw, is_hw, word_weight
 from krlab.identities import run_task, suite_tasks
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
 from krlab.kr_row import (
@@ -259,10 +260,48 @@ def test_r_matrix_anchor():
             assert img == (c, u)
 
 
+def _affine_ops(kind, n):
+    """e_i and f_i for i = 1..n at row_ctx, then e_0 and f_0, on tensors."""
+    ctx = row_ctx(kind, n)
+    ops = []
+    for i in range(1, n + 1):
+        ops.append(lambda b, i=i: apply_e(b, i, ctx))
+        ops.append(lambda b, i=i: apply_f(b, i, ctx))
+    return ops + [tensor_e0, tensor_f0]
+
+
+def bfs_map(kind, s, n):
+    """The reference R-matrix: the whole map, propagated from the anchor
+    1^s (x) 1 -> 1 (x) 1^s along every classical and affine operator."""
+    ones = RowKR(kind, s, (1,) * s)
+    one = RowKR(kind, 1, (1,))
+    start = (ones, one)
+    table = {start: (one, ones)}
+    frontier = [start]
+    ops = _affine_ops(kind, n)
+    while frontier:
+        nxt = []
+        for src in frontier:
+            img = table[src]
+            for op in ops:
+                a = op(src)
+                if a is None:
+                    continue
+                bimg = op(img)
+                assert bimg is not None, "affine graphs disagree"
+                if a in table:
+                    assert table[a] == bimg, "inconsistent affine propagation"
+                    continue
+                table[a] = bimg
+                nxt.append(a)
+        frontier = nxt
+    return table
+
+
 def test_r_matrix_bfs_agrees():
     for kind in (BOX, HDOM, VDOM):
         s, n = 2, 3
-        bfs = RMatrixTable(kind, s, n).bfs_map()
+        bfs = bfs_map(kind, s, n)
         table = RMatrixTable(kind, s, n)
         for u in enumerate_row(kind, s, n):
             for c in enumerate_row(kind, 1, n):
@@ -272,18 +311,39 @@ def test_r_matrix_bfs_agrees():
 @pytest.mark.parametrize("kind", [BOX, HDOM, VDOM])
 def test_r_matrix_table_matches_bfs_in_any_order(kind):
     # path filling stores images met on earlier queries; a fresh table
-    # queried in shuffled order must still give the reference map, without
-    # falling back to it
+    # queried in shuffled order must still give the reference map
     for s in (2, 3, 4):
         for n in (3, 4):
-            ref = RMatrixTable(kind, s, n).bfs_map()
+            ref = bfs_map(kind, s, n)
             table = RMatrixTable(kind, s, n)
-            table.bfs_map = lambda: pytest.fail("fell back to bfs_map")
             pairs = list(ref)
             random.Random(10 * s + n).shuffle(pairs)
             for u, c in pairs:
                 assert table.apply(u, c) == ref[u, c], (u, c)
             assert table.map == ref
+
+
+@pytest.mark.parametrize("kind, count", [(BOX, 37320), (HDOM, 18160), (VDOM, 25026)])
+def test_r_matrix_commutes_with_crystal_operators(kind, count):
+    # R is the affine crystal isomorphism B^{1,s} (x) B^{1,1} -> B^{1,1} (x)
+    # B^{1,s} (Schilling and Tingley 2012): on every pair, R(x(b)) = x(R(b))
+    # for every e_i, f_i and e_0, f_0, and x(b) is defined exactly when
+    # x(R(b)) is
+    checks = 0
+    for n in (3, 4):
+        ops = _affine_ops(kind, n)
+        for s in (1, 2, 3):
+            table = RMatrixTable(kind, s, n)
+            for u in enumerate_row(kind, s, n):
+                for c in enumerate_row(kind, 1, n):
+                    img = table.apply(u, c)
+                    for op in ops:
+                        a, b = op((u, c)), op(img)
+                        assert (a is None) == (b is None), (op, u, c)
+                        if a is not None:
+                            assert table.apply(*a) == b, (op, u, c)
+                        checks += 1
+    assert checks == count
 
 
 def test_target_index_matches_full_scan():
@@ -298,7 +358,7 @@ def test_target_index_matches_full_scan():
                         if is_hw((c, u), ctx):
                             key = (word_weight(c.word + u.word, n), eps0((c, u)))
                             full.setdefault(key, set()).add((c, u))
-                index = RMatrixTable(kind, s, n)._target_index()
+                index = RMatrixTable(kind, s, n).targets
                 assert {k: set(v) for k, v in index.items()} == full, (kind, s, n)
                 assert all(len(v) == len(set(v)) for v in index.values())
 
@@ -317,30 +377,32 @@ def test_hw_rows_are_the_rows_of_ones():
 
 
 def test_target_index_has_one_target_per_key():
-    # so RMatrixTable.apply never needs its bfs_map fallback at these ranks
+    # so RMatrixTable.apply matches every component at these ranks
     keys = 0
     for kind in (BOX, HDOM, VDOM):
-        for s in (1, 2, 3, 4):
-            for n in (3, 4, 5):
-                index = RMatrixTable(kind, s, n)._target_index()
+        for s in range(1, 9):
+            for n in range(2, 11):
+                index = RMatrixTable(kind, s, n).targets
                 assert all(len(targets) == 1 for targets in index.values()), (kind, s, n)
                 keys += len(index)
-    assert keys == 240
+    assert keys == 2232
 
 
-def test_level_pass_never_falls_back_to_bfs_map(monkeypatch):
-    calls = []
-    real = RMatrixTable.bfs_map
-
-    def counted(self):
-        calls.append((self.kind, self.s, self.n))
-        return real(self)
-
-    monkeypatch.setattr(RMatrixTable, "bfs_map", counted)
-    krlab.clear_caches()
-    assert all(run_task(task).equal for task in suite_tasks("level", 4, 3))
-    assert calls == []
-    krlab.clear_caches()
+def test_apply_refuses_a_key_without_one_target():
+    # a highest weight element whose key has no target, or two, is refused
+    # with the count and the element, not matched some other way
+    pair = (RowKR(BOX, 2, (1, 2)), RowKR(BOX, 1, (-1,)))
+    top = hw(pair, row_ctx(BOX, 3))
+    assert [f.word for f in top] == [(1, 1), (1,)]
+    for count in (0, 2):
+        table = RMatrixTable(BOX, 2, 3)
+        key = table._key(top)
+        table.targets[key] = table.targets[key] * count
+        message = "%d R-matrix targets for the highest weight element 1,1 (x) 1" % count
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table.apply(*pair)
+        assert table.map == {}
+    assert RMatrixTable(BOX, 2, 3).apply(*pair) == bfs_map(BOX, 2, 3)[pair]
 
 
 def test_yang_baxter():
@@ -382,7 +444,7 @@ def test_row_tables_shared_across_ranks():
         for u in queries:
             pair = (u, one)
             n = row_rank(u.word + one.word)
-            assert r_matrix_row(*pair) == RMatrixTable(BOX, 2, n).bfs_map()[pair], u
+            assert r_matrix_row(*pair) == bfs_map(BOX, 2, n)[pair], u
         assert [(key, t.n) for key, t in kr_row._tables.items()] == [((BOX, 2), 5)]
     krlab.clear_caches()
     # a replaced table starts with the old images of the pairs within the
@@ -397,7 +459,7 @@ def test_row_tables_shared_across_ranks():
             assert kept
             new = kr_row._table(kind, s, 5)
             assert new.n == 5 and new.map == kept, (kind, s)
-            full = RMatrixTable(kind, s, 5).bfs_map()
+            full = bfs_map(kind, s, 5)
             assert all(full[t] == img for t, img in kept.items()), (kind, s)
     krlab.clear_caches()
 
