@@ -32,6 +32,7 @@ from .partitions import (
     horizontal_strips_above,
     horizontal_strips_below,
     is_horizontal_strip,
+    is_partition,
     norm,
     row_box,
     size,
@@ -186,11 +187,14 @@ def _live(kind, shape, weight, two_g):
     have length r - 1).  At the root it also rejects an empty weight with
     a nonempty shape.  The last strip's two ends are inner and shape, so
     its strips come from _strips_between, which lists no strip ending
-    elsewhere.  An unknown kind raises ValueError.
+    elsewhere.  An unknown kind, or a shape with a negative or an increasing
+    part, raises ValueError.
     """
     if kind not in (SSOT, GSSOT, SSROT):
         raise ValueError(kind)
     shape = norm(shape)
+    if not is_partition(shape):
+        raise ValueError("shape %r is not a partition" % (shape,))
     parity = kind != GSSOT
     target = size(shape)
     if any(w < 0 for w in weight) or _dead(target, sum(weight), parity):

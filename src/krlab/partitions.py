@@ -5,6 +5,7 @@ Trailing zeros are allowed; `norm` strips them for comparisons.
 """
 
 from functools import lru_cache
+from operator import gt
 
 
 def norm(lam):
@@ -17,7 +18,7 @@ def norm(lam):
 
 def is_partition(lam):
     lam = tuple(lam)
-    return all(a >= b for a, b in zip(lam, lam[1:])) and all(a >= 0 for a in lam)
+    return not any(map(gt, lam[1:], lam)) and (not lam or lam[-1] >= 0)
 
 
 def size(lam):
@@ -157,7 +158,10 @@ def pad(lam, n):
 
 
 def oc(lam, g, n=None):
-    """Orthogonal complement (g - lam_n, ..., g - lam_1) of lam padded to n parts."""
+    """Orthogonal complement (g - lam_n, ..., g - lam_1) of lam padded to n
+    parts; ValueError when lam_1 > g, whose complement has a negative part."""
+    if max(lam, default=0) > g:
+        raise ValueError("lam_1 = %s exceeds g = %s" % (max(lam), g))
     return tuple([g - x for x in reversed(pad(lam, len(lam) if n is None else n))])
 
 

@@ -12,14 +12,34 @@ a_k, a_{k+1}, ... and the simple roots,
 
 with P_k(v - a_k) = 0 once v - a_k has a negative coordinate.  Past the
 last non-simple root v is a sum of simple roots in exactly one way, so the
-count closes in one monomial.  States are dense integer coefficient tuples
-in `_memo`: one entry per (lie_type, n, tag) holds one dict per root index
-k, mapping v to P_k(v), and one table of the distinct tuples, so that equal
-states share one tuple.  `q_kostant` returns a `Poly`.
+count closes in one monomial.  `q_kostant` returns a `Poly`; the
+alternating sums add their terms' states packed and decode once.
+
+States are packed integers, in `_memo`: one `_Fill` per (lie_type, n, tag)
+holds one dict per root index k, mapping v to P_k(v), and one table of the
+distinct states, so that equal states share one int.
+  - A simple-coordinate vector v is one int, v_i in field i of VB bits.  The
+    top bit of each field is a guard, kept clear; H has every guard set.  A
+    root c is subtracted as w = (v | H) - c.  A coordinate that went
+    negative took its guard and no other (a root's coordinates are at most
+    2), so w & H != H; otherwise w ^ H is v - c.
+  - A state is one int by Kronecker substitution: the coefficient of q^i in
+    field i of CB bits, or for the (q,t) tag that of q^i t^j in field
+    i*T + j, with T above the t-degree.  Adding states is +, and times
+    q^i t^j is << (i*T + j)*CB.
+  - Each coefficient field's top bit is a guard as well.  Every stored
+    coefficient is below 2^(CB-1), so a sum of two carries into no other
+    field, and it overflowed exactly when it set a guard.  Every sum, in
+    the DP and in the alternating sum, is tested against a mask with a
+    guard in every field the call can reach.
+  - Nothing is truncated.  A set guard, a coordinate of 2^(VB-1) or more,
+    or a t-degree of T or more doubles that key's widths, empties its
+    tables and computes the call again.
 """
 
 from functools import lru_cache
-from operator import add, sub
+from itertools import chain
+from operator import sub
 
 from .polynomials import Poly
 
@@ -27,6 +47,7 @@ from .polynomials import Poly
 # itself; bench/tracing.py still wraps both names in this module.
 from .roots import (  # noqa: F401
     apply_w,
+    is_dominant,
     is_long_root_B,
     is_spin,
     positive_roots,
@@ -90,77 +111,123 @@ def simple_coords(lie_type, n, beta):
     raise ValueError(lie_type)
 
 
-# Dense coefficients: a q-polynomial is the tuple of its coefficients by
-# q-degree, and a (q,t)-polynomial the tuple, by q-degree, of such tuples in
-# t.  No coefficient is ever negative, so a nonzero tuple ends in a nonzero
-# entry and () is zero.
+# Field widths: bits per simple coordinate and per coefficient, each field's
+# top bit a guard, and t-degree fields per q-degree of a (q,t) state.  A
+# (lie_type, n, tag) whose call needs more doubles its own, see _Fill.fitted.
+# _VEC_BITS is at least 3, so that a root's coordinate 2 fits below a guard.
+_VEC_BITS = 8
+_COEF_BITS = 24
+_T_FIELDS = 6
 
 
-def _add(p, r):
-    if len(p) < len(r):
-        p, r = r, p
-    return tuple(map(add, p, r)) + p[len(r):]
+def _guards(bits, fields):
+    """The top bit of each of the lowest `fields` fields of `bits` bits."""
+    return ((1 << bits * fields) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
-def _add_qt(p, r):
-    if len(p) < len(r):
-        p, r = r, p
-    return tuple(map(_add, p, r)) + p[len(r):]
+def _pack(v, bits):
+    return sum(x << i * bits for i, x in enumerate(v))
 
 
-def _shift(p, ev):
-    """p times q^ev[0] (times t^ev[1] for a (q,t)-polynomial)."""
-    if len(ev) == 2:
-        if ev[1]:
-            p = tuple((0,) * ev[1] + x if x else x for x in p)
-        return ((),) * ev[0] + p
-    return (0,) * ev[0] + p
+class _Narrow(Exception):
+    """A coefficient field of a _Fill overflowed into its guard bit."""
 
 
-def _mono(ev):
-    if len(ev) == 2:
-        return ((),) * ev[0] + ((0,) * ev[1] + (1,),)
-    return (0,) * ev[0] + (1,)
+class _Fill:
+    """The packed tables of one (lie_type, n, tag) and their layout:
+    tables[k] maps a packed v to the packed P_k(v), see _count, and values
+    maps each distinct packed state to itself, so that equal states share
+    one int.  Unpacks as (tables, values)."""
 
+    def __init__(self, lie_type, n, tag, vbits, cbits, tfields):
+        self.key = (lie_type, n, tag)
+        self.nvars = 2 if tag == L_QT_B else 1
+        self.vbits, self.cbits = vbits, cbits
+        self.tfields = tfields if self.nvars == 2 else 1
+        roots = [(simple_coords(lie_type, n, r), _exp_vec(tag, r)) for r in positive_roots(lie_type, n)]
+        simple = sorted((c.index(1), ev) for c, ev in roots if sum(c) == 1)
+        others = sorted((r for r in roots if sum(r[0]) != 1), key=lambda r: -sum(r[0]))
+        # the bit offset of q^ev[0] t^ev[1], the field ev[0]*T + ev[1]
+        place = lambda ev: (ev[0] * self.tfields + sum(ev[1:])) * cbits
+        self.others = [(_pack(c, vbits), place(ev)) for c, ev in others]
+        self.simple = [(i * vbits, place(ev)) for i, ev in simple if any(ev)]
+        # for (q,t), the coordinates that every root uses at least as often
+        # as t, so that each bounds the t-degree
+        self.tcoords = [i for i, _ in simple if all(ev[-1] <= c[i] for c, ev in roots)]
+        self.vguards = _guards(vbits, len(simple))
+        self.vmask = (1 << vbits) - 1
+        self.last = len(others)
+        self.cguards = 0
+        self.cfields = 0
+        self.tables = [{} for _ in range(len(others) + 1)]
+        self.values = {}
 
-def _to_poly(p, nvars):
-    out = Poly(nvars)
-    if nvars == 2:
-        out.c = {(i, j): x for i, xs in enumerate(p) for j, x in enumerate(xs) if x}
-    else:
-        out.c = {(i,): x for i, x in enumerate(p) if x}
-    return out
+    def __iter__(self):
+        return iter((self.tables, self.values))
 
+    def fitted(self, vs, overflowed):
+        """This fill if its fields hold every simple-coordinate vector of vs
+        and each coefficient and t-degree their states reach, else one with
+        the fields that are too narrow doubled and its tables empty; the
+        coefficient fields are doubled when overflowed.  The coefficient
+        guard mask is extended to every field that vs reaches: a state of
+        v uses at most |v| roots, so its q-degree plus t-degree is at most
+        |v|, and its t-degree at most each tcoords coordinate of v."""
+        vbits, cbits, tfields = self.vbits, self.cbits, self.tfields
+        top = max(chain.from_iterable(vs), default=0)
+        while top >> vbits - 1:
+            vbits *= 2
+        if self.nvars == 2:
+            while any(min((v[i] for i in self.tcoords), default=sum(v)) >= tfields for v in vs):
+                tfields *= 2
+        if overflowed:
+            cbits *= 2
+        fill = self
+        if (vbits, cbits, tfields) != (self.vbits, self.cbits, self.tfields):
+            fill = _Fill(*self.key, vbits, cbits, tfields)
+        fields = max(map(sum, vs)) * fill.tfields + 1
+        if fields > fill.cfields:
+            fill.cfields = fields
+            fill.cguards = _guards(fill.cbits, fields)
+        return fill
 
-@lru_cache(maxsize=None)
-def _context(lie_type, n, tag):
-    """The non-simple roots in simple coordinates, tallest first, with
-    their exponent vectors; the simple roots' exponent vectors in order; the
-    variable count and the dense add for the tag."""
-    roots = []
-    for r in positive_roots(lie_type, n):
-        c = simple_coords(lie_type, n, r)
-        roots.append((c, _exp_vec(tag, r)))
-    simple = {}
-    others = []
-    for c, ev in roots:
-        if sum(c) == 1:
-            simple[c.index(1)] = ev
-        else:
-            others.append((c, ev))
-    others.sort(key=lambda t: -sum(t[0]))
-    simple_evs = tuple(simple[i] for i in range(len(simple)))
-    nvars = 2 if tag == L_QT_B else 1
-    return tuple(others), simple_evs, nvars, _add_qt if nvars == 2 else _add
+    def total(self, vs, dets):
+        """sum det * P_q(v) over the vs and dets as a Poly: the packed states
+        with det = 1 and det = -1 are summed apart, the guards tested after
+        each addition, and both decoded once.  Raises _Narrow on overflow."""
+        sums = {1: 0, -1: 0}
+        top = self.tables[0]
+        for v, det in zip(vs, dets):
+            v = _pack(v, self.vbits)
+            x = top.get(v)
+            if x is None:
+                x = _count(self, 0, v)
+            sums[det] += x
+            if sums[det] & self.cguards:
+                raise _Narrow
+        out = Poly(self.nvars)
+        mask = (1 << self.cbits) - 1
+        for det, x in sums.items():
+            i = 0
+            while x:
+                if x & mask:
+                    e = divmod(i, self.tfields) if self.nvars == 2 else (i,)
+                    c = out.c.get(e, 0) + det * (x & mask)
+                    if c:
+                        out.c[e] = c
+                    else:
+                        del out.c[e]
+                x >>= self.cbits
+                i += 1
+        return out
 
 
 class _Memo(dict):
-    """(lie_type, n, tag) -> (tables, values): tables[idx] maps v to
-    P_idx(v), see _count, and values maps each distinct coefficient tuple to
-    itself.  len() counts the states of every table."""
+    """(lie_type, n, tag) -> _Fill.  len() counts the states of every
+    table."""
 
     def __len__(self):
-        return sum(len(t) for tables, _ in self.values() for t in tables)
+        return sum(len(t) for fill in self.values() for t in fill.tables)
 
 
 # emptied by clear_caches
@@ -171,50 +238,72 @@ def q_kostant(lie_type, n, beta, tag=L_ONE):
     """[e^beta] prod 1/(1 - q^{L(a)} e^a) over the positive roots."""
     if len(beta) != n:
         raise ValueError("beta has length %d, not n = %d" % (len(beta), n))
-    roots = _context(lie_type, n, tag)
-    nvars = roots[2]
-    v = simple_coords(lie_type, n, tuple(beta))
-    if v is None or any(x < 0 for x in v):
-        return Poly.zero(nvars)
+    positive_roots(lie_type, n)  # refuses an unknown type or rank
+    return _packed_sum(lie_type, n, tag, ((tuple(beta), 1),))
+
+
+def _packed_sum(lie_type, n, tag, terms):
+    """The sum of det * P_q(beta) over the (beta, det) of terms, as a Poly.
+    An overflow widens the key's fields, which empties its tables, and
+    starts over."""
+    vs, dets = [], []
+    for beta, det in terms:
+        v = simple_coords(lie_type, n, beta)
+        if v is not None and min(v, default=0) >= 0:
+            vs.append(v)
+            dets.append(det)
+    if not vs:
+        return Poly.zero(2 if tag == L_QT_B else 1)
     key = (lie_type, n, tag)
-    memo = _memo.get(key)
-    if memo is None:
-        memo = _memo[key] = ([{} for _ in range(len(roots[0]) + 1)], {})
-    tables, values = memo
-    return _to_poly(_count(roots, tables, values, 0, v), nvars)
+    fill = _memo.get(key) or _Fill(lie_type, n, tag, _VEC_BITS, _COEF_BITS, _T_FIELDS)
+    overflowed = False
+    while True:
+        fill = _memo[key] = fill.fitted(vs, overflowed)
+        try:
+            return fill.total(vs, dets)
+        except _Narrow:
+            overflowed = True
 
 
-def _count(roots, tables, values, idx, v):
-    """P_idx(v) for v >= 0 as dense coefficients, by the recurrence of the
-    module docstring.  The a-string below v is walked down to its first
-    stored state, then filled upwards, so recursion only deepens with idx.
-    Each stored tuple is first looked up in values, so equal states share
-    one object."""
-    table = tables[idx]
-    hit = table.get(v)
-    if hit is not None:
-        return hit
-    others, simple_evs, nvars, plus = roots
-    if idx == len(others):
-        e = [sum(m * ev[i] for m, ev in zip(v, simple_evs)) for i in range(nvars)]
-        out = _mono(e)
+def _count(fill, idx, v):
+    """P_idx(v), packed, for a packed v >= 0 not in tables[idx], by the
+    recurrence of the module docstring.  The a-string below v is walked down
+    to its first stored state, then filled upwards, so recursion only
+    deepens with idx.  Each stored state is first looked up in values, so
+    equal states share one int.  Raises _Narrow when a sum sets a
+    coefficient guard."""
+    table = fill.tables[idx]
+    values = fill.values
+    if idx == fill.last:
+        e = 0
+        for at, place in fill.simple:
+            e += (v >> at & fill.vmask) * place
+        out = 1 << e
         out = table[v] = values.setdefault(out, out)
         return out
-    c, ev = others[idx]
+    c, place = fill.others[idx]
+    guards = fill.vguards
     string = [v]
     acc = None
     while True:
-        w = tuple(map(sub, string[-1], c))
-        if min(w) < 0:
+        w = (string[-1] | guards) - c
+        if w & guards != guards:
             break
+        w ^= guards
         acc = table.get(w)
         if acc is not None:
             break
         string.append(w)
+    below_table = fill.tables[idx + 1]
     for w in reversed(string):
-        below = _count(roots, tables, values, idx + 1, w)
-        acc = below if acc is None else plus(below, _shift(acc, ev))
-        acc = table[w] = values.setdefault(acc, acc)
+        below = below_table.get(w)
+        if below is None:
+            below = _count(fill, idx + 1, w)
+        if acc is not None:
+            below += acc << place
+            if below & fill.cguards:
+                raise _Narrow
+        acc = table[w] = values.setdefault(below, below)
     return acc
 
 
@@ -269,13 +358,16 @@ def _signed_walk(i, free, acc, par, sgn, beta, lam_rho, target, signs, type_d, o
 
 
 def _alternating_sum(lie_type, n, lam, mu, tag, group):
+    """sum_w det(w) P_q(w(lam+rho) - (mu+rho)) over the w of weyl_terms.
+    For a dominant lam each such beta is lam - mu less a sum of positive
+    roots, (lam+rho) - w(lam+rho), which holds for the symmetric group's w
+    as well, so the sum is 0 unless lam - mu lies in the positive root cone."""
+    positive_roots(lie_type, n)  # refuses an unknown type or rank
     check_pair(lie_type, n, lam, mu)
-    out = Poly.zero(2 if tag == L_QT_B else 1)
-    for beta, det in weyl_terms(lie_type, n, lam, mu, group):
-        term = q_kostant(lie_type, n, beta, tag)
-        if term:
-            out = out + (term if det == 1 else -term)
-    return out
+    d = simple_coords(lie_type, n, tuple(map(sub, lam, mu)))
+    if (d is None or min(d, default=0) < 0) and is_dominant(lie_type, n, lam):
+        return Poly.zero(2 if tag == L_QT_B else 1)
+    return _packed_sum(lie_type, n, tag, weyl_terms(lie_type, n, lam, mu, group))
 
 
 @lru_cache(maxsize=None)

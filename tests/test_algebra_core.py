@@ -90,6 +90,12 @@ def test_type_D_rank_1_refused():
         positive_roots("D", 1)
     with pytest.raises(ValueError, match="type D needs rank >= 2"):
         kl_poly("D", 1, (4,), (0,))
+    # lam - mu outside the root cone is refused too, not cut to 0, and so
+    # is a beta outside it
+    with pytest.raises(ValueError, match="type D needs rank >= 2"):
+        kl_poly("D", 1, (0,), (4,))
+    with pytest.raises(ValueError, match="type D needs rank >= 2"):
+        q_kostant("D", 1, (-4,))
 
 
 def test_sign_matches_reflection_length():
@@ -255,6 +261,79 @@ def test_pruned_weyl_sum_matches_full_sum(lie_type):
                 visited += sum(pruned.values())
                 full += sum(terms.values())
     assert visited < full / 4
+
+
+# (pairs the cone cut skips, non-dominant rows that are nonzero with lam - mu
+# outside the root cone) on the grid below, per type
+CONE_CUT = {"A": (900, 14), "B": (1524, 100), "C": (744, 28), "D": (4140, 156)}
+
+
+@pytest.mark.parametrize("lie_type", ["A", "B", "C", "D"])
+def test_cone_cut_skips_only_zero_sums(lie_type, monkeypatch):
+    # the grid of test_pruned_weyl_sum_matches_full_sum: a dominant lam with
+    # lam - mu outside the positive root cone returns 0 without walking W,
+    # and that 0 is the full sum; the reversed weights, where not dominant,
+    # still walk W, and some are nonzero outside the cone
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return weyl_terms(*args)
+
+    monkeypatch.setattr(qweight, "weyl_terms", counting)
+    tags = ("one", "levelA", "qtB") if lie_type == "B" else ("one", "levelA")
+    cut = outside = 0
+    for n in range(1 if lie_type != "D" else 2, 5):
+        weights = _dominant_weights(lie_type, n, 4 if n < 4 else 3)
+        for lam, mu in itertools.product(weights, repeat=2):
+            if lam[0] % 2 != mu[0] % 2:
+                continue
+            for group in (lie_type, "A"):
+                for tag in tags:
+                    walked = len(walks)
+                    got = qweight._alternating_sum(lie_type, n, lam, mu, tag, group)
+                    if len(walks) == walked:
+                        cut += 1
+                        assert got == 0 == _full_sum(lie_type, n, lam, mu, tag, group)[1]
+            if is_dominant(lie_type, n, lam[::-1]):
+                continue
+            for group in (lie_type, "A"):
+                walked = len(walks)
+                got = qweight._alternating_sum(lie_type, n, lam[::-1], mu, "one", group)
+                assert len(walks) == walked + 1
+                assert got == _full_sum(lie_type, n, lam[::-1], mu, "one", group)[1]
+                d = simple_coords(lie_type, n, tuple(a - b for a, b in zip(lam[::-1], mu)))
+                outside += bool(got) and (d is None or any(x < 0 for x in d))
+    assert (cut, outside) == CONE_CUT[lie_type]
+
+
+def test_narrow_fields_widen_to_the_same_results(monkeypatch):
+    # forced one-bit coefficients, two-bit coordinates and no t-degree room
+    # widen every field kind and give the results of the default widths;
+    # (520,) has C1 simple coordinate 130, past an 8-bit field
+    calls = [
+        (kl_poly, ("C", 3, (8, 4, 4), (0, 0, 0))),
+        (kl_poly, ("D", 4, (6, 4, 2, 0), (0,) * 4)),
+        (kl_level_restricted, ("B", 3, (4, 4, 2), (0, 0, 0))),
+        (kl_level_restricted, ("C", 3, (6, 2, 0), (2, 0, 0))),
+        (kl_qt_B, (3, (7, 3, 1), (1, 1, 1))),
+        (kl_qt_B, (4, (5, 3, 3, 1), (1, 1, 1, 1))),
+        (q_kostant, ("C", 1, (520,))),
+        (stable_kl, ("B", 3, (4, 2, 2), (0, 0, 0))),
+    ]
+    clear_caches()
+    want = [fn(*args) for fn, args in calls]
+    assert want[6] == Poly.mono((130,))
+    monkeypatch.setattr(qweight, "_VEC_BITS", 3)
+    monkeypatch.setattr(qweight, "_COEF_BITS", 2)
+    monkeypatch.setattr(qweight, "_T_FIELDS", 1)
+    clear_caches()
+    assert [fn(*args) for fn, args in calls] == want
+    widths = {key: (fill.vbits, fill.cbits, fill.tfields) for key, fill in qweight._memo.items()}
+    assert widths[("C", 1, "one")] == (12, 2, 1)
+    assert widths[("C", 3, "one")][1] > 2
+    assert widths[("B", 4, "qtB")][1] > 2 and widths[("B", 4, "qtB")][2] > 1
+    clear_caches()
 
 
 def _ref_roots(lie_type, n, tag):

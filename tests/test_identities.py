@@ -166,6 +166,9 @@ def _add_rohs_images(n, lam, mu, g, i):
         m = (total - r) // 2
         for strip in rohs_bounded_len(li, r, n - 1):
             nu = strip[2]
+            if get(nu, 0) > g:
+                # oc(nu, g) would have a negative part: no chain ends there
+                continue
             for chain in enumerate_chains(
                 SSOT, norm(oc(nu, g, n - 1)), oc_bar(mu[1:], g, n - 1), two_g=2 * g
             ):

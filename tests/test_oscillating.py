@@ -124,6 +124,22 @@ def test_std_matches_reference():
         std(((1,), (1,), (2,)))
 
 
+def test_chain_searches_refuse_a_shape_that_is_no_partition():
+    # oc((6,), 4, 1) once gave (-2,), and both shapes below gave [] as if
+    # no chain existed
+    with pytest.raises(ValueError, match="exceeds g"):
+        oc((6,), 4, 1)
+    for shape in ((-2,), (1, 2), (2, -1)):
+        for kind in (SSOT, GSSOT, SSROT):
+            with pytest.raises(ValueError, match="not a partition"):
+                enumerate_chains(kind, shape, (4,), two_g=8)
+            with pytest.raises(ValueError, match="not a partition"):
+                count_chains(kind, shape, (3,), two_g=8)
+        for kind in (SSOT, GSSOT):
+            with pytest.raises(ValueError, match="not a partition"):
+                energy_counts(kind, shape, (3,), 8)
+
+
 def test_enumerate_worked_examples():
     lam, mu, g = (1, 1, 0, 0), (0, 0, 0, 0), 1
     chains = enumerate_chains(SSOT, norm(oc(lam, g)), oc_bar(mu, g), two_g=2 * g)

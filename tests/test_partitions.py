@@ -162,7 +162,11 @@ def test_pad_oc_oc_bar_match_get_references():
                 if n is not None:
                     assert pad(v, n) == ref
                 for g in (0, 3, 5):
-                    assert oc(v, g, n) == tuple(g - ref[m - 1 - i] for i in range(m))
+                    if get(v, 0) > g:
+                        with pytest.raises(ValueError, match="exceeds g"):
+                            oc(v, g, n)
+                    else:
+                        assert oc(v, g, n) == tuple(g - ref[m - 1 - i] for i in range(m))
                     assert oc_bar(v, g, n) == tuple(g - get(v, i) for i in range(m))
                 checked += 1
     assert checked > 300
