@@ -1,79 +1,13 @@
 """Exact computation of Lusztig q-weight multiplicities beyond type A,
 their Kirillov-Reshetikhin crystal formulas, and the level-restricted
 refinement, all over exact integer arithmetic.
+
+The package exports only clear_caches and cache_sizes, which cover the
+modules loaded so far, and __version__; import every other name from its
+module, as in `from krlab.qweight import kl_poly`.
 """
 
 import sys
-
-from .polynomials import Poly, poly_str
-from .qweight import (
-    kl_level_restricted,
-    kl_poly,
-    kl_qt_B,
-    q_kostant,
-    stable_kl,
-    weight_multiplicity,
-)
-from .charge import charge, kostka_foulkes
-from .characters import character, e_poly, lr_coef, schur, twisted_branching_d
-from .kr_column import (
-    BOX,
-    HDOM,
-    VDOM,
-    ColumnKR,
-    energy_chain,
-    energy_col,
-    iota_col,
-    local_H,
-    r_matrix_col,
-    split_col,
-    split_image_hw,
-    vac,
-    vac_qt_energy,
-)
-from .kr_row import (
-    RowKR,
-    e0_row,
-    energy_row,
-    eps0,
-    eps0_row,
-    f0_row,
-    phi0_row,
-    r_matrix_row,
-    split_row,
-)
-from .letters import EMPTY, is_admissible, red, unred
-from .oscillating import (
-    GSSOT,
-    SSOT,
-    SSROT,
-    aug,
-    cind,
-    deaug_last_row,
-    enumerate_chains,
-    gamma,
-    gamma_inv,
-    hw_row_elements,
-    phi_c,
-    phi_r,
-    reshape_aug,
-    rind_ohs,
-    rind_rohs,
-    std,
-)
-from .identities import (
-    IdentityReport,
-    level_formula,
-    morris_b_qt,
-    morris_c,
-    q1_count,
-    thm_b_rhs,
-    thm_c_rhs,
-    xk_filter_table,
-    xk_lhs,
-    xk_rhs_unfiltered,
-)
-from .rsk import alpha, beta, burge, phi_bc, row_insert, theta_1n
 
 from . import kr_column, kr_row, oscillating, qweight
 

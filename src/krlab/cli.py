@@ -83,7 +83,7 @@ def _parse_g(text, spin):
 
 
 def _emit_poly(args, rendered, params):
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps({"params": params, "poly": rendered}, sort_keys=True))
     else:
         print(rendered)
@@ -223,30 +223,22 @@ def build_parser():
     p = argparse.ArgumentParser(prog="krlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    kl = sub.add_parser("kl", help="Lusztig q-weight multiplicity")
-    kl.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
-    kl.add_argument("--n", type=int, required=True)
-    kl.add_argument("--lambda", dest="lam", required=True)
-    kl.add_argument("--mu", required=True)
+    def weights_command(name, summary, fn, types=None):
+        """A subcommand on two weights: --type if types, --n, --lambda, --mu, --format."""
+        sp = sub.add_parser(name, help=summary)
+        if types:
+            sp.add_argument("--type", required=True, choices=types)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--lambda", dest="lam", required=True)
+        sp.add_argument("--mu", required=True)
+        sp.add_argument("--format", default="text", choices=("text", "json"))
+        sp.set_defaults(fn=fn)
+        return sp
+
+    kl = weights_command("kl", "Lusztig q-weight multiplicity", cmd_kl, ("A", "B", "C", "D"))
     kl.add_argument("--level", action="store_true", help="use the level restriction weights")
-    kl.add_argument("--format", default="text", choices=("text", "json"))
-    kl.set_defaults(fn=cmd_kl)
-
-    klqt = sub.add_parser("kl-qt", help="type B q,t-weight multiplicity")
-    klqt.add_argument("--n", type=int, required=True)
-    klqt.add_argument("--lambda", dest="lam", required=True)
-    klqt.add_argument("--mu", required=True)
-    klqt.add_argument("--format", default="text", choices=("text", "json"))
-    klqt.set_defaults(fn=cmd_kl_qt)
-
-    lv = sub.add_parser("level", help="level-restricted three-way identity")
-    lv.add_argument("--type", required=True, choices=("B", "C", "D"))
-    lv.add_argument("--n", type=int, required=True)
-    lv.add_argument("--lambda", dest="lam", required=True)
-    lv.add_argument("--mu", required=True)
-    lv.add_argument("--g", default=None)
-    lv.add_argument("--format", default="text", choices=("text", "json"))
-    lv.set_defaults(fn=cmd_level)
+    weights_command("kl-qt", "type B q,t-weight multiplicity", cmd_kl_qt)
+    weights_command("level", "level-restricted three-way identity", cmd_level, ("B", "C", "D")).add_argument("--g")
 
     en = sub.add_parser("enumerate", help="enumerate oscillating chains")
     en.add_argument("--kind", required=True, choices=tuple(_KINDS))

@@ -12,6 +12,7 @@ from .crystal import column_tensor, is_hw
 # bench/tracing.py wraps these names in this module
 from .crystal import tensor_word_e, tensor_word_f  # noqa: F401
 from .letters import EMPTY, is_admissible, key, prec, red, sort_word, word_str
+from .partitions import nn
 from .polynomials import Poly
 
 BOX = "box"  # single box removed: affine D^{(2)}
@@ -311,16 +312,11 @@ def energy_chain(chain, kind):
     return total
 
 
-def _norm_sq(mu):
-    beta = sorted(mu, reverse=True)
-    return sum(i * x for i, x in enumerate(beta))
-
-
 def split_shift(kind, caps):
     """The constant by which the splitting map shifts the energy of a tensor
     of column factors with these capacities."""
     mult = 2 if kind == BOX else 1
-    return mult * (sum(caps) * (sum(caps) - 1) // 2 - _norm_sq(caps))
+    return mult * (sum(caps) * (sum(caps) - 1) // 2 - nn(sorted(caps, reverse=True)))
 
 
 def energy_col(factors):

@@ -183,4 +183,4 @@ def flip(lam, two_g, n=None):
 
 def nn(lam):
     """n(lam) = sum (i-1) lam_i."""
-    return sum(i * get(lam, i) for i in range(len(lam)))
+    return sum(i * x for i, x in enumerate(lam))

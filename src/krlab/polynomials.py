@@ -7,20 +7,24 @@ half-integer weights stay exact.
 """
 
 
+def _collect(terms, out):
+    """Add each (exponents, coefficient) of terms into out, dropping a zero
+    sum; return out."""
+    for k, v in terms:
+        w = out.get(k, 0) + v
+        if w:
+            out[k] = w
+        elif k in out:
+            del out[k]
+    return out
+
+
 class Poly:
     __slots__ = ("nvars", "c")
 
     def __init__(self, nvars, coeffs=None):
         self.nvars = nvars
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                k = tuple(k)
-                w = self.c.get(k, 0) + v
-                if w:
-                    self.c[k] = w
-                elif k in self.c:
-                    del self.c[k]
+        self.c = _collect(zip(map(tuple, coeffs), coeffs.values()), {}) if coeffs else {}
 
     @classmethod
     def zero(cls, nvars=1):
@@ -52,16 +56,8 @@ class Poly:
         return hash((self.nvars, frozenset(self.c.items())))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
         p = Poly(self.nvars)
-        p.c = out
+        p.c = _collect(self._coerce(other).c.items(), dict(self.c))
         return p
 
     def __neg__(self):
@@ -80,17 +76,15 @@ class Poly:
             return p
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
         p = Poly(self.nvars)
-        p.c = out
+        p.c = _collect(
+            (
+                (tuple(a + b for a, b in zip(k1, k2)), v1 * v2)
+                for k1, v1 in self.c.items()
+                for k2, v2 in other.c.items()
+            ),
+            {},
+        )
         return p
 
     __rmul__ = __mul__
@@ -129,27 +123,22 @@ class Poly:
         """For a two-variable poly in (q,t), set t = q."""
         if self.nvars != 2:
             raise ValueError("subs_t_q needs a polynomial in (q, t), not in %d variables" % self.nvars)
-        out = {}
-        for (a, b), v in self.c.items():
-            k = (a + b,)
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
         p = Poly(1)
-        p.c = out
+        p.c = _collect((((a + b,), v) for (a, b), v in self.c.items()), {})
         return p
 
     def __str__(self):
-        names = ("q", "t") if self.nvars <= 2 else ["x%d" % i for i in range(1, self.nvars + 1)]
+        names = ("q", "t")[: self.nvars] if self.nvars <= 2 else ["x%d" % i for i in range(1, self.nvars + 1)]
         return poly_str(self, names)
 
     __repr__ = __str__
 
 
 def poly_str(p, names):
-    """Render sparse, descending total degree then reverse-lex; stable."""
+    """Render sparse, descending total degree then reverse-lex; stable.
+    names gives one name per variable."""
+    if len(names) != p.nvars:
+        raise ValueError("variable count mismatch: %d names for %d variables" % (len(names), p.nvars))
     if not p.c:
         return "0"
     keys = sorted(p.c, key=lambda k: (sum(k),) + k, reverse=True)

@@ -1,5 +1,6 @@
 """Command-line surface: flags, formats, exit codes, byte stability."""
 
+import ast
 import hashlib
 import json
 import os
@@ -295,7 +296,21 @@ def test_verify_evaluates_each_side_once(capsys, monkeypatch, suite, sides):
 def test_import_loads_no_dataclasses_or_inspect():
     # a fresh interpreter, so that modules other tests loaded do not count
     src = os.path.dirname(os.path.dirname(krlab.cli.__file__))
-    code = "import sys, krlab, krlab.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    code = (
+        "import sys, krlab\n"
+        "loaded = lambda: sorted(m[6:] for m in sys.modules if m.startswith('krlab.'))\n"
+        "bare, sizes = loaded(), sorted(krlab.cache_sizes())\n"
+        "import krlab.cli\n"
+        "print(repr({'bare': bare, 'sizes': sizes, 'cli': loaded(),"
+        " 'std': [m for m in ('dataclasses', 'inspect') if m in sys.modules]}))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    seen = ast.literal_eval(out.stdout.strip())
+    assert seen["std"] == []
+    # the package itself loads only the modules its cache readout needs
+    assert seen["bare"] == [
+        "crystal", "kr_column", "kr_row", "letters", "oscillating", "partitions", "polynomials", "qweight", "roots"
+    ]
+    assert "rsk" not in seen["cli"]
+    assert {"qweight._memo", "kr_row._tables", "kr_column._factors", "oscillating._shapes"} <= set(seen["sizes"])

@@ -16,6 +16,9 @@ def test_no_zero_coeffs():
     a = Poly(1, {(1,): 2})
     b = Poly(1, {(1,): -2})
     assert not (a + b).c
+    q = Poly(1, {(1,): 1})
+    assert ((1 + q) * (Poly.one(1) - q)).c == {(0,): 1, (2,): -1}
+    assert not (Poly(2, {(1, 0): 1}) - Poly(2, {(0, 1): 1})).subs_t_q().c
 
 
 def test_rendering():
@@ -58,11 +61,13 @@ def test_variable_count_mismatch_raises():
     q = Poly(1, {(1,): 1})
     qt = Poly(2, {(1, 1): 1})
     for bad in (lambda: q * qt, lambda: qt * q, lambda: q + qt, lambda: qt.shift((1,)),
-                lambda: q.shift((1, 1))):
+                lambda: q.shift((1, 1)), lambda: poly_str(qt, ("q",)),
+                lambda: poly_str(q, ("q", "t")), lambda: poly_str(Poly.zero(2), ("q",))):
         with pytest.raises(ValueError, match="variable count mismatch"):
             bad()
     assert qt.shift((1, 0)) == Poly(2, {(2, 1): 1})
     assert q * 3 == 3 * q == Poly(1, {(1,): 3})
+    assert str(Poly(2, {(1, 1): 1, (1, 0): 2})) == "q*t+2*q"
 
 
 def test_equality_with_other_types():
