@@ -268,6 +268,8 @@ def twisted_branching(lie_type, n, lam, two_g):
 
 def twisted_branching_d(lie_type, n, lam, nu, two_g):
     """Single twisted branching coefficient d^{g_n}_{lam,nu}."""
+    if len(lam) != n or len(nu) != n:
+        raise ValueError("weights must have length n")
     if two_g < lam[0]:
         raise ValueError("need g >= lam_1")
     table = twisted_branching(lie_type, n, lam, two_g)
@@ -329,13 +331,7 @@ def pss_bar_D(n, lam):
     lam = tuple(lam)
     sharp = tuple(2 * get(lam, i) + 1 for i in range(n))
     p = ps_D(n, sharp)
-    factor = Poly.one(n)
-    for i in range(n):
-        key_p = [0] * n
-        key_p[i] = 1
-        key_m = [0] * n
-        key_m[i] = -1
-        factor = factor * Poly(n, {tuple(key_p): 1, tuple(key_m): 1})
+    factor = Poly(n, dict.fromkeys(product((1, -1), repeat=n), 1))
     return _exact_divide(p, factor)
 
 

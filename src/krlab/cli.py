@@ -15,7 +15,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .identities import SUITES, default_two_g, level_formula, run_task, suite_tasks
+from .identities import SUITES, default_two_g, level_formula, level_params, run_task, suite_tasks
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, vac, vac_qt_energy
 from .kr_row import RowKR, energy_row
 from .letters import parse_word
@@ -122,7 +122,7 @@ def cmd_level(args):
     lhs, mid, rhs = level_formula(args.type, n, lam, mu, two_g)
     payload = {
         "identity": "level-formula",
-        "params": {"type": args.type, "n": n, "lambda": weight_str(lam), "mu": weight_str(mu), "g": str(Fraction(two_g, 2))},
+        "params": level_params(args.type, n, lam, mu, two_g),
         "lhs": poly_str(lhs, ("q",)),
         "mid": poly_str(mid, ("q",)),
         "rhs": poly_str(rhs, ("q",)),
@@ -200,10 +200,9 @@ def cmd_verify(args):
         # the load.
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
-            work = list(pool.map(run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            reports = list(pool.map(run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
-        work = [run_task(t) for t in tasks]
-    reports = [vars(r) for r in work]
+        reports = [run_task(t) for t in tasks]
     ok = all(r["equal"] for r in reports)
     if args.format == "csv":
         buf = io.StringIO()

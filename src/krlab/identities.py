@@ -7,7 +7,8 @@ the (possibly half-integral) bound g.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product, zip_longest
 
 from .characters import (
     char_coeff,
@@ -48,21 +49,6 @@ from .partitions import (
 from .polynomials import Poly, poly_str
 from .qweight import kl_level_restricted, kl_poly, kl_qt_B
 from .roots import is_spin, weight_str
-
-
-class IdentityReport:
-    """One checked instance: the identity, its parameters, both sides as
-    strings and whether they are equal."""
-
-    def __init__(self, identity, params, lhs, rhs, equal):
-        self.identity = identity
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
-        self.equal = equal
-
-    def __repr__(self):
-        return "IdentityReport(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +187,8 @@ DSIZE = {BOX: 1, HDOM: 2, VDOM: 2}
 
 def _hat(wd, two_g, n):
     """oc as an integer partition from a doubled weight and doubled bound."""
+    if len(wd) != n:
+        raise ValueError("weights must have length n")
     out = []
     for i in range(n):
         v = two_g - wd[n - 1 - i]
@@ -394,46 +382,21 @@ def okada_M(lam, mu, n):
 
 
 def _vertical_strip_covers(lam, mu, n):
-    """Partitions xi with xi/lam and xi/mu vertical strips, length <= n."""
-    rows = min(n, max(len(lam), len(mu)) + 1)
-    out = []
-    _vertical_strip_walk([], lam, mu, n, rows, out)
-    return out
-
-
-def _vertical_strip_walk(acc, lam, mu, n, rows, out):
-    """Append to out every cover of _vertical_strip_covers whose first
-    rows are acc."""
-    i = len(acc)
-    if i == rows:
-        xi = norm(tuple(acc))
-        if len(xi) <= n:
-            out.append(xi)
-        return
-    lo = max(get(lam, i), get(mu, i))
-    hi = min(get(lam, i), get(mu, i)) + 1
-    if i > 0:
-        hi = min(hi, acc[i - 1])
-    for v in range(lo, hi + 1):
-        acc.append(v)
-        _vertical_strip_walk(acc, lam, mu, n, rows, out)
-        acc.pop()
+    """Partitions xi with xi/lam and xi/mu vertical strips, length <= n, in
+    lexicographic order."""
+    rows = [range(max(a, b), min(a, b) + 2) for a, b in zip_longest(lam, mu, fillvalue=0)]
+    covers = (norm(xi) for xi in product(*rows, range(2)) if is_partition(xi))
+    return [xi for xi in covers if len(xi) <= n]
 
 
 # ---------------------------------------------------------------------------
 # the verification registry: for each suite, its grid of instances and the
 # check that computes both sides of one instance.  A grid yields (params,
-# args) as plain data, so that a task (check, params, args) can be sent to
-# a worker process.
+# args) as plain data, so that a task (suite, params, args) can be sent to
+# a worker process; a check returns (lhs, rhs, equal), lhs and rhs rendered.
 
 Q = ("q",)
 QT = ("q", "t")
-
-
-def _grid(max_weight, n):
-    for lam in partitions_upto(max_weight, max_len=n):
-        for mu in partitions_upto(max_weight, max_len=n):
-            yield lam, mu
 
 
 def _dbl(lam, n, spin=False):
@@ -449,30 +412,35 @@ def default_two_g(lam_d, mu_d):
     return two_g
 
 
-def _compare(identity, params, lhs, rhs, variables):
-    """A report on lhs == rhs; each side is computed once, by the caller."""
-    lhs_str, rhs_str = poly_str(lhs, variables), poly_str(rhs, variables)
-    return IdentityReport(identity, params, lhs_str, rhs_str, lhs == rhs)
+def level_params(lie_type, n, lam_d, mu_d, two_g):
+    """The parameter record of a level-restricted instance on doubled
+    weights."""
+    return {
+        "type": lie_type,
+        "n": n,
+        "lambda": weight_str(lam_d),
+        "mu": weight_str(mu_d),
+        "g": str(Fraction(two_g, 2)),
+    }
 
 
-def _thm_c_grid(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        g = max(get(lam, 0), 1)
-        for gg in (g, g + 1):
-            params = {"n": n, "lambda": list(lam), "mu": list(mu), "g": gg}
-            yield params, (n, lam, mu, gg)
+def _compare(lhs, rhs, variables):
+    """(lhs, rhs, equal) on two polynomials, each computed once, by the
+    caller."""
+    return poly_str(lhs, variables), poly_str(rhs, variables), lhs == rhs
 
 
-def _thm_b_grid(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        g = max(get(lam, 0), 1)
-        params = {"n": n, "lambda": list(lam), "mu": list(mu), "g": g}
-        yield params, (n, lam, mu, g)
-
-
-def _morris_grid(max_weight, n):
-    for lam, mu in _grid(max_weight, n):
-        yield {"n": n, "lambda": list(lam), "mu": list(mu)}, (n, lam, mu)
+def _pair_grid(bumps, max_weight, n):
+    """Over every (lam, mu) with at most n parts and |lam|, |mu| <=
+    max_weight, lam outermost: args (n, lam, mu, g) at g = max(lam_1, 1) + b
+    for each b in bumps, or args (n, lam, mu) when bumps is empty."""
+    for lam, mu in product(partitions_upto(max_weight, max_len=n), repeat=2):
+        params = {"n": n, "lambda": list(lam), "mu": list(mu)}
+        if not bumps:
+            yield params, (n, lam, mu)
+        for b in bumps:
+            g = max(get(lam, 0), 1) + b
+            yield dict(params, g=g), (n, lam, mu, g)
 
 
 def _bcd_grid(max_weight, n):
@@ -482,18 +450,12 @@ def _bcd_grid(max_weight, n):
         if lie_type == "D" and n < 2:
             continue
         spins = (False, True) if lie_type in ("B", "D") else (False,)
-        for lam, mu in _grid(max_weight, n):
+        for lam, mu in product(partitions_upto(max_weight, max_len=n), repeat=2):
             for spin in spins:
                 lam_d, mu_d = _dbl(lam, n, spin), _dbl(mu, n, spin)
                 two_g = default_two_g(lam_d, mu_d)
-                params = {
-                    "type": lie_type,
-                    "n": n,
-                    "lambda": weight_str(lam_d),
-                    "mu": weight_str(mu_d),
-                    "g": str(Fraction(two_g, 2)),
-                }
-                yield params, (lie_type, n, lam_d, mu_d, two_g)
+                args = (lie_type, n, lam_d, mu_d, two_g)
+                yield level_params(*args), args
 
 
 def _xk_grid(max_weight, n):
@@ -509,76 +471,71 @@ def _xk_grid(max_weight, n):
                     yield params, (kind, mu, lam)
 
 
-def check_thm_c(params, n, lam, mu, g):
-    oracle = kl_poly("C", n, _dbl(lam, n), _dbl(mu, n))
-    return _compare("thm-c", params, oracle, thm_c_rhs(lam, mu, n, g), Q)
+def check_thm_c(n, lam, mu, g):
+    return _compare(kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)), thm_c_rhs(lam, mu, n, g), Q)
 
 
-def check_thm_b(params, n, lam, mu, g):
-    oracle = kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True))
-    return _compare("thm-b", params, oracle, thm_b_rhs(lam, mu, n, g), QT)
+def check_thm_b(n, lam, mu, g):
+    return _compare(kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)), thm_b_rhs(lam, mu, n, g), QT)
 
 
-def check_morris_c(params, n, lam, mu):
-    oracle = kl_poly("C", n, _dbl(lam, n), _dbl(mu, n))
-    return _compare("morris-c", params, oracle, morris_c(lam, mu, n), Q)
+def check_morris_c(n, lam, mu):
+    return _compare(kl_poly("C", n, _dbl(lam, n), _dbl(mu, n)), morris_c(lam, mu, n), Q)
 
 
-def check_morris_b(params, n, lam, mu):
-    oracle = kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True))
-    return _compare("morris-b", params, oracle, morris_b_qt(lam, mu, n), QT)
+def check_morris_b(n, lam, mu):
+    return _compare(kl_qt_B(n, _dbl(lam, n, True), _dbl(mu, n, True)), morris_b_qt(lam, mu, n), QT)
 
 
-def check_thm_c_rec(params, n, lam, mu, g):
-    return _compare("thm-c-rec", params, morris_c(lam, mu, n), thm_c_rhs(lam, mu, n, g), Q)
+def check_thm_c_rec(n, lam, mu, g):
+    return _compare(morris_c(lam, mu, n), thm_c_rhs(lam, mu, n, g), Q)
 
 
-def check_thm_b_rec(params, n, lam, mu, g):
-    return _compare("thm-b-rec", params, morris_b_qt(lam, mu, n), thm_b_rhs(lam, mu, n, g), QT)
+def check_thm_b_rec(n, lam, mu, g):
+    return _compare(morris_b_qt(lam, mu, n), thm_b_rhs(lam, mu, n, g), QT)
 
 
-def check_level(params, *args):
+def check_level(*args):
     lhs, mid, rhs = level_formula(*args)
-    mid_rhs = "%s / %s" % (poly_str(mid, Q), poly_str(rhs, Q))
-    equal = lhs == mid == rhs
-    return IdentityReport("level", params, poly_str(lhs, Q), mid_rhs, equal)
+    return poly_str(lhs, Q), "%s / %s" % (poly_str(mid, Q), poly_str(rhs, Q)), lhs == mid == rhs
 
 
-def check_level_mid(params, *args):
-    return _compare("level-mid", params, *level_mid_rhs(*args), Q)
+def check_level_mid(*args):
+    return _compare(*level_mid_rhs(*args), Q)
 
 
-def check_xk(params, kind, mu, lam):
-    lhs, rhs = xk_lhs(kind, mu, lam), xk_rhs_unfiltered(kind, mu, lam)
-    return _compare("xk", params, lhs, rhs, Q)
+def check_xk(kind, mu, lam):
+    return _compare(xk_lhs(kind, mu, lam), xk_rhs_unfiltered(kind, mu, lam), Q)
 
 
-def check_q1(params, *args):
+def check_q1(*args):
     cnt, mult = q1_count(*args)
-    return IdentityReport("q1", params, str(cnt), str(mult), cnt == mult)
+    return str(cnt), str(mult), cnt == mult
 
 
 SUITES = {
-    "thm-c": (_thm_c_grid, check_thm_c),
-    "thm-b": (_thm_b_grid, check_thm_b),
-    "morris-c": (_morris_grid, check_morris_c),
-    "morris-b": (_morris_grid, check_morris_b),
-    "thm-c-rec": (_thm_c_grid, check_thm_c_rec),
-    "thm-b-rec": (_thm_b_grid, check_thm_b_rec),
+    "thm-c": (partial(_pair_grid, (0, 1)), check_thm_c),
+    "thm-b": (partial(_pair_grid, (0,)), check_thm_b),
+    "morris-c": (partial(_pair_grid, ()), check_morris_c),
+    "morris-b": (partial(_pair_grid, ()), check_morris_b),
+    "thm-c-rec": (partial(_pair_grid, (0, 1)), check_thm_c_rec),
+    "thm-b-rec": (partial(_pair_grid, (0,)), check_thm_b_rec),
     "level": (_bcd_grid, check_level),
     "level-mid": (_bcd_grid, check_level_mid),
     "xk": (_xk_grid, check_xk),
     "q1": (_bcd_grid, check_q1),
 }
 
+
 def suite_tasks(suite, max_weight, n):
     """The suite's instances at rank n and |lambda|, |mu| <= max_weight, as
-    (check, params, args) tasks in a fixed order."""
-    grid, check = SUITES[suite]
-    return [(check, params, args) for params, args in grid(max_weight, n)]
+    (suite, params, args) tasks in a fixed order."""
+    return [(suite, params, args) for params, args in SUITES[suite][0](max_weight, n)]
 
 
 def run_task(task):
-    """The IdentityReport of one task from suite_tasks."""
-    check, params, args = task
-    return check(params, *args)
+    """The report of one task from suite_tasks: a dict of the identity (the
+    suite's name), its params, both sides rendered and whether they agree."""
+    suite, params, args = task
+    lhs, rhs, equal = SUITES[suite][1](*args)
+    return {"identity": suite, "params": params, "lhs": lhs, "rhs": rhs, "equal": equal}

@@ -68,6 +68,9 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         if isinstance(other, int):
             p = Poly(self.nvars)

@@ -85,7 +85,7 @@ def _check_suite(suite, ranks, max_weight):
     checked = 0
     for n in ranks:
         for task in suite_tasks(suite, max_weight, n):
-            assert run_task(task).equal, task[1]
+            assert run_task(task)["equal"], task[1]
             checked += 1
     return checked
 

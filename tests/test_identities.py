@@ -19,6 +19,7 @@ from krlab.characters import (
     pss_bar_D,
     schur,
     twisted_branching,
+    twisted_branching_d,
 )
 from krlab.identities import (
     DIAMOND,
@@ -243,7 +244,7 @@ def test_morris_never_calls_the_oracle(monkeypatch):
 
     monkeypatch.setattr(krlab.identities, "kl_poly", refuse)
     monkeypatch.setattr(krlab.identities, "kl_qt_B", refuse)
-    monkeypatch.setattr(qweight, "q_kostant", refuse)
+    monkeypatch.setattr(qweight, "_packed_sum", refuse)
     krlab.clear_caches()
     for n in (1, 2, 3):
         for lam in partitions_upto(3, max_len=n):
@@ -263,6 +264,20 @@ def test_weight_past_rank_is_refused():
         qweight.kl_poly("C", 2, dbl((2, 2, 2), 3), dbl((2,), 2))
     q = Poly(1, {(1,): 1})
     assert thm_c_rhs((2, 2, 0), (2, 0, 0), 2, 2) == morris_c((2, 2, 0), (2,), 2) == q
+
+
+@pytest.mark.parametrize("mu_d", [(0, 0, 6), (0,)])
+def test_level_weight_of_wrong_length_is_refused(mu_d):
+    # cut to rank 2, (0, 0, 6) would read as (0, 0), whose middle and right
+    # sides are q + 1 and whose branching coefficient is 1
+    q = Poly(1, {(1,): 1})
+    assert level_mid_rhs("C", 2, (4, 0), (0, 0), 4) == (q + 1, q + 1)
+    with pytest.raises(ValueError, match="length n"):
+        level_mid_rhs("C", 2, (4, 0), mu_d, 4)
+    with pytest.raises(ValueError, match="length n"):
+        q1_count("C", 2, (4, 0), mu_d, 4)
+    with pytest.raises(ValueError, match="length n"):
+        twisted_branching_d("C", 2, (4, 0), mu_d, 4)
 
 
 def _is_hstrip(outer, inner):

@@ -480,7 +480,7 @@ def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
     for i, order in enumerate(orders):
         krlab.clear_caches()
         built.clear()
-        assert all(run_task(task).equal for task in order)
+        assert all(run_task(task)["equal"] for task in order)
         assert len(kr_row._tables) == 9, i
         if i == 0:
             assert len(built) == 9
