@@ -15,17 +15,17 @@ closed forms, and the level-restriction identities.
 from functools import lru_cache
 
 from .crystal import (
-    apply_f,
+    _OFF,
     ctx_B,
     ctx_C,
     is_hw,
-    raise_step,
+    letter_table,
     row_tensor,
     signature,
     word_weight,
 )
 # bench/tracing.py wraps these names in this module
-from .crystal import apply_e, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
+from .crystal import apply_e, apply_f, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
 from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor
 from .letters import EMPTY, prec, sort_word, word_str
 
@@ -94,15 +94,21 @@ def _eps0(kind, s, k, x1, xb1, x2, xb2):
     return box // 2 if kind == HDOM else box
 
 
+def _zero_pair(b: RowKR):
+    """(phi_0, eps_0) of one row factor from one read of its counts; phi_0 is
+    eps_0(b^vee), read off b's counts with 1, bar1 and 2, bar2 swapped."""
+    x1, xb1, x2, xb2 = b.counts()
+    k = len(b.word)
+    return _eps0(b.kind, b.cap, k, xb1, x1, xb2, x2), _eps0(b.kind, b.cap, k, x1, xb1, x2, xb2)
+
+
 def eps0_row(b: RowKR):
     """Closed-form affine raising capacity of one row factor."""
-    return _eps0(b.kind, b.cap, len(b.word), *b.counts())
+    return _zero_pair(b)[1]
 
 
 def phi0_row(b: RowKR):
-    """eps_0(b^vee), read off b's counts with 1, bar1 and 2, bar2 swapped."""
-    x1, xb1, x2, xb2 = b.counts()
-    return _eps0(b.kind, b.cap, len(b.word), xb1, x1, xb2, x2)
+    return _zero_pair(b)[0]
 
 
 def _e0_box(w, cap):
@@ -135,7 +141,7 @@ def f0_row(b: RowKR):
 
 
 def _affine_rule(t):
-    return signature([(phi0_row(f), eps0_row(f)) for f in t])
+    return signature([_zero_pair(f) for f in t])
 
 
 def eps0(t):
@@ -204,6 +210,7 @@ class RMatrixTable:
     def __init__(self, kind, s, n):
         self.n = n
         self.ctx = row_ctx(kind, n)
+        self.arrows = [letter_table(i, self.ctx) for i in range(1, n + 1)]
         self.map = {}
         self.targets = {}
         # eps_i(c (x) u) = eps_i(u) + max(0, eps_i(c) - phi_i(u)) by the
@@ -221,6 +228,21 @@ class RMatrixTable:
         """The classical weight and eps_0 of a pair."""
         return word_weight(t[0].word + t[1].word, self.n), eps0(t)
 
+    def _step(self, t, arrow, indices):
+        """(i, x_i t) for the first i in indices with x_i t defined, x_i = e_i
+        for arrow 1 and f_i for arrow 2, else None; read on the pair's letters,
+        rebuilding only the factor holding the moved letter."""
+        a, b = t
+        letters = list(a.word + b.word)
+        for i in indices:
+            table = self.arrows[i - 1]
+            k = signature([table.get(x, _OFF)[0] for x in letters])[arrow + 1]
+            if k is not None:
+                letters[k] = table[letters[k]][arrow]
+                m = len(a.word)
+                return i, ((a.with_letters(letters[:m]), b) if k < m else (a, b.with_letters(letters[m:])))
+        return None
+
     def apply(self, u: RowKR, c: RowKR):
         """The image of u (x) c.  The element is raised, smallest index first
         as crystal.hw raises, until it reaches one whose image is known or
@@ -234,7 +256,7 @@ class RMatrixTable:
         path = []
         top = t
         while top not in self.map:
-            step = raise_step(top, self.ctx)
+            step = self._step(top, 1, range(1, self.n + 1))
             if step is None:
                 break
             path.append((top, step[0]))
@@ -250,10 +272,10 @@ class RMatrixTable:
             img = matches[0]
             self.map[top] = img
         for b, i in reversed(path):
-            img = apply_f(img, i, self.ctx)
-            if img is None:
+            step = self._step(img, 2, (i,))
+            if step is None:
                 raise ValueError("target component is shorter than source")
-            self.map[b] = img
+            img = self.map[b] = step[1]
         return img
 
 
@@ -327,14 +349,12 @@ def split_row(factors):
     (`_split_factor_row`) are built once and kept until clear_caches()."""
     factors = tuple(factors)
     n = row_rank(x for f in factors for x in f.word)
-    fetched = set()  # capacities whose table this call has brought to rank n or above
+    tables = {}  # capacity -> its table, brought to rank n or above on first use
 
     def r_matrix(u, x):
-        if u.cap not in fetched:
-            fetched.add(u.cap)
-            _table(u.kind, u.cap, n)
-        # the step goes through r_matrix_row, whose calls bench/tracing.py counts
-        c, u = r_matrix_row(u, _box(u.kind, x))
+        if u.cap not in tables:
+            tables[u.cap] = _table(u.kind, u.cap, n)
+        c, u = tables[u.cap].apply(u, _box(u.kind, x))
         return (c.word[0] if c.word else EMPTY), u
 
     return split_tensor(factors, r_matrix, _split_factor_row)

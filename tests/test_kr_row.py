@@ -9,7 +9,7 @@ import pytest
 
 import krlab
 from krlab import kr_row
-from krlab.crystal import apply_e, apply_f, hw, is_hw, word_weight
+from krlab.crystal import apply_e, apply_f, hw, is_hw, raise_step, word_weight
 from krlab.identities import run_task, suite_tasks
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
 from krlab.kr_row import (
@@ -298,6 +298,33 @@ def bfs_map(kind, s, n):
     return table
 
 
+def generic_apply(table, u, c):
+    """RMatrixTable.apply walked with the generic crystal operators: raise
+    with crystal.raise_step, lower with crystal.apply_f, storing the same
+    path entries in table.map."""
+    t = (u, c)
+    img = table.map.get(t)
+    if img is not None:
+        return img
+    path = []
+    top = t
+    while top not in table.map:
+        step = raise_step(top, table.ctx)
+        if step is None:
+            break
+        path.append((top, step[0]))
+        top = step[1]
+    img = table.map.get(top)
+    if img is None:
+        (img,) = table.targets[table._key(top)]
+        table.map[top] = img
+    for b, i in reversed(path):
+        img = apply_f(img, i, table.ctx)
+        assert img is not None
+        table.map[b] = img
+    return img
+
+
 def test_r_matrix_bfs_agrees():
     for kind in (BOX, HDOM, VDOM):
         s, n = 2, 3
@@ -321,6 +348,23 @@ def test_r_matrix_table_matches_bfs_in_any_order(kind):
             for u, c in pairs:
                 assert table.apply(u, c) == ref[u, c], (u, c)
             assert table.map == ref
+
+
+@pytest.mark.parametrize("kind", [BOX, HDOM, VDOM])
+def test_letter_walk_matches_generic_walk(kind):
+    # the table raises and lowers a pair on its letters; the generic walk
+    # over the tensor gives the same images and stores the same entries,
+    # query by query, the path entries included
+    for s in (1, 2, 3):
+        for n in (3, 4):
+            table, ref = RMatrixTable(kind, s, n), RMatrixTable(kind, s, n)
+            pairs = [(u, c) for u in enumerate_row(kind, s, n) for c in enumerate_row(kind, 1, n)]
+            random.Random(100 * s + n).shuffle(pairs)
+            for u, c in pairs:
+                assert table.apply(u, c) == generic_apply(ref, u, c), (u, c)
+                assert len(table.map) == len(ref.map), (u, c)
+            assert table.map == ref.map, (kind, s, n)
+            assert len(table.map) == len(pairs)
 
 
 @pytest.mark.parametrize("kind, count", [(BOX, 37320), (HDOM, 18160), (VDOM, 25026)])
@@ -489,25 +533,35 @@ def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
 
 def test_split_row_one_r_matrix_call_per_step(monkeypatch):
     # a factor of capacity above one passes one letter of the chain to its
-    # right per step, and each step is one call of the module-level
-    # r_matrix_row: as many calls as the summed capacities to its right
-    calls = []
-    real = kr_row.r_matrix_row
+    # right per step, and each step is one RMatrixTable.apply call: as many
+    # calls as the summed capacities to its right.  The call fetches each
+    # capacity's table once, on the first step of a factor of that capacity
+    calls, fetched = [], []
+    real_apply, real_table = RMatrixTable.apply, kr_row._table
 
-    def counted(u, c):
+    def counted_apply(table, u, c):
         calls.append((u, c))
-        return real(u, c)
+        return real_apply(table, u, c)
 
-    monkeypatch.setattr(kr_row, "r_matrix_row", counted)
+    def counted_table(kind, s, n):
+        fetched.append(s)
+        return real_table(kind, s, n)
+
+    monkeypatch.setattr(RMatrixTable, "apply", counted_apply)
+    monkeypatch.setattr(kr_row, "_table", counted_table)
     krlab.clear_caches()
     for kind in (BOX, HDOM, VDOM):
         rows = {s: enumerate_row(kind, s, 2) for s in (1, 2, 3)}
-        for caps in ((2, 2), (3, 1, 2), (1, 3), (2, 1, 3, 2)):
+        for caps in ((2, 2), (3, 1, 2), (1, 3), (2, 1, 3, 2), (3, 2, 3, 2, 1)):
             tensor = tuple(rows[s][(7 * i) % len(rows[s])] for i, s in enumerate(caps))
             calls.clear()
+            fetched.clear()
             split_row(tensor)
             steps = sum(sum(caps[j + 1:]) for j, s in enumerate(caps) if s > 1)
             assert len(calls) == steps, (kind, caps)
+            # the rightmost factor passes no letter, so fetches no table
+            stepping = {s for s in caps[:-1] if s > 1}
+            assert sorted(fetched) == sorted(stepping), (kind, caps)
     krlab.clear_caches()
 
 
