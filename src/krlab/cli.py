@@ -187,6 +187,17 @@ def _jobs(flag):
     return min(jobs, os.cpu_count() or 1)
 
 
+def _cost(task):
+    """A task's cost proxy, |lambda| + |mu| (doubled in the level suites):
+    the absolute entries of its weights, the tuples among its args in
+    every suite's task shape, summed."""
+    return sum(sum(map(abs, a)) for a in task[2] if isinstance(a, tuple))
+
+
+def _run_chunk(tasks):
+    return [run_task(t) for t in tasks]
+
+
 def cmd_verify(args):
     _rank(args.n)
     if args.max_weight < 0:
@@ -196,13 +207,18 @@ def cmd_verify(args):
     if jobs > 1:
         # Spawned workers start from a fresh import and fill their own
         # tables.  Four contiguous chunks per worker keep neighbouring
-        # instances, which share tables, in one worker and still balance
-        # the load.
+        # instances, which share tables, in one worker; the costliest
+        # chunks go first, since each grid ends with its costly instances,
+        # and the reports come back in grid order.
+        size = max(1, len(tasks) // (4 * jobs))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        order = sorted(range(len(chunks)), key=lambda i: -sum(map(_cost, chunks[i])))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
-            reports = list(pool.map(run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            futures = {i: pool.submit(_run_chunk, chunks[i]) for i in order}
+            reports = [r for i in range(len(chunks)) for r in futures[i].result()]
     else:
-        reports = [run_task(t) for t in tasks]
+        reports = _run_chunk(tasks)
     ok = all(r["equal"] for r in reports)
     if args.format == "csv":
         buf = io.StringIO()

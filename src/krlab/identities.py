@@ -32,8 +32,10 @@ from .oscillating import (
     energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
     hw_row_elements,
     strip_len,
+    unreachable,
 )
 from .partitions import (
+    check_bound,
     conjugate,
     get,
     is_partition,
@@ -58,7 +60,15 @@ from .roots import is_spin, weight_str
 def _chain_energies(kind, lam, mu, n, g):
     """energy_counts over the chains of Theorem C (SSOT, bound g) or B
     (GSSOT, bound g + 1/2) at rank n: shape oc(lam), weight oc_bar(mu),
-    both padded to n parts there."""
+    both padded to n parts there.  After the input checks of oc and pad, a
+    partition lam whose shape's n*g - |lam| cells the weight's total
+    n*g - |mu| cannot reach (oscillating.unreachable) gives {} before
+    either shape is built; any other lam goes on to the chain search,
+    whose shape check refuses one that is not a partition."""
+    check_bound(lam, g)
+    lam_n, mu_n = pad(lam, n), pad(mu, n)
+    if is_partition(lam_n) and unreachable(n * g - size(lam_n), n * g - size(mu_n), kind != GSSOT):
+        return {}
     two_g = 2 * g + (1 if kind == GSSOT else 0)
     return energy_counts(kind, norm(oc(lam, g, n)), oc_bar(mu, g, n), two_g)
 

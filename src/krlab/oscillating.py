@@ -197,7 +197,7 @@ def _live(kind, shape, weight, two_g):
         raise ValueError("shape %r is not a partition" % (shape,))
     parity = kind != GSSOT
     target = size(shape)
-    if any(w < 0 for w in weight) or _dead(target, sum(weight), parity):
+    if any(w < 0 for w in weight) or unreachable(target, sum(weight), parity):
         return None
     live = {}
     if weight:
@@ -206,7 +206,10 @@ def _live(kind, shape, weight, two_g):
     return live
 
 
-def _dead(gap, rem, parity):
+def unreachable(gap, rem, parity):
+    """_live's gap test: strips of total weight rem cannot change a size by
+    gap (by gap's parity too when parity is set).  identities applies it to
+    the sizes of a Theorem C or B pair before building the pair's shapes."""
     return gap > rem or (parity and (rem - gap) % 2)
 
 
@@ -214,7 +217,7 @@ def _fill(live, i, inner, kind, shape, weight, two_g, rems, target, parity):
     """Enter live[i, inner] for _live, after the nodes below it.  A module
     function with its state in arguments, so that the table is freed by
     reference counting when the search returns."""
-    if _dead(abs(target - size(inner)), rems[i], parity):
+    if unreachable(abs(target - size(inner)), rems[i], parity):
         strips = ()
     elif i == len(weight) - 1:
         strips = _strips_between(inner, shape, weight[i], kind, two_g)

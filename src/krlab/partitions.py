@@ -157,11 +157,17 @@ def pad(lam, n):
     return (lam + (0,) * n)[:n]
 
 
-def oc(lam, g, n=None):
-    """Orthogonal complement (g - lam_n, ..., g - lam_1) of lam padded to n
-    parts; ValueError when lam_1 > g, whose complement has a negative part."""
+def check_bound(lam, g):
+    """ValueError when lam_1 > g, whose complement oc(lam, g) has a
+    negative part."""
     if max(lam, default=0) > g:
         raise ValueError("lam_1 = %s exceeds g = %s" % (max(lam), g))
+
+
+def oc(lam, g, n=None):
+    """Orthogonal complement (g - lam_n, ..., g - lam_1) of lam padded to n
+    parts; check_bound refuses lam_1 > g."""
+    check_bound(lam, g)
     return tuple([g - x for x in reversed(pad(lam, len(lam) if n is None else n))])
 
 

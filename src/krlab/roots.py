@@ -156,25 +156,29 @@ def is_dominant(lie_type, n, w):
 
     B: partitions and spin partitions.  C: partitions.  D: weakly decreasing
     with |last| dominated, last coordinate of either sign.  A: weakly
-    decreasing integer vectors.
+    decreasing integer vectors.  One pass over w checks that its entries
+    share one parity (all odd for a spin weight) and weakly decrease; in
+    type D that leaves w_{n-1} >= -w_n to check.  A weight of another
+    length, or with mixed parities, is refused before the type is read.
     """
     if len(w) != n:
         return False
-    spin = is_spin(w)
-    if spin and not all(x % 2 for x in w):
-        return False
-    if not spin and any(x % 2 for x in w):
-        return False
-    if lie_type == "A":
-        return not spin and all(a >= b for a, b in zip(w, w[1:]))
-    if lie_type in ("B", "C"):
-        if lie_type == "C" and spin:
+    if lie_type not in TYPES:
+        if len({x % 2 for x in w}) > 1:
             return False
-        return all(a >= b for a, b in zip(w, w[1:])) and w[-1] >= 0
+        raise ValueError(lie_type)
+    prev = w[0] if n else 0
+    spin = prev % 2
+    for x in w:
+        if x % 2 != spin or x > prev:
+            return False
+        prev = x
+    if lie_type == "A":
+        return not spin
+    last = w[-1]
     if lie_type == "D":
-        body = w[:-1] + (abs(w[-1]),)
-        return all(a >= b for a, b in zip(body, body[1:])) and body[-1] >= 0
-    raise ValueError(lie_type)
+        return n == 1 or w[-2] >= -last
+    return last >= 0 and not (spin and lie_type == "C")
 
 
 def inner(u, v):

@@ -84,6 +84,46 @@ def test_unsupported_type():
         positive_roots("E", 6)
 
 
+def _is_dominant_three_scans(lie_type, n, w):
+    """is_dominant as three scans of w: its spin test, its parity test and
+    its descent test, the reference for the one-pass version."""
+    if len(w) != n:
+        return False
+    spin = is_spin(w)
+    if spin and not all(x % 2 for x in w):
+        return False
+    if not spin and any(x % 2 for x in w):
+        return False
+    if lie_type == "A":
+        return not spin and all(a >= b for a, b in zip(w, w[1:]))
+    if lie_type in ("B", "C"):
+        if lie_type == "C" and spin:
+            return False
+        return all(a >= b for a, b in zip(w, w[1:])) and w[-1] >= 0
+    if lie_type == "D":
+        body = w[:-1] + (abs(w[-1]),)
+        return all(a >= b for a, b in zip(body, body[1:])) and body[-1] >= 0
+    raise ValueError(lie_type)
+
+
+def test_is_dominant_matches_three_scan_reference():
+    checked = 0
+    for lie_type in ("A", "B", "C", "D"):
+        for n in range(1, 5):
+            for w in itertools.product(range(-4, 5), repeat=n):
+                assert is_dominant(lie_type, n, w) == _is_dominant_three_scans(lie_type, n, w), (lie_type, w)
+                checked += 1
+    assert checked == 29520
+    # a weight of another length, or of mixed parities, is refused before
+    # the type is read
+    assert not is_dominant("A", 3, (2, 0))
+    assert not is_dominant("E", 2, (3, 2))
+    with pytest.raises(ValueError):
+        is_dominant("E", 2, (2, 0))
+    with pytest.raises(ValueError):
+        is_dominant("E", 2, (0, 2))
+
+
 def test_type_D_rank_1_refused():
     # D_1 has no roots: 0 is not a weight of V(2), so no value may come back
     with pytest.raises(ValueError, match="type D needs rank >= 2"):

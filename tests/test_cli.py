@@ -212,6 +212,18 @@ def test_verify_jobs_matches_serial(capsys, suite):
     assert out1 == out2
 
 
+def test_cost_proxy_reads_every_task_shape():
+    # --jobs sends the chunks out by |lambda| + |mu|, read from the weights
+    # among a task's args: doubled in the level suites, mu first in xk
+    cost = krlab.cli._cost
+    assert cost(("thm-c", {}, (2, (2, 1), (1,), 2))) == 4
+    assert cost(("xk", {}, ("box", (1,), (2, 1)))) == 4
+    assert cost(("level", {}, ("B", 2, (5, 1), (1, 1), 5))) == 8
+    for suite in krlab.identities.SUITES:
+        costs = [cost(t) for t in krlab.identities.suite_tasks(suite, 2, 2)]
+        assert max(costs) > min(costs) >= 0, suite
+
+
 def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(krlab.cli.os, "cpu_count", lambda: 2)
     assert [krlab.cli._jobs(j) for j in (1, 2, 64)] == [1, 2, 2]

@@ -266,6 +266,50 @@ def test_weight_past_rank_is_refused():
     assert thm_c_rhs((2, 2, 0), (2, 0, 0), 2, 2) == morris_c((2, 2, 0), (2,), 2) == q
 
 
+def _message(fn, *args):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_pairs_without_chains_are_zero_from_their_sizes(monkeypatch):
+    # no chain of shape oc(lam) and weight oc_bar(mu) exists when |mu| >
+    # |lam|, nor in type C when |lam| - |mu| is odd: both sides answer 0
+    # from the sizes, with no chain search, after the same input checks
+    def refuse(*args):
+        raise AssertionError("a pair without chains reached the chain search")
+
+    monkeypatch.setattr(oscillating, "_live", refuse)
+    zero_c, zero_b = Poly.zero(1), Poly.zero(2)
+    seen = 0
+    for n in (2, 3):
+        for lam in partitions_upto(4, max_len=n):
+            for mu in partitions_upto(4, max_len=n):
+                gap = size(lam) - size(mu)
+                dead_b = gap < 0
+                dead_c = dead_b or gap % 2
+                if not dead_c:
+                    continue
+                seen += 1
+                for g in (max(get(lam, 0), 1), max(get(lam, 0), 1) + 1):
+                    assert thm_c_rhs(lam, mu, n, g) == zero_c
+                    if dead_b:
+                        assert thm_b_rhs(lam, mu, n, g) == zero_b
+                for rhs in (thm_c_rhs, thm_b_rhs) if dead_b else (thm_c_rhs,):
+                    if lam:
+                        g = lam[0] - 1
+                        assert _message(rhs, lam, mu, n, g) == _message(oc, lam, g, n)
+                        assert _message(rhs, lam, mu, len(lam) - 1, lam[0]) == _message(pad, lam, len(lam) - 1)
+                    if len(mu) > len(lam):
+                        m = len(mu) - 1
+                        assert _message(rhs, lam, mu, m, 4) == _message(pad, mu, m)
+    assert seen == 122
+    # a lam that is not a partition still reaches the shape check
+    monkeypatch.undo()
+    assert _message(thm_c_rhs, (1, 2), (2, 2), 2, 2) == "shape (0, 1) is not a partition"
+    assert _message(thm_b_rhs, (1, 2), (2, 2), 2, 2) == "shape (0, 1) is not a partition"
+
+
 @pytest.mark.parametrize("mu_d", [(0, 0, 6), (0,)])
 def test_level_weight_of_wrong_length_is_refused(mu_d):
     # cut to rank 2, (0, 0, 6) would read as (0, 0), whose middle and right
