@@ -35,10 +35,11 @@ _DICTS = {
 def cache_sizes():
     """Entries held by each memo table that clear_caches() empties, by
     module.name: every lru_cache, the strip caches' shape table, the
-    q-Kostant memo, the row R-matrix tables and the table of interned KR
-    factors."""
+    q-Kostant memo, the row R-matrix tables, the table of interned KR
+    factors and the column factors' step tables."""
     out = {name: fn.cache_info().currsize for name, fn in _lru_caches()}
     out.update((name, len(table)) for name, table in _DICTS.items())
+    out["kr_column.steps"] = kr_column.step_entries()
     return out
 
 
@@ -46,9 +47,10 @@ def clear_caches():
     """Empty every memo table krlab keeps: each functools.lru_cache defined
     in its modules, the chain layer's strip caches with their shape table,
     the q-Kostant memo, the row R-matrix tables and the table of interned
-    KR factors.  Later results are the same, only computed afresh; a factor
-    built afresh equals the one it replaces."""
+    KR factors with their step tables.  Later results are the same, only
+    computed afresh; a factor built afresh equals the one it replaces."""
     for _, fn in _lru_caches():
         fn.cache_clear()
+    kr_column.clear_steps()
     for table in _DICTS.values():
         table.clear()

@@ -31,9 +31,10 @@ class KRFactor:
     Building a factor returns the one already held for (class, kind, cap,
     word) in _factors, so equal factors are one object, hashed and checked
     once; a word is checked (by the subclass's _check) only when it is new,
-    and a word that fails is not stored.  Equality is by value, identity
-    first, so a factor built again after clear_caches() empties the table
-    still equals the old one.  Factors are immutable.
+    and a word that fails is not stored; a new factor then sets its
+    subclass's own slots (_init).  Equality is by value, identity first, so
+    a factor built again after clear_caches() empties the table still
+    equals the old one.  Factors are immutable.
     """
 
     __slots__ = ("kind", "cap", "word", "_hash")
@@ -47,8 +48,12 @@ class KRFactor:
             self = object.__new__(cls)
             for name, value in zip(KRFactor.__slots__, (kind, cap, word, hash((kind, cap, word)))):
                 object.__setattr__(self, name, value)
+            self._init()
             _factors[key] = self
         return self
+
+    def _init(self):
+        """Set a new factor's own slots; the base class has none."""
 
     def __hash__(self):
         return self._hash
@@ -80,9 +85,18 @@ class KRFactor:
 
 
 class ColumnKR(KRFactor):
-    """One factor of B^{r,1}; the word is a strict admissible column."""
+    """One factor of B^{r,1}; the word is a strict admissible column.
 
-    __slots__ = ()
+    Each factor carries the energy of its one-column splitting,
+    split_energy, and its step table, steps: letter c -> col_step(self, c),
+    filled on first use.
+    """
+
+    __slots__ = ("split_energy", "steps")
+
+    def _init(self):
+        object.__setattr__(self, "split_energy", energy_chain(split_factor(self), self.kind))
+        object.__setattr__(self, "steps", {})
 
     @staticmethod
     def _check(kind, cap, word):
@@ -97,7 +111,8 @@ class ColumnKR(KRFactor):
             raise ValueError("word longer than capacity")
         if kind == VDOM and (cap - k) % 2:
             raise ValueError("vertical-domino column needs cap - len even")
-        if not all(prec(x, y) for x, y in zip(word, word[1:])):
+        ranks = [key(x) for x in word]
+        if not all(a < b for a, b in zip(ranks, ranks[1:])):
             raise ValueError("column word %s is not strictly increasing" % word_str(word))
 
     def vacancy(self):
@@ -249,6 +264,67 @@ def split_step(chain, u, r_matrix, split):
         passed.append(step[0])
         u = step[1]
     return tuple(passed) + split(u)
+
+
+def col_step(u, c):
+    """Fill u's step table at letter c: (c', u', h), where R(u (x) c) =
+    c' (x) u' by r_matrix_col and h is the energy the step adds,
+    energy_chain((c',) + split_factor(u')) - energy_chain((c,)) -
+    u'.split_energy.  Factors are interned, so each (factor, letter) pair
+    is worked out once until clear_caches(); r_matrix_col is read from this
+    module's globals, so a replaced one sees every pair."""
+    c2, u2, _ = r_matrix_col(u, c)
+    h = energy_chain((c2,) + split_factor(u2), u.kind) - energy_chain((c,), u.kind) - u2.split_energy
+    entry = u.steps[c] = (c2, u2, h)
+    return entry
+
+
+def split_step_energy(chain, energy, u, build=True):
+    """(split_step(chain, u, r_matrix_col, split_factor), its energy_chain),
+    given energy = energy_chain(chain).  Without build, a factor of capacity
+    above one gives None for the split chain and builds none.
+
+    Energy is a sum of local energies, one per R-step: a factor of capacity
+    above one that passes the letters of chain adds each step's h from its
+    step table, then the energy of the last factor's splitting.  Capacity
+    1 splits and sums the chain anew; capacity 0 leaves it as it is.
+    """
+    if u.cap == 0:
+        return chain, energy
+    if u.cap == 1:
+        chain = split_step(chain, u, r_matrix_col, split_factor)
+        return chain, energy_chain(chain, u.kind)
+    if not build:
+        for x in chain:
+            try:
+                _, u, h = u.steps[x]
+            except KeyError:
+                _, u, h = col_step(u, x)
+            energy += h
+        return None, energy + u.split_energy
+    passed = []
+    for x in chain:
+        try:
+            c, u, h = u.steps[x]
+        except KeyError:
+            c, u, h = col_step(u, x)
+        passed.append(c)
+        energy += h
+    return tuple(passed) + split_factor(u), energy + u.split_energy
+
+
+def clear_steps():
+    """Empty the step table of every held column factor.  The tables point
+    at each other's factors, so clear_caches() empties them before it
+    drops the factors, leaving no cycle to the garbage collector."""
+    for u in _factors.values():
+        if type(u) is ColumnKR:
+            u.steps.clear()
+
+
+def step_entries():
+    """The number of entries in the held column factors' step tables."""
+    return sum(len(u.steps) for u in _factors.values() if type(u) is ColumnKR)
 
 
 def split_tensor(factors, r_matrix, split):

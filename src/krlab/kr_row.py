@@ -27,7 +27,7 @@ from .crystal import (
 # bench/tracing.py wraps these names in this module
 from .crystal import apply_e, apply_f, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
 from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor
-from .letters import EMPTY, prec, sort_word, word_str
+from .letters import EMPTY, key, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
 
@@ -57,7 +57,8 @@ class RowKR(KRFactor):
             raise ValueError("at most one zero letter")
         if zeros and kind == HDOM:
             raise ValueError("the horizontal-domino alphabet has no zero letter")
-        if any(prec(y, x) for x, y in zip(word, word[1:])):
+        ranks = [key(x) for x in word]
+        if any(b < a for a, b in zip(ranks, ranks[1:])):
             raise ValueError("row word %s is not weakly increasing" % word_str(word))
 
     def letters(self):

@@ -63,13 +63,15 @@ def sort_word(letters):
 
 def _worst_pair(w):
     """The i of the (i, bar-i) pair of w that offends admissibility most, or None:
-    largest excess #(below i) + #(above bar-i) - i >= -1, smallest i on ties."""
+    largest excess #(below i) + #(above bar-i) - i >= -1, smallest i on ties.
+    Each letter's key rank is read once: the letters below i are the ranks
+    below i, and those above bar-i the ranks above 2 MID - i."""
     s = set(w)
+    ranks = [key(c) for c in w]
     worst = None
     for x in sorted(c for c in s if c > 0 and -c in s):
-        below = sum(1 for c in w if prec(c, x))
-        above = sum(1 for c in w if prec(-x, c))
-        excess = below + above - x
+        top = 2 * MID - x
+        excess = sum(r < x for r in ranks) + sum(r > top for r in ranks) - x
         if excess >= -1 and (worst is None or excess > worst[0]):
             worst = (excess, x)
     return None if worst is None else worst[1]

@@ -11,19 +11,8 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import gt
 
-from . import kr_column
 from .crystal import hw
-from .kr_column import (
-    BOX,
-    HDOM,
-    VDOM,
-    ColumnKR,
-    energy_chain,
-    energy_col,
-    split_factor,
-    split_shift,
-    split_step,
-)
+from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, split_shift, split_step_energy
 from .kr_row import RowKR, eps0
 from .letters import red, sort_word
 from .partitions import (
@@ -291,11 +280,12 @@ def energy_counts(kind, shape, weight, two_g):
     vac, Theorem B weighs each by q^{(D - vac)/2} t^{vac}.
 
     One walk over _live's table, with no chain list, carrying the splitting
-    chain of the prefix and its vacancy: strip i adds its column factor u
-    (COL_KIND: VDOM for SSOT, BOX for GSSOT) on the left, one split_step,
-    and u.vacancy() = cap - len(u.word) to the vacancy.  Splitting shifts
-    every energy by one constant of the capacities, split_shift,
-    subtracted once at the end.
+    chain of the prefix, its energy and its vacancy: strip i adds its
+    column factor u (COL_KIND: VDOM for SSOT, BOX for GSSOT) on the left,
+    one kr_column.split_step_energy, and u.vacancy() = cap - len(u.word) to
+    the vacancy; the last position builds no chain.  Splitting shifts every
+    energy by one constant of the capacities, split_shift, subtracted once
+    at the end.
     """
     col_kind = COL_KIND[kind]
     weight = tuple(weight)
@@ -305,26 +295,26 @@ def energy_counts(kind, shape, weight, two_g):
     if not weight:
         return {(0, 0): 1}
     counts = {}
-    # r_matrix_col is read per call, so a replaced one is seen
-    _energy_walk(live, 0, (), (), 0, weight, col_kind, kr_column.r_matrix_col, counts)
+    _energy_walk(live, 0, (), (), 0, 0, weight, col_kind, counts)
     shift = split_shift(col_kind, weight)
     return {(d - shift, v): c for (d, v), c in counts.items()}
 
 
-def _energy_walk(live, i, inner, chain, v, weight, col_kind, r_matrix, counts):
+def _energy_walk(live, i, inner, chain, d, v, weight, col_kind, counts):
     """Count into counts the (energy, vacancy) keys of the chains below
-    node (i, inner), whose prefix has splitting chain `chain` and vacancy v."""
+    node (i, inner), whose prefix has splitting chain `chain` of energy d
+    and vacancy v."""
     cap = weight[i]
     last = i == len(weight) - 1
     for strip in live[i, inner]:
         u = _col_factor(col_kind, cap, strip)
-        split = split_step(chain, u, r_matrix, split_factor)
+        split, e = split_step_energy(chain, d, u, not last)
         vac = v + u.vacancy()
         if last:
-            key = (energy_chain(split, col_kind), vac)
+            key = (e, vac)
             counts[key] = counts.get(key, 0) + 1
         else:
-            _energy_walk(live, i + 1, strip[2], split, vac, weight, col_kind, r_matrix, counts)
+            _energy_walk(live, i + 1, strip[2], split, e, vac, weight, col_kind, counts)
 
 
 def cind(strip):

@@ -20,7 +20,7 @@ from krlab.crystal import (
 )
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR
 from krlab.kr_row import RowKR
-from krlab.letters import EMPTY, MID, is_admissible, key, prec, red, sort_word, unred
+from krlab.letters import EMPTY, MID, _worst_pair, is_admissible, key, prec, red, sort_word, unred
 
 
 def strict_words(maxmag, length):
@@ -84,6 +84,38 @@ def test_admissible_and_red_match_reference():
             assert red(w) == _red_reference(w), w
             total += 1
     assert total == 2 ** 10
+
+
+def _worst_pair_by_prec(w):
+    """_worst_pair as stated with one prec call per letter pair."""
+    s = set(w)
+    worst = None
+    for x in sorted(c for c in s if c > 0 and -c in s):
+        below = sum(1 for c in w if prec(c, x))
+        above = sum(1 for c in w if prec(-x, c))
+        excess = below + above - x
+        if excess >= -1 and (worst is None or excess > worst[0]):
+            worst = (excess, x)
+    return None if worst is None else worst[1]
+
+
+def test_worst_pair_on_ranks_matches_prec():
+    # every word, repeated letters too, of letters 0 < |x| <= 4 up to
+    # length 6, in increasing and in decreasing order
+    letters = sort_word([m for m in range(1, 5)] + [-m for m in range(1, 5)])
+    total = 0
+    for length in range(7):
+        for combo in itertools.combinations_with_replacement(letters, length):
+            for w in (combo, combo[::-1]):
+                want = _worst_pair_by_prec(w)
+                assert _worst_pair(w) == want, w
+                assert is_admissible(w) == (want is None), w
+                v = sort_word(w)
+                while (x := _worst_pair_by_prec(v)) is not None:
+                    v = tuple(c for c in v if c not in (x, -x))
+                assert red(w) == v, w
+            total += 1
+    assert total == 3003
 
 
 def test_unred():

@@ -768,6 +768,9 @@ def _cache_sizes():
         "qweight._memo": len(qweight._memo),
         "kr_row._tables": len(kr_row._tables),
         "kr_column._factors": len(kr_column._factors),
+        "kr_column.steps": sum(
+            len(u.steps) for u in kr_column._factors.values() if isinstance(u, kr_column.ColumnKR)
+        ),
     }
     for name, mod in list(sys.modules.items()):
         if name.startswith("krlab."):
@@ -795,11 +798,30 @@ def test_clear_caches_empties_every_cache():
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
                  "kr_row._energy_row", "identities._morris", "kr_column._factors",
-                 "kr_column.split_factor"):
+                 "kr_column.split_factor", "kr_column.steps"):
         assert warm[name] > 0, name
+    held = [u for u in kr_column._factors.values() if isinstance(u, kr_column.ColumnKR)]
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
+    assert not any(u.steps for u in held)
     assert compute() == before
+
+
+def test_clear_caches_leaves_no_cyclic_garbage():
+    # step tables point at each other's factors; clear_caches() empties
+    # them before it drops the factors, so the collector finds nothing
+    krlab.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        NO_CYCLE_CALLS["thm_c_rhs"]()
+        NO_CYCLE_CALLS["thm_b_rhs"]()
+        assert kr_column.step_entries() > 0
+        krlab.clear_caches()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_cache_sizes_reports_every_cleared_table():
@@ -810,7 +832,8 @@ def test_cache_sizes_reports_every_cleared_table():
     assert sizes == _cache_sizes()
     for name in ("oscillating._shapes", "oscillating._strips_from", "oscillating._strips_between",
                  "qweight._memo", "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
-                 "charge.kostka_foulkes", "kr_column._factors", "kr_column.split_factor"):
+                 "charge.kostka_foulkes", "kr_column._factors", "kr_column.split_factor",
+                 "kr_column.steps"):
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}

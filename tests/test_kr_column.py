@@ -8,7 +8,7 @@ import random
 import pytest
 
 import krlab
-from krlab import kr_column
+from krlab import kr_column, oscillating
 from krlab.crystal import CTX_INF, apply_e, apply_f, ctx_C, hw, is_hw, word_weight
 from krlab.kr_column import (
     BOX,
@@ -22,12 +22,15 @@ from krlab.kr_column import (
     local_H,
     r_matrix_col,
     split_col,
+    split_factor,
     split_image_hw,
+    split_step,
+    split_step_energy,
     tol_midd,
     vac,
     vac_qt_energy,
 )
-from krlab.identities import thm_c_rhs
+from krlab.identities import thm_b_rhs, thm_c_rhs
 from krlab.kr_row import RowKR
 from krlab.letters import EMPTY, is_admissible, key, prec, sort_word
 from krlab.partitions import partitions_upto
@@ -413,6 +416,53 @@ def test_r_matrix_col_cache_matches_fresh(monkeypatch):
     for pair, image in warm.items():
         assert r_matrix_col(*pair) == image, pair
     assert r_matrix_col.cache_info().misses == len(seen)
+
+
+def test_carried_energy_matches_split_chain(monkeypatch):
+    """Every (chain, factor) step the Theorem C (vertical domino) and B
+    (single box) walks take on C3 / B3, |lam|,|mu| <= 4, at g and g + 1:
+    the energy carried by step tables equals energy_chain of the split
+    chain, and so does the energy handed in for the chain itself."""
+    krlab.clear_caches()
+    seen = {}
+
+    def recording(chain, energy, u, build=True):
+        out = split_step_energy(chain, energy, u, build)
+        seen[chain, energy, u, build] = out
+        return out
+
+    monkeypatch.setattr(oscillating, "split_step_energy", recording)
+    for lam in partitions_upto(4, max_len=3):
+        for mu in partitions_upto(4, max_len=3):
+            g = max(lam[0] if lam else 0, 1)
+            for gg in (g, g + 1):
+                thm_c_rhs(lam, mu, 3, gg)
+                thm_b_rhs(lam, mu, 3, gg)
+    kinds = set()
+    for (chain, energy, u, build), (split, carried) in seen.items():
+        want = split_step(chain, u, r_matrix_col, split_factor)
+        assert energy == energy_chain(chain, u.kind), (chain, u)
+        assert carried == energy_chain(want, u.kind), (chain, u)
+        assert split == (None if u.cap > 1 and not build else want), (chain, u, build)
+        kinds.add((u.kind, u.cap > 1, build))
+    assert len(seen) > 900
+    assert kinds == {(kind, long, build) for kind in (BOX, VDOM) for long in (False, True) for build in (False, True)}
+
+
+def test_step_table_entry():
+    # h is the energy the step adds: energy_chain((c',) + split_factor(u'))
+    # less that of the letter c and of the splitting of u'
+    krlab.clear_caches()
+    for kind in (BOX, VDOM):
+        for cap in (2, 3):
+            for u in all_columns(kind, cap, 3):
+                assert u.split_energy == energy_chain(split_factor(u), kind)
+                assert not u.steps
+                for c in one_boxes(kind, 3):
+                    c2, u2, _ = r_matrix_col(u, c)
+                    h = energy_chain((c2,) + split_factor(u2), kind) - energy_chain((c,), kind) - u2.split_energy
+                    assert kr_column.col_step(u, c) == (c2, u2, h)
+                    assert u.steps[c] == (c2, u2, h)
 
 
 # ---------------------------------------------------------------------------
