@@ -36,10 +36,11 @@ def cache_sizes():
     """Entries held by each memo table that clear_caches() empties, by
     module.name: every lru_cache, the strip caches' shape table, the
     q-Kostant memo, the row R-matrix tables, the table of interned KR
-    factors and the column factors' step tables."""
+    factors and the column and the row factors' step tables."""
     out = {name: fn.cache_info().currsize for name, fn in _lru_caches()}
     out.update((name, len(table)) for name, table in _DICTS.items())
-    out["kr_column.steps"] = kr_column.step_entries()
+    out["kr_column.steps"] = kr_column.step_entries(kr_column.ColumnKR)
+    out["kr_row.steps"] = kr_column.step_entries(kr_row.RowKR)
     return out
 
 

@@ -99,6 +99,18 @@ def signature(pairs):
     return sum(run[1] for run in minus), phi, e_at, f_at
 
 
+def signature_left(pair, reduced):
+    """The signature rule one factor at a time: the (phi, eps) of b (x) T
+    from pair, the (phi, eps) of b, and reduced, the (phi, eps) of T.  T
+    reads +^phi -^eps, so b's eps minuses cancel up to phi of T's pluses.
+    Folding a tensor's factors from the right gives signature's phi and
+    eps."""
+    p, e = pair
+    phi, eps = reduced
+    m = min(e, phi)
+    return p + phi - m, e + eps - m
+
+
 # ---------------------------------------------------------------------------
 # tensors: a factor is a letter, EMPTY, a tuple (sub-tensor), or a KR factor
 # (ColumnKR / RowKR) exposing letters() in tensor order and with_letters().

@@ -19,7 +19,7 @@ from .charge import kostka_foulkes, kostka_foulkes_sum
 from .kr_column import BOX, HDOM, VDOM, qt_exponents
 from .kr_column import vac_qt_energy  # noqa: F401  bench/tracing.py wraps this name here
 from . import oscillating
-from .kr_row import energy_row
+from .kr_row import energy_row  # noqa: F401  bench/tracing.py wraps this name here
 from .oscillating import (
     GSSOT,
     ROW_KIND,
@@ -30,7 +30,8 @@ from .oscillating import (
     energy_counts,
     enumerate_chains,
     energy_of_chain,  # noqa: F401  bench/tracing.py wraps this name here
-    hw_row_elements,
+    hw_row_elements,  # noqa: F401  bench/tracing.py wraps this name here
+    row_energy_counts,
     strip_len,
     unreachable,
 )
@@ -245,22 +246,23 @@ def p_diamond_member(kind, gamma):
 
 def xk_lhs(kind, mu, lam, max_eps0=None):
     """The normalized energy sum over highest weight elements, with
-    max_eps0 over those with eps_0 <= max_eps0 only, each listed element's
-    eps_0 checked against it.  Each exponent is counted in a dict and one
-    Poly built at the end."""
+    max_eps0 over those with eps_0 <= max_eps0 only, each element's eps_0
+    checked against it.  The (energy, eps_0) counts come from one walk,
+    row_energy_counts; each exponent is counted in a dict and one Poly
+    built at the end."""
     two_g = None
     if max_eps0 is not None:
         two_g = 2 * max_eps0 if kind == HDOM else max_eps0
     dd = DSIZE[kind]
     base = 2 * nn(mu) + size(mu) - size(lam)
     counts = {}
-    for _, tensor, e0 in hw_row_elements(kind, tuple(mu), norm(lam), two_g):
+    for (energy, e0), c in row_energy_counts(kind, tuple(mu), norm(lam), two_g).items():
         if max_eps0 is not None and e0 > max_eps0:
             raise ValueError("a bounded element has eps_0 %d over %d" % (e0, max_eps0))
-        num = base - dd * energy_row(tensor)
+        num = base - dd * energy
         if num % 2:
             raise ValueError("odd exponent in the energy sum")
-        counts[num // 2] = counts.get(num // 2, 0) + 1
+        counts[num // 2] = counts.get(num // 2, 0) + c
     return Poly(1, {(e,): c for e, c in counts.items()})
 
 

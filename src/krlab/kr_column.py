@@ -34,10 +34,12 @@ class KRFactor:
     and a word that fails is not stored; a new factor then sets its
     subclass's own slots (_init).  Equality is by value, identity first, so
     a factor built again after clear_caches() empties the table still
-    equals the old one.  Factors are immutable.
+    equals the old one.  Factors are immutable, apart from their step
+    table, steps: letter c -> (c', u', h), filled on first use by the
+    subclass's step rule (col_step, kr_row.row_step) for split_step_energy.
     """
 
-    __slots__ = ("kind", "cap", "word", "_hash")
+    __slots__ = ("kind", "cap", "word", "_hash", "steps")
 
     def __new__(cls, kind, cap, word):
         word = tuple(word)
@@ -46,7 +48,7 @@ class KRFactor:
         if self is None:
             cls._check(kind, cap, word)
             self = object.__new__(cls)
-            for name, value in zip(KRFactor.__slots__, (kind, cap, word, hash((kind, cap, word)))):
+            for name, value in zip(KRFactor.__slots__, (kind, cap, word, hash((kind, cap, word)), {})):
                 object.__setattr__(self, name, value)
             self._init()
             _factors[key] = self
@@ -87,16 +89,16 @@ class KRFactor:
 class ColumnKR(KRFactor):
     """One factor of B^{r,1}; the word is a strict admissible column.
 
-    Each factor carries the energy of its one-column splitting,
-    split_energy, and its step table, steps: letter c -> col_step(self, c),
-    filled on first use.
+    Each factor carries its one-column splitting, splitting, and that
+    chain's energy, split_energy; its step table is filled by col_step.
     """
 
-    __slots__ = ("split_energy", "steps")
+    __slots__ = ("splitting", "split_energy")
 
     def _init(self):
-        object.__setattr__(self, "split_energy", energy_chain(split_factor(self), self.kind))
-        object.__setattr__(self, "steps", {})
+        chain = split_factor(self)
+        object.__setattr__(self, "splitting", chain)
+        object.__setattr__(self, "split_energy", energy_chain(chain, self.kind))
 
     @staticmethod
     def _check(kind, cap, word):
@@ -267,39 +269,49 @@ def split_step(chain, u, r_matrix, split):
 
 
 def col_step(u, c):
-    """Fill u's step table at letter c: (c', u', h), where R(u (x) c) =
-    c' (x) u' by r_matrix_col and h is the energy the step adds,
-    energy_chain((c',) + split_factor(u')) - energy_chain((c,)) -
-    u'.split_energy.  Factors are interned, so each (factor, letter) pair
-    is worked out once until clear_caches(); r_matrix_col is read from this
+    """Fill u's step table at letter c from R(u (x) c) = c' (x) u' by
+    r_matrix_col.  Factors are interned, so each (factor, letter) pair is
+    worked out once until clear_caches(); r_matrix_col is read from this
     module's globals, so a replaced one sees every pair."""
     c2, u2, _ = r_matrix_col(u, c)
-    h = energy_chain((c2,) + split_factor(u2), u.kind) - energy_chain((c,), u.kind) - u2.split_energy
+    return store_step(u, c, c2, u2)
+
+
+def store_step(u, c, c2, u2):
+    """Enter (c', u', h) = (c2, u2, h) in u's step table at letter c and
+    return it, where R(u (x) c) = c' (x) u' and h is the energy the step
+    adds: energy_chain((c',) + u'.splitting) - energy_chain((c,)) -
+    u'.split_energy."""
+    h = energy_chain((c2,) + u2.splitting, u.kind) - energy_chain((c,), u.kind) - u2.split_energy
     entry = u.steps[c] = (c2, u2, h)
     return entry
 
 
-def split_step_energy(chain, energy, u, build=True):
-    """(split_step(chain, u, r_matrix_col, split_factor), its energy_chain),
-    given energy = energy_chain(chain).  Without build, a factor of capacity
-    above one gives None for the split chain and builds none.
+def split_step_energy(chain, energy, u, build=True, fill=col_step):
+    """(split_step(chain, u, r_matrix, split), its energy_chain), given
+    energy = energy_chain(chain), for a column or a row factor u with its
+    own R-matrix and one-factor splitting, u.splitting.  Without build, a
+    factor of capacity above one gives None for the split chain and builds
+    none.
 
     Energy is a sum of local energies, one per R-step: a factor of capacity
     above one that passes the letters of chain adds each step's h from its
-    step table, then the energy of the last factor's splitting.  Capacity
-    1 splits and sums the chain anew; capacity 0 leaves it as it is.
+    step table, filling a missing entry by fill(u, letter), the factor's
+    step rule (col_step here, kr_row.row_step for rows), then the energy of
+    the last factor's splitting.  Capacity 1 splits and sums the chain
+    anew; capacity 0 leaves it as it is.
     """
     if u.cap == 0:
         return chain, energy
     if u.cap == 1:
-        chain = split_step(chain, u, r_matrix_col, split_factor)
+        chain = u.splitting + chain
         return chain, energy_chain(chain, u.kind)
     if not build:
         for x in chain:
             try:
                 _, u, h = u.steps[x]
             except KeyError:
-                _, u, h = col_step(u, x)
+                _, u, h = fill(u, x)
             energy += h
         return None, energy + u.split_energy
     passed = []
@@ -307,24 +319,24 @@ def split_step_energy(chain, energy, u, build=True):
         try:
             c, u, h = u.steps[x]
         except KeyError:
-            c, u, h = col_step(u, x)
+            c, u, h = fill(u, x)
         passed.append(c)
         energy += h
-    return tuple(passed) + split_factor(u), energy + u.split_energy
+    return tuple(passed) + u.splitting, energy + u.split_energy
 
 
 def clear_steps():
-    """Empty the step table of every held column factor.  The tables point
-    at each other's factors, so clear_caches() empties them before it
-    drops the factors, leaving no cycle to the garbage collector."""
+    """Empty the step table of every held factor.  The tables point at
+    each other's factors, so clear_caches() empties them before it drops
+    the factors, leaving no cycle to the garbage collector."""
     for u in _factors.values():
-        if type(u) is ColumnKR:
-            u.steps.clear()
+        u.steps.clear()
 
 
-def step_entries():
-    """The number of entries in the held column factors' step tables."""
-    return sum(len(u.steps) for u in _factors.values() if type(u) is ColumnKR)
+def step_entries(cls=ColumnKR):
+    """The number of entries in the step tables of the held factors of
+    class cls."""
+    return sum(len(u.steps) for u in _factors.values() if type(u) is cls)
 
 
 def split_tensor(factors, r_matrix, split):

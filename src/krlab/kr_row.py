@@ -26,7 +26,7 @@ from .crystal import (
 )
 # bench/tracing.py wraps these names in this module
 from .crystal import apply_e, apply_f, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
-from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor
+from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor, store_step
 from .letters import EMPTY, key, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
@@ -37,9 +37,27 @@ def row_ctx(kind, n):
 
 
 class RowKR(KRFactor):
-    """One factor of B^{1,s}; the word is a weakly increasing multiset."""
+    """One factor of B^{1,s}; the word is a weakly increasing multiset.
 
-    __slots__ = ()
+    Its one-row splitting, splitting, and that chain's energy,
+    split_energy, are worked out on first use; its step table is filled by
+    row_step.
+    """
+
+    __slots__ = ("_split_energy",)
+
+    def _init(self):
+        object.__setattr__(self, "_split_energy", None)
+
+    @property
+    def splitting(self):
+        return _split_factor_row(self)
+
+    @property
+    def split_energy(self):
+        if self._split_energy is None:
+            object.__setattr__(self, "_split_energy", energy_chain(self.splitting, self.kind))
+        return self._split_energy
 
     @staticmethod
     def _check(kind, cap, word):
@@ -359,6 +377,17 @@ def split_row(factors):
         return (c.word[0] if c.word else EMPTY), u
 
     return split_tensor(factors, r_matrix, _split_factor_row)
+
+
+def row_step(u, x, rank):
+    """Fill u's step table at letter x (EMPTY for an empty box) from
+    R(u (x) x) = x' (x) u', read on the held table of (kind, cap) brought to
+    rank at least `rank` and at least row_rank of the pair.  A walk passes
+    one rank for all its steps, at least that of every tensor it reaches,
+    so that it builds each table once."""
+    n = max(rank, row_rank(u.word + (x,)))
+    c, u2 = _table(u.kind, u.cap, n).apply(u, _box(u.kind, x))
+    return store_step(u, x, c.word[0] if c.word else EMPTY, u2)
 
 
 def energy_row(factors):

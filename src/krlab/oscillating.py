@@ -7,13 +7,13 @@ shrink to the outer one, SSROT chains shrink first.  Chains are tuples of
 strips; weights are nonnegative integer vectors, one strip per entry.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, zip_longest
 from operator import gt
 
-from .crystal import hw
+from .crystal import hw, signature_left
 from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, split_shift, split_step_energy
-from .kr_row import RowKR, eps0
+from .kr_row import RowKR, _zero_pair, eps0, row_rank, row_step
 from .letters import red, sort_word
 from .partitions import (
     added_cell,
@@ -33,6 +33,7 @@ SSROT = "ssrot"
 # the row crystal each kind of chain maps into under phi_r, and the column
 # crystal SSOT and GSSOT chains map into under phi_c
 ROW_KIND = {SSOT: HDOM, GSSOT: BOX, SSROT: VDOM}
+OSC_OF_ROW = {r: c for c, r in ROW_KIND.items()}
 COL_KIND = {SSOT: VDOM, GSSOT: BOX}
 
 
@@ -223,6 +224,15 @@ def _fill(live, i, inner, kind, shape, weight, two_g, rems, target, parity):
     return strips
 
 
+@lru_cache(maxsize=4)
+def _shared_live(kind, shape, weight, two_g):
+    """_live's table for the last few searches, which callers only read: a
+    level instance's right side (row_energy_counts) and its q = 1 count
+    (count_chains) search one table.  Keyed on the normalised shape and
+    the weight tuple."""
+    return _live(kind, shape, weight, two_g)
+
+
 def enumerate_chains(kind, shape, weight, two_g=None):
     """All SSOT / GSSOT / SSROT of the given shape and weight vector.
 
@@ -256,9 +266,9 @@ def count_chains(kind, shape, weight, two_g=None):
     list: each node of _live's table counts the chains below it, the sum
     over its strips of their outer node's count (1 at the last position).
     The table holds each node after its subtree, so one pass in its order
-    finds every count it adds."""
+    finds every count it adds.  The table is _shared_live's."""
     weight = tuple(weight)
-    live = _live(kind, shape, weight, two_g)
+    live = _shared_live(kind, norm(shape), weight, two_g)
     if live is None:
         return 0
     if not weight:
@@ -315,6 +325,66 @@ def _energy_walk(live, i, inner, chain, d, v, weight, col_kind, counts):
             counts[key] = counts.get(key, 0) + 1
         else:
             _energy_walk(live, i + 1, strip[2], split, e, vac, weight, col_kind, counts)
+
+
+def row_energy_counts(kind, mu, lam, two_g=None):
+    """{(D, eps_0): count} over the elements t of hw_row_elements(kind, mu,
+    lam, two_g), where D = energy_row(t) and eps_0 = eps0(t), each eps_0
+    checked against its chain's statistic as hw_row_elements checks it.
+
+    One walk over _shared_live's table, with no element listed, carrying
+    for each prefix its splitting chain and that chain's energy, the
+    (phi_0, eps_0) of its row tensor and its chain_c2: strip i adds its row
+    factor u on the left, one kr_column.split_step_energy with kr_row's
+    step rule and one signature_left, reading u, its (phi_0, eps_0) and
+    the strip's bound2 from _row_strip.  Every step reads tables of one
+    rank, at least row_rank of each element's letters: a letter of a
+    strip's row factor is a row index of its shapes, and the shapes after
+    i strips have at most i rows.
+    """
+    osc_kind = OSC_OF_ROW[kind]
+    weight = tuple(mu)
+    live = _shared_live(osc_kind, norm(lam), weight, two_g)
+    if live is None:
+        return {}
+    if not weight:
+        return {(0, 0): 1}
+    counts = {}
+    fill = partial(row_step, rank=row_rank((len(weight),)))
+    _row_walk(live, 0, (), (), 0, (0, 0), 0, weight, osc_kind, fill, counts)
+    return counts
+
+
+def _row_walk(live, i, inner, chain, d, zero, c2, weight, kind, fill, counts):
+    """Count into counts the (energy, eps_0) keys of the chains below node
+    (i, inner), whose prefix has splitting chain `chain` of energy d, row
+    tensor (phi_0, eps_0) = zero and chain statistic c2."""
+    cap = weight[i]
+    last = i == len(weight) - 1
+    for strip in live[i, inner]:
+        u, pair, b2 = _row_strip(kind, cap, strip)
+        split, e = split_step_energy(chain, d, u, not last, fill)
+        z = signature_left(pair, zero)
+        c = max(c2, b2)
+        if last:
+            key = (e, _checked_eps0(kind, c, z[1]))
+            counts[key] = counts.get(key, 0) + 1
+        else:
+            _row_walk(live, i + 1, strip[2], split, e, z, c, weight, kind, fill, counts)
+
+
+def _checked_eps0(kind, c2, direct):
+    """The eps_0 a chain of the given kind with statistic c2 gives its row
+    tensor, c2 / 2 for SSOT chains and c2 for the others, checked against
+    the tensor's own eps_0, direct."""
+    e0 = c2
+    if kind == SSOT:
+        if c2 % 2:
+            raise ValueError("horizontal-domino statistic must be integral")
+        e0 //= 2
+    if direct != e0:
+        raise ValueError("eps0 mismatch: chain gives %s, tensor gives %s" % (e0, direct))
+    return e0
 
 
 def cind(strip):
@@ -412,6 +482,14 @@ def _row_factor(kind, cap, strip):
     return RowKR(ROW_KIND[kind], cap, rind_rohs(rohs))
 
 
+@lru_cache(maxsize=None)
+def _row_strip(kind, cap, strip):
+    """What the level walk reads off one strip: its row factor, that
+    factor's (phi_0, eps_0) and the strip's bound2."""
+    u = _row_factor(kind, cap, strip)
+    return u, _zero_pair(u), bound2(strip, kind, cap)
+
+
 def phi_r(chain, kind, weight=None):
     """Row-index image into the row crystals, last strip leftmost."""
     weight = _weight(chain, weight, -1 if kind == SSROT else 1)
@@ -431,19 +509,11 @@ def hw_row_elements(kind, mu, lam, two_g=None):
     elements with eps_0 <= two_g / 2 for the horizontal-domino kind, and
     with eps_0 <= two_g for the other two.
     """
-    osc_kind = {r: c for c, r in ROW_KIND.items()}[kind]
+    osc_kind = OSC_OF_ROW[kind]
     out = []
     for chain in enumerate_chains(osc_kind, lam, mu, two_g):
         t = phi_r(chain, osc_kind, mu)
-        c2 = chain_c2(chain, osc_kind, mu)
-        e0 = c2 // 2 if kind == HDOM else c2
-        if kind == HDOM and c2 % 2:
-            raise ValueError("horizontal-domino statistic must be integral")
-        direct = eps0(t)
-        if direct != e0:
-            raise ValueError(
-                "eps0 mismatch: chain gives %s, tensor gives %s" % (e0, direct)
-            )
+        e0 = _checked_eps0(osc_kind, chain_c2(chain, osc_kind, mu), eps0(t))
         out.append((chain, t, e0))
     return out
 

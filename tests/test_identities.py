@@ -5,6 +5,7 @@ counts, and the symmetric-function identities behind them."""
 import gc
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -45,7 +46,7 @@ from krlab.identities import (
     xk_rhs_unfiltered,
 )
 from krlab.kr_column import BOX, HDOM, VDOM, vac_qt_energy
-from krlab.kr_row import RowKR, r_matrix_row
+from krlab.kr_row import RowKR, energy_row, r_matrix_row
 from krlab.oscillating import (
     GSSOT,
     SSOT,
@@ -55,6 +56,7 @@ from krlab.oscillating import (
     hw_row_elements,
     kappa_count,
     phi_c,
+    row_energy_counts,
 )
 from krlab.partitions import flip, get, norm, oc, oc_bar, pad, partitions, partitions_upto, size
 from krlab.polynomials import Poly, poly_str
@@ -433,14 +435,51 @@ def test_kostka_foulkes_sum_skips_other_sizes():
 
 def test_xk_lhs_checks_listed_eps0(monkeypatch):
     # the level right side is xk_lhs at max_eps0 = zeta g; an element
-    # listed above that bound is an error, not a term
-    listed = hw_row_elements(HDOM, (2, 2), (2, 2), 4)
+    # the walk gives above that bound is an error, not a term
+    counts = row_energy_counts(HDOM, (2, 2), (2, 2), 4)
+    assert sum(counts.values()) == len(hw_row_elements(HDOM, (2, 2), (2, 2), 4))
     assert xk_lhs(HDOM, (2, 2), (2, 2), 2) == level_formula("C", 2, (0, 0), (0, 0), 4)[2]
-    over = [(chain, tensor, 3) for chain, tensor, _ in listed]
-    monkeypatch.setattr("krlab.identities.hw_row_elements", lambda *args: over)
+    over = Counter()
+    for (energy, _), c in counts.items():
+        over[energy, 3] += c
+    monkeypatch.setattr("krlab.identities.row_energy_counts", lambda *args: over)
     with pytest.raises(ValueError, match="eps_0 3 over 2"):
         xk_lhs(HDOM, (2, 2), (2, 2), 2)
-    assert xk_lhs(HDOM, (2, 2), (2, 2)).subs_all_one() == len(listed)
+    assert xk_lhs(HDOM, (2, 2), (2, 2)).subs_all_one() == sum(counts.values())
+
+
+def test_level_walk_checks_eps0_and_parity(monkeypatch):
+    # each element's eps_0 is checked against its chain statistic, and an
+    # odd exponent in the energy sum is refused
+    args = (HDOM, (2, 2), (2, 2), 4)
+    assert row_energy_counts(*args)
+    real_pair = oscillating._zero_pair
+    monkeypatch.setattr(oscillating, "_zero_pair", lambda u: (real_pair(u)[0], real_pair(u)[1] + 1))
+    krlab.clear_caches()
+    with pytest.raises(ValueError, match="eps0 mismatch"):
+        row_energy_counts(*args)
+    monkeypatch.setattr(oscillating, "_zero_pair", real_pair)
+    monkeypatch.setattr(oscillating, "bound2", lambda strip, kind, r: 1)
+    krlab.clear_caches()
+    with pytest.raises(ValueError, match="horizontal-domino statistic must be integral"):
+        row_energy_counts(*args)
+    krlab.clear_caches()
+    monkeypatch.setattr("krlab.identities.row_energy_counts", lambda *args: {(1, 0): 1})
+    with pytest.raises(ValueError, match="odd exponent in the energy sum"):
+        xk_lhs(BOX, (2, 2), (2, 2))
+
+
+def test_q1_count_reads_the_level_walks_table():
+    # a level instance's right side and its q = 1 count search one table
+    tasks = suite_tasks("level", 3, 3)
+    krlab.clear_caches()
+    for _, _, args in tasks:
+        level_mid_rhs(*args)
+        q1_count(*args)
+    info = oscillating._shared_live.cache_info()
+    assert info.hits == info.misses == len(tasks)
+    assert info.currsize <= info.maxsize
+    krlab.clear_caches()
 
 
 def test_characters_middle_side_and_q1_never_call_the_oracle(monkeypatch):
@@ -771,6 +810,7 @@ def _cache_sizes():
         "kr_column.steps": sum(
             len(u.steps) for u in kr_column._factors.values() if isinstance(u, kr_column.ColumnKR)
         ),
+        "kr_row.steps": sum(len(u.steps) for u in kr_column._factors.values() if isinstance(u, RowKR)),
     }
     for name, mod in list(sys.modules.items()):
         if name.startswith("krlab."):
@@ -788,6 +828,7 @@ def test_clear_caches_empties_every_cache():
             level_formula("B", 2, (3, 1), (1, 1), 3),
             q1_count("D", 3, (2, 2, 0), (0, 0, 0), 2),
             r_matrix_row(RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,))),
+            energy_row((RowKR(HDOM, 2, (1, 2)), RowKR(HDOM, 1, (-1,)))),
             morris_c((2, 1), (1, 0), 2),
         )
 
@@ -798,9 +839,10 @@ def test_clear_caches_empties_every_cache():
                  "charge.kostka_foulkes", "characters.twisted_branching",
                  "kr_column.r_matrix_col", "oscillating._col_factor",
                  "kr_row._energy_row", "identities._morris", "kr_column._factors",
-                 "kr_column.split_factor", "kr_column.steps"):
+                 "kr_column.split_factor", "kr_column.steps", "kr_row.steps",
+                 "oscillating._shared_live"):
         assert warm[name] > 0, name
-    held = [u for u in kr_column._factors.values() if isinstance(u, kr_column.ColumnKR)]
+    held = list(kr_column._factors.values())
     krlab.clear_caches()
     assert set(_cache_sizes().values()) == {0}
     assert not any(u.steps for u in held)
@@ -816,7 +858,9 @@ def test_clear_caches_leaves_no_cyclic_garbage():
     try:
         NO_CYCLE_CALLS["thm_c_rhs"]()
         NO_CYCLE_CALLS["thm_b_rhs"]()
+        NO_CYCLE_CALLS["level_formula"]()
         assert kr_column.step_entries() > 0
+        assert kr_column.step_entries(RowKR) > 0
         krlab.clear_caches()
         left = gc.collect()
     finally:
@@ -833,7 +877,7 @@ def test_cache_sizes_reports_every_cleared_table():
     for name in ("oscillating._shapes", "oscillating._strips_from", "oscillating._strips_between",
                  "qweight._memo", "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
                  "charge.kostka_foulkes", "kr_column._factors", "kr_column.split_factor",
-                 "kr_column.steps"):
+                 "kr_column.steps", "kr_row.steps", "oscillating._shared_live"):
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}

@@ -4,12 +4,13 @@ splitting, energy, and the X = K identity."""
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 import krlab
-from krlab import kr_row
-from krlab.crystal import apply_e, apply_f, hw, is_hw, raise_step, word_weight
+from krlab import kr_column, kr_row
+from krlab.crystal import apply_e, apply_f, hw, is_hw, raise_step, signature, signature_left, word_weight
 from krlab.identities import run_task, suite_tasks
 from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
 from krlab.kr_row import (
@@ -31,7 +32,7 @@ from krlab.kr_row import (
     tensor_f0,
 )
 from krlab.letters import sort_word
-from krlab.oscillating import hw_row_elements
+from krlab.oscillating import hw_row_elements, row_energy_counts
 from krlab.partitions import conjugate, nn, norm, partitions, partitions_upto, size
 from krlab.polynomials import Poly
 
@@ -531,6 +532,26 @@ def test_level_pass_builds_one_row_table_per_kind_and_capacity(monkeypatch):
     krlab.clear_caches()
 
 
+def test_level_walk_builds_each_row_table_once_in_any_order(monkeypatch):
+    # the level walk steps at one rank per instance, row_rank of its chain
+    # length, so a rank-3 pass never replaces a table, whatever the order
+    built = []
+
+    class Counted(RMatrixTable):
+        def __init__(self, kind, s, n):
+            built.append((kind, s, n))
+            super().__init__(kind, s, n)
+
+    monkeypatch.setattr(kr_row, "RMatrixTable", Counted)
+    tasks = suite_tasks("level-mid", 4, 3)
+    for seed in (2, 6, 9):
+        krlab.clear_caches()
+        built.clear()
+        assert all(run_task(task)["equal"] for task in random.Random(seed).sample(tasks, len(tasks)))
+        assert len(built) == len(kr_row._tables) == 9, seed
+    krlab.clear_caches()
+
+
 def test_split_row_one_r_matrix_call_per_step(monkeypatch):
     # a factor of capacity above one passes one letter of the chain to its
     # right per step, and each step is one RMatrixTable.apply call: as many
@@ -619,6 +640,41 @@ def test_energy_row_minimal_on_ones():
                     assert energy_row(t) >= 0
     # a list word is stored as a tuple, so the memoized energy still hashes it
     assert energy_row((RowKR(BOX, 2, [1, 2]),)) == energy_row((RowKR(BOX, 2, (1, 2)),)) == 0
+
+
+def test_signature_left_folds_to_signature():
+    # folding the factors' (phi, eps) from the right, one signature_left
+    # each, gives the signature rule's (phi, eps) of the whole tensor
+    pairs = list(itertools.product(range(3), repeat=2))
+    for length in range(5):
+        for tensor in itertools.product(pairs, repeat=length):
+            reduced = (0, 0)
+            for pair in reversed(tensor):
+                reduced = signature_left(pair, reduced)
+            eps, phi, _, _ = signature(tensor)
+            assert reduced == (phi, eps), tensor
+
+
+def test_carried_row_energy_matches_energy_row():
+    # the level walk carries each prefix's energy through the row factors'
+    # step tables and its (phi_0, eps_0) through signature_left; per
+    # element it gives what energy_row and eps0 give on the tensor
+    # hw_row_elements lists, bounded and unbounded, zero capacities too
+    krlab.clear_caches()
+    elements = 0
+    for kind in (BOX, HDOM, VDOM):
+        for n in (2, 3, 4):
+            for mu in partitions_upto(4, max_len=n):
+                weight = mu + (0,) * (n - len(mu))
+                for lam in partitions_upto(4, max_len=n):
+                    for two_g in (None, 2, 3, 4):
+                        listed = hw_row_elements(kind, weight, lam, two_g)
+                        want = Counter((energy_row(t), eps0(t)) for _, t, _ in listed)
+                        assert row_energy_counts(kind, weight, lam, two_g) == want, (kind, weight, lam, two_g)
+                        elements += len(listed)
+    assert elements > 1500
+    assert kr_column.step_entries(RowKR) > 0
+    krlab.clear_caches()
 
 
 def _all_hw(kind, mu):
