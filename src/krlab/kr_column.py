@@ -6,8 +6,6 @@ Chains are tuples of letters (EMPTY allowed for the single-box kind),
 leftmost factor first.
 """
 
-from functools import lru_cache
-
 from .crystal import column_tensor, is_hw
 # bench/tracing.py wraps these names in this module
 from .crystal import tensor_word_e, tensor_word_f  # noqa: F401
@@ -31,15 +29,16 @@ class KRFactor:
     Building a factor returns the one already held for (class, kind, cap,
     word) in _factors, so equal factors are one object, hashed and checked
     once; a word is checked (by the subclass's _check) only when it is new,
-    and a word that fails is not stored; a new factor then sets its
-    subclass's own slots (_init).  Equality is by value, identity first, so
-    a factor built again after clear_caches() empties the table still
-    equals the old one.  Factors are immutable, apart from their step
-    table, steps: letter c -> (c', u', h), filled on first use by the
+    and a word that fails is not stored.  A new factor then sets its
+    one-factor splitting, splitting, by its subclass's rule (_split), and
+    that chain's energy, split_energy.  Equality is by value, identity
+    first, so a factor built again after clear_caches() empties the table
+    still equals the old one.  Factors are immutable, apart from their
+    step table, steps: letter c -> (c', u', h), filled on first use by the
     subclass's step rule (col_step, kr_row.row_step) for split_step_energy.
     """
 
-    __slots__ = ("kind", "cap", "word", "_hash", "steps")
+    __slots__ = ("kind", "cap", "word", "_hash", "steps", "splitting", "split_energy")
 
     def __new__(cls, kind, cap, word):
         word = tuple(word)
@@ -50,12 +49,11 @@ class KRFactor:
             self = object.__new__(cls)
             for name, value in zip(KRFactor.__slots__, (kind, cap, word, hash((kind, cap, word)), {})):
                 object.__setattr__(self, name, value)
-            self._init()
+            chain = self._split()
+            object.__setattr__(self, "splitting", chain)
+            object.__setattr__(self, "split_energy", energy_chain(chain, kind))
             _factors[key] = self
         return self
-
-    def _init(self):
-        """Set a new factor's own slots; the base class has none."""
 
     def __hash__(self):
         return self._hash
@@ -87,18 +85,13 @@ class KRFactor:
 
 
 class ColumnKR(KRFactor):
-    """One factor of B^{r,1}; the word is a strict admissible column.
+    """One factor of B^{r,1}; the word is a strict admissible column, split
+    by split_factor; its step table is filled by col_step."""
 
-    Each factor carries its one-column splitting, splitting, and that
-    chain's energy, split_energy; its step table is filled by col_step.
-    """
+    __slots__ = ()
 
-    __slots__ = ("splitting", "split_energy")
-
-    def _init(self):
-        chain = split_factor(self)
-        object.__setattr__(self, "splitting", chain)
-        object.__setattr__(self, "split_energy", energy_chain(chain, self.kind))
+    def _split(self):
+        return split_factor(self)
 
     @staticmethod
     def _check(kind, cap, word):
@@ -137,13 +130,12 @@ def _pivot(top, ws, case):
     raise ValueError("case %s found no pivot" % case)
 
 
-@lru_cache(maxsize=None)
 def r_matrix_col(u: ColumnKR, c):
     """R: B^{a,1} (x) B^{1,1} -> B^{1,1} (x) B^{a,1}, by the case rules.
 
     c is a letter, or EMPTY for the single-box kind.  Returns (letter, u')
-    and the case tag that fired, for golden tests.  Memoized: splitting
-    meets the same few hundred pairs thousands of times.
+    and the case tag that fired, for golden tests.  Splitting reads it
+    through col_step, once per (factor, letter) pair.
     """
     kind, a, w = u.kind, u.cap, u.word
     if a < 2:
@@ -230,10 +222,9 @@ def r_matrix_col(u: ColumnKR, c):
     return dp, ColumnKR(kind, a, new), "4-2"
 
 
-@lru_cache(maxsize=None)
 def split_factor(u: ColumnKR):
-    """The one-column splitting S-hat into a chain of letters, built once
-    per factor."""
+    """The one-column splitting S-hat into a chain of letters; each factor
+    holds its own as u.splitting."""
     return tuple(reversed(u.word)) + _padding(u.kind, u.cap - len(u.word))
 
 
@@ -246,26 +237,6 @@ def _padding(kind, boxes):
     if boxes < 0 or boxes % 2:
         raise ValueError("a vertical-domino pad needs an even number of boxes, not %d" % boxes)
     return (-1, 1) * (boxes // 2)
-
-
-def split_step(chain, u, r_matrix, split):
-    """The splitting of u (x) T from the splitting chain of T.
-
-    A factor of capacity above one passes the letters of the chain, one
-    R-matrix step r_matrix(u, letter) -> (letter, u', ...) per letter, and
-    is then replaced by its one-factor splitting split(u); a capacity-1
-    factor is its own splitting and a capacity-0 factor drops out.
-    """
-    if u.cap == 0:
-        return chain
-    if u.cap == 1:
-        return split(u) + chain
-    passed = []
-    for x in chain:
-        step = r_matrix(u, x)
-        passed.append(step[0])
-        u = step[1]
-    return tuple(passed) + split(u)
 
 
 def col_step(u, c):
@@ -288,11 +259,13 @@ def store_step(u, c, c2, u2):
 
 
 def split_step_energy(chain, energy, u, build=True, fill=col_step):
-    """(split_step(chain, u, r_matrix, split), its energy_chain), given
-    energy = energy_chain(chain), for a column or a row factor u with its
-    own R-matrix and one-factor splitting, u.splitting.  Without build, a
-    factor of capacity above one gives None for the split chain and builds
-    none.
+    """(the splitting of u (x) T, its energy_chain) from the splitting chain
+    of T, given energy = energy_chain(chain), for a column or a row factor
+    u.  A factor of capacity above one passes the letters of the chain, one
+    R-matrix step per letter, and is then replaced by its one-factor
+    splitting, u.splitting; a capacity-1 factor is its own splitting and a
+    capacity-0 factor drops out.  Without build, a factor of capacity above
+    one gives None for the split chain and builds none.
 
     Energy is a sum of local energies, one per R-step: a factor of capacity
     above one that passes the letters of chain adds each step's h from its
@@ -339,21 +312,22 @@ def step_entries(cls=ColumnKR):
     return sum(len(u.steps) for u in _factors.values() if type(u) is cls)
 
 
-def split_tensor(factors, r_matrix, split):
+def split_tensor(factors, fill):
     """Split a tensor of KR factors into a (B^{1,1}) chain of letters, one
-    split_step per factor from right to left."""
+    split_step_energy per factor from right to left, with the factors' step
+    rule fill."""
     if len({f.kind for f in factors}) > 1:
         raise ValueError("mixed kinds")
-    chain = ()
+    chain, energy = (), 0
     for u in reversed(factors):
-        chain = split_step(chain, u, r_matrix, split)
+        chain, energy = split_step_energy(chain, energy, u, True, fill)
     return chain
 
 
 def split_col(factors):
-    """Split a tensor of ColumnKR factors into a (B^{1,1}) chain, with the
-    column R-matrix and the one-column splitting."""
-    return split_tensor(factors, r_matrix_col, split_factor)
+    """Split a tensor of ColumnKR factors into a (B^{1,1}) chain, through
+    the column step tables."""
+    return split_tensor(factors, col_step)
 
 
 # key ranks of the letters local_H singles out

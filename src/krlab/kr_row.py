@@ -12,7 +12,7 @@ plus the unpaired 2's.  The paper-level gates are the crystal axioms, the
 closed forms, and the level-restriction identities.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .crystal import (
     _OFF,
@@ -37,27 +37,13 @@ def row_ctx(kind, n):
 
 
 class RowKR(KRFactor):
-    """One factor of B^{1,s}; the word is a weakly increasing multiset.
+    """One factor of B^{1,s}; the word is a weakly increasing multiset,
+    split by _split_factor_row; its step table is filled by row_step."""
 
-    Its one-row splitting, splitting, and that chain's energy,
-    split_energy, are worked out on first use; its step table is filled by
-    row_step.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_split_energy",)
-
-    def _init(self):
-        object.__setattr__(self, "_split_energy", None)
-
-    @property
-    def splitting(self):
+    def _split(self):
         return _split_factor_row(self)
-
-    @property
-    def split_energy(self):
-        if self._split_energy is None:
-            object.__setattr__(self, "_split_energy", energy_chain(self.splitting, self.kind))
-        return self._split_energy
 
     @staticmethod
     def _check(kind, cap, word):
@@ -342,15 +328,16 @@ def split_one(b: RowKR):
     return w[0], RowKR(b.kind, a - 1, w[1:])
 
 
-@lru_cache(maxsize=None)
 def _split_factor_row(b: RowKR):
-    """The one-row splitting: peel one box at a time down to one box."""
-    chain = []
-    while b.cap > 1:
-        letter, b = split_one(b)
-        chain.append(letter)
-    chain.append(b.word[0] if b.word else EMPTY)
-    return tuple(chain)
+    """The one-row splitting: peel one box (split_one) and take the
+    splitting the smaller factor holds.  One box is its own splitting, and
+    a capacity-0 factor splits to the empty chain."""
+    if b.cap > 1:
+        letter, rest = split_one(b)
+        return (letter,) + rest.splitting
+    if b.cap == 1:
+        return b.word or (EMPTY,)
+    return ()
 
 
 @lru_cache(maxsize=None)
@@ -361,22 +348,11 @@ def _box(kind, x):
 
 def split_row(factors):
     """Split a tensor of RowKR factors into a letter chain, through the row
-    R-matrix and the one-row splitting.  Every R-matrix step uses a table of
-    at least the rank of the whole tensor's letters, so that no later step
-    of the tensor replaces a table an earlier step used.  The one-box
-    factors of the steps (`_box`) and each factor's one-row splitting
-    (`_split_factor_row`) are built once and kept until clear_caches()."""
+    step tables.  Every step reads a table of at least row_rank of the
+    whole tensor's letters, so that no later step of the tensor replaces a
+    table an earlier step used."""
     factors = tuple(factors)
-    n = row_rank(x for f in factors for x in f.word)
-    tables = {}  # capacity -> its table, brought to rank n or above on first use
-
-    def r_matrix(u, x):
-        if u.cap not in tables:
-            tables[u.cap] = _table(u.kind, u.cap, n)
-        c, u = tables[u.cap].apply(u, _box(u.kind, x))
-        return (c.word[0] if c.word else EMPTY), u
-
-    return split_tensor(factors, r_matrix, _split_factor_row)
+    return split_tensor(factors, partial(row_step, rank=row_rank(x for f in factors for x in f.word)))
 
 
 def row_step(u, x, rank):
@@ -391,14 +367,8 @@ def row_step(u, x, rank):
 
 
 def energy_row(factors):
-    """Energy of a tensor of row factors, through the splitting map,
-    memoized on the factor tuple."""
+    """Energy of a tensor of row factors, through the splitting map."""
     factors = tuple(factors)
     if not factors:
         return 0
-    return _energy_row(factors)
-
-
-@lru_cache(maxsize=None)
-def _energy_row(factors):
     return energy_chain(split_row(factors), factors[0].kind)

@@ -474,7 +474,6 @@ def phi_c(chain, kind=SSOT, weight=None):
     )
 
 
-@lru_cache(maxsize=None)
 def _row_factor(kind, cap, strip):
     """The row factor of one strip of a chain of the given kind: SSOT and
     GSSOT strips go through gamma, SSROT strips are read directly."""

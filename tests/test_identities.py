@@ -837,9 +837,8 @@ def test_clear_caches_empties_every_cache():
     for name in ("oscillating._shapes", "qweight._memo", "kr_row._tables",
                  "oscillating._strips_from", "oscillating._strips_between", "qweight.kl_poly",
                  "charge.kostka_foulkes", "characters.twisted_branching",
-                 "kr_column.r_matrix_col", "oscillating._col_factor",
-                 "kr_row._energy_row", "identities._morris", "kr_column._factors",
-                 "kr_column.split_factor", "kr_column.steps", "kr_row.steps",
+                 "oscillating._col_factor", "identities._morris", "kr_column._factors",
+                 "kr_column.steps", "kr_row.steps",
                  "oscillating._shared_live"):
         assert warm[name] > 0, name
     held = list(kr_column._factors.values())
@@ -876,8 +875,8 @@ def test_cache_sizes_reports_every_cleared_table():
     assert sizes == _cache_sizes()
     for name in ("oscillating._shapes", "oscillating._strips_from", "oscillating._strips_between",
                  "qweight._memo", "kr_row._tables", "characters._monomial_schur", "characters.twisted_branching",
-                 "charge.kostka_foulkes", "kr_column._factors", "kr_column.split_factor",
-                 "kr_column.steps", "kr_row.steps", "oscillating._shared_live"):
+                 "charge.kostka_foulkes", "kr_column._factors", "kr_column.steps", "kr_row.steps",
+                 "oscillating._shared_live"):
         assert sizes[name] > 0, name
     krlab.clear_caches()
     assert set(krlab.cache_sizes().values()) == {0}

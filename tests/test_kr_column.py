@@ -8,7 +8,7 @@ import random
 import pytest
 
 import krlab
-from krlab import kr_column, oscillating
+from krlab import kr_column, kr_row, oscillating
 from krlab.crystal import CTX_INF, apply_e, apply_f, ctx_C, hw, is_hw, word_weight
 from krlab.kr_column import (
     BOX,
@@ -24,14 +24,13 @@ from krlab.kr_column import (
     split_col,
     split_factor,
     split_image_hw,
-    split_step,
     split_step_energy,
     tol_midd,
     vac,
     vac_qt_energy,
 )
 from krlab.identities import thm_b_rhs, thm_c_rhs
-from krlab.kr_row import RowKR
+from krlab.kr_row import RowKR, enumerate_row, r_matrix_row
 from krlab.letters import EMPTY, is_admissible, key, prec, sort_word
 from krlab.partitions import partitions_upto
 from krlab.polynomials import Poly
@@ -378,7 +377,8 @@ def test_iota():
 
 
 def test_column_word_stored_as_tuple():
-    # a list word still hashes, so the memoized R-matrix accepts the factor
+    # a list word is stored as its tuple, so the factor is the one built
+    # from the tuple, and steps through the same step tables
     u = ColumnKR(BOX, 2, [1, 2])
     assert u == C(BOX, 2, (1, 2)) and hash(u) == hash(C(BOX, 2, (1, 2)))
     want = energy_col((C(BOX, 2, (1, 2)), C(BOX, 1, (1,))))
@@ -393,29 +393,26 @@ def test_r_matrix_col_raises_on_every_call():
             r_matrix_col(bad, 1)
 
 
-def test_r_matrix_col_cache_matches_fresh(monkeypatch):
-    """Every pair the splitting reaches in Theorem C on C3, |lam|,|mu| <= 4:
-    the memoized image equals the one computed again on empty caches."""
+def test_r_matrix_col_cache_matches_fresh():
+    """Every step-table entry the Theorem C walk fills on C3, |lam|,|mu| <=
+    4: the stored entry equals col_step worked out again on empty caches."""
     krlab.clear_caches()
-    seen = set()
-
-    def recording(u, c):
-        seen.add((u, c))
-        return r_matrix_col(u, c)
-
-    monkeypatch.setattr(kr_column, "r_matrix_col", recording)
     for lam in partitions_upto(4, max_len=3):
         for mu in partitions_upto(4, max_len=3):
             g = max(lam[0] if lam else 0, 1)
             for gg in (g, g + 1):
                 thm_c_rhs(lam, mu, 3, gg)
-    assert len(seen) > 50
-    assert r_matrix_col.cache_info().currsize == len(seen)
-    warm = {pair: r_matrix_col(*pair) for pair in seen}
+    warm = {
+        ((u.kind, u.cap, u.word), c): entry
+        for u in list(kr_column._factors.values())
+        if type(u) is ColumnKR
+        for c, entry in u.steps.items()
+    }
+    assert len(warm) > 50
     krlab.clear_caches()
-    for pair, image in warm.items():
-        assert r_matrix_col(*pair) == image, pair
-    assert r_matrix_col.cache_info().misses == len(seen)
+    for (fields, c), entry in warm.items():
+        assert kr_column.col_step(ColumnKR(*fields), c) == entry, (fields, c)
+    assert kr_column.step_entries() == len(warm)
 
 
 def test_carried_energy_matches_split_chain(monkeypatch):
@@ -425,10 +422,14 @@ def test_carried_energy_matches_split_chain(monkeypatch):
     chain, and so does the energy handed in for the chain itself."""
     krlab.clear_caches()
     seen = {}
+    # (kind, each split chain the walks build) -> a tensor that splits to it
+    tensors = {(kind, ()): () for kind in (BOX, VDOM)}
 
     def recording(chain, energy, u, build=True):
         out = split_step_energy(chain, energy, u, build)
         seen[chain, energy, u, build] = out
+        if out[0] is not None:
+            tensors[u.kind, out[0]] = (u,) + tensors[u.kind, chain]
         return out
 
     monkeypatch.setattr(oscillating, "split_step_energy", recording)
@@ -440,7 +441,7 @@ def test_carried_energy_matches_split_chain(monkeypatch):
                 thm_b_rhs(lam, mu, 3, gg)
     kinds = set()
     for (chain, energy, u, build), (split, carried) in seen.items():
-        want = split_step(chain, u, r_matrix_col, split_factor)
+        want = split_col((u,) + tensors[u.kind, chain])
         assert energy == energy_chain(chain, u.kind), (chain, u)
         assert carried == energy_chain(want, u.kind), (chain, u)
         assert split == (None if u.cap > 1 and not build else want), (chain, u, build)
@@ -449,20 +450,38 @@ def test_carried_energy_matches_split_chain(monkeypatch):
     assert kinds == {(kind, long, build) for kind in (BOX, VDOM) for long in (False, True) for build in (False, True)}
 
 
+def _letter(box):
+    return box.word[0] if box.word else EMPTY
+
+
 def test_step_table_entry():
-    # h is the energy the step adds: energy_chain((c',) + split_factor(u'))
-    # less that of the letter c and of the splitting of u'
+    # a step entry R(u (x) c) = c' (x) u' stores (c', u', h), h the energy
+    # the step adds: energy_chain((c',) + u'.splitting) less that of the
+    # letter c and of the splitting of u'; columns through col_step, the
+    # rows of B^{1,2} and B^{1,3} through row_step
     krlab.clear_caches()
-    for kind in (BOX, VDOM):
-        for cap in (2, 3):
-            for u in all_columns(kind, cap, 3):
-                assert u.split_energy == energy_chain(split_factor(u), kind)
-                assert not u.steps
-                for c in one_boxes(kind, 3):
-                    c2, u2, _ = r_matrix_col(u, c)
-                    h = energy_chain((c2,) + split_factor(u2), kind) - energy_chain((c,), kind) - u2.split_energy
-                    assert kr_column.col_step(u, c) == (c2, u2, h)
-                    assert u.steps[c] == (c2, u2, h)
+    for cap in (2, 3):
+        columns = [
+            (u, c, r_matrix_col(u, c)[:2], kr_column.col_step)
+            for kind in (BOX, VDOM)
+            for u in all_columns(kind, cap, 3)
+            for c in one_boxes(kind, 3)
+        ]
+        rows = [
+            (u, _letter(c), (_letter(c2), u2), lambda u, c: kr_row.row_step(u, c, 3))
+            for kind in (BOX, HDOM, VDOM)
+            for u in enumerate_row(kind, cap, 3)
+            for c in enumerate_row(kind, 1, 3)
+            for c2, u2 in (r_matrix_row(u, c),)
+        ]
+        assert len(rows) > 100
+        for u, c, (c2, u2), step in columns + rows:
+            assert u.split_energy == energy_chain(u.splitting, u.kind)
+            assert type(u) is RowKR or u.splitting == split_factor(u)
+            h = energy_chain((c2,) + u2.splitting, u.kind) - energy_chain((c,), u.kind) - u2.split_energy
+            assert step(u, c) == (c2, u2, h)
+            assert u.steps[c] == (c2, u2, h)
+    krlab.clear_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -554,35 +554,31 @@ def test_level_walk_builds_each_row_table_once_in_any_order(monkeypatch):
 
 def test_split_row_one_r_matrix_call_per_step(monkeypatch):
     # a factor of capacity above one passes one letter of the chain to its
-    # right per step, and each step is one RMatrixTable.apply call: as many
-    # calls as the summed capacities to its right.  The call fetches each
-    # capacity's table once, on the first step of a factor of that capacity
-    calls, fetched = [], []
-    real_apply, real_table = RMatrixTable.apply, kr_row._table
+    # right per step, read from its step table; a missing entry is one
+    # RMatrixTable.apply call, so a split makes one call per new step-table
+    # entry, and splitting the same tensor again makes none
+    calls = []
+    real_apply = RMatrixTable.apply
 
     def counted_apply(table, u, c):
         calls.append((u, c))
         return real_apply(table, u, c)
 
-    def counted_table(kind, s, n):
-        fetched.append(s)
-        return real_table(kind, s, n)
-
     monkeypatch.setattr(RMatrixTable, "apply", counted_apply)
-    monkeypatch.setattr(kr_row, "_table", counted_table)
     krlab.clear_caches()
     for kind in (BOX, HDOM, VDOM):
         rows = {s: enumerate_row(kind, s, 2) for s in (1, 2, 3)}
         for caps in ((2, 2), (3, 1, 2), (1, 3), (2, 1, 3, 2), (3, 2, 3, 2, 1)):
             tensor = tuple(rows[s][(7 * i) % len(rows[s])] for i, s in enumerate(caps))
             calls.clear()
-            fetched.clear()
-            split_row(tensor)
-            steps = sum(sum(caps[j + 1:]) for j, s in enumerate(caps) if s > 1)
-            assert len(calls) == steps, (kind, caps)
-            # the rightmost factor passes no letter, so fetches no table
-            stepping = {s for s in caps[:-1] if s > 1}
-            assert sorted(fetched) == sorted(stepping), (kind, caps)
+            entries = kr_column.step_entries(RowKR)
+            chain = split_row(tensor)
+            assert len(calls) == kr_column.step_entries(RowKR) - entries, (kind, caps)
+            assert len(calls) <= sum(sum(caps[j + 1:]) for j, s in enumerate(caps) if s > 1)
+            calls.clear()
+            assert split_row(tensor) == chain
+            assert not calls, (kind, caps)
+    assert kr_column.step_entries(RowKR) > 0
     krlab.clear_caches()
 
 
@@ -595,11 +591,19 @@ def test_split_row_single_factors():
         for s in (2, 3, 4):
             for b in enumerate_row(kind, s, 2):
                 assert energy_row((b,)) == (s - len(b.word)) // dd
+    # a capacity-0 factor of either class splits to the empty chain, of
+    # energy 0, and drops out of a tensor
+    for cls, kinds, split in ((RowKR, (BOX, HDOM, VDOM), split_row), (ColumnKR, (BOX, VDOM), split_col)):
+        for kind in kinds:
+            zero, one = cls(kind, 0, ()), cls(kind, 1, (1,))
+            assert (zero.splitting, zero.split_energy) == ((), 0), (cls, kind)
+            assert split((zero,)) == ()
+            assert split((zero, one, zero)) == split((one,)) == (1,)
 
 
 def test_row_split_caches_cleared_and_rebuilt():
-    # the one-box factors and one-row splittings are kept until clear_caches,
-    # and energies computed afresh after a clear are the same
+    # the one-box factors and the row step tables are kept until
+    # clear_caches, and energies computed afresh after a clear are the same
     smoke = [
         ((BOX, 3, (2, 0)), (BOX, 2, (-1,)), (BOX, 2, (1, -3))),
         ((VDOM, 3, (1, 2, -1)), (VDOM, 2, (3, -2)), (VDOM, 2, (2, 2))),
@@ -613,10 +617,10 @@ def test_row_split_caches_cleared_and_rebuilt():
     before = [energy_row(t) for t in tensors]
     assert before[:3] == [10, 5, 6]
     sizes = krlab.cache_sizes()
-    assert sizes["kr_row._box"] > 0 and sizes["kr_row._split_factor_row"] > 0
+    assert sizes["kr_row._box"] > 0 and sizes["kr_row.steps"] > 0
     krlab.clear_caches()
     sizes = krlab.cache_sizes()
-    assert sizes["kr_row._box"] == sizes["kr_row._split_factor_row"] == 0
+    assert sizes["kr_row._box"] == sizes["kr_row.steps"] == 0
     assert [energy_row(t) for t in tensors] == before
     krlab.clear_caches()
 
@@ -638,7 +642,8 @@ def test_energy_row_minimal_on_ones():
             for lam, tensors in _all_hw(kind, mu):
                 for t in tensors:
                     assert energy_row(t) >= 0
-    # a list word is stored as a tuple, so the memoized energy still hashes it
+    # a list word is stored as its tuple, so the factor is the one built
+    # from the tuple
     assert energy_row((RowKR(BOX, 2, [1, 2]),)) == energy_row((RowKR(BOX, 2, (1, 2)),)) == 0
 
 
