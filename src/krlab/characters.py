@@ -7,7 +7,7 @@ All weight keys are doubled integers (see roots.py).
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial, prod
 from operator import add
 
@@ -288,8 +288,6 @@ def e_poly(n, r):
     """
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
-    from itertools import combinations
-
     out = {}
     for i in range(r + 1):
         for s in combinations(range(n), i):

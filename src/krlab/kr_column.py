@@ -35,7 +35,8 @@ class KRFactor:
     first, so a factor built again after clear_caches() empties the table
     still equals the old one.  Factors are immutable, apart from their
     step table, steps: letter c -> (c', u', h), filled on first use by the
-    subclass's step rule (col_step, kr_row.row_step) for split_step_energy.
+    subclass's step rule (col_step, kr_row.row_step; box_step, the
+    identity, at capacity one) for split_step_energy.
     """
 
     __slots__ = ("kind", "cap", "word", "_hash", "steps", "splitting", "split_energy")
@@ -241,11 +242,21 @@ def _padding(kind, boxes):
 
 def col_step(u, c):
     """Fill u's step table at letter c from R(u (x) c) = c' (x) u' by
-    r_matrix_col.  Factors are interned, so each (factor, letter) pair is
-    worked out once until clear_caches(); r_matrix_col is read from this
-    module's globals, so a replaced one sees every pair."""
+    r_matrix_col, or by box_step for a one-box u.  Factors are interned,
+    so each (factor, letter) pair is worked out once until clear_caches();
+    r_matrix_col is read from this module's globals, so a replaced one
+    sees every pair."""
+    if u.cap == 1:
+        return box_step(u, c)
     c2, u2, _ = r_matrix_col(u, c)
     return store_step(u, c, c2, u2)
+
+
+def box_step(u, c):
+    """Fill the step table of a one-box factor u at letter c: R on
+    B^{1,1} (x) B^{1,1} is the identity, so c' is u's letter and u' the
+    one-box factor of c.  The step rule of one-box columns and rows."""
+    return store_step(u, c, u.splitting[0], u.with_letters(() if c is EMPTY else (c,)))
 
 
 def store_step(u, c, c2, u2):
@@ -261,32 +272,19 @@ def store_step(u, c, c2, u2):
 def split_step_energy(chain, energy, u, build=True, fill=col_step):
     """(the splitting of u (x) T, its energy_chain) from the splitting chain
     of T, given energy = energy_chain(chain), for a column or a row factor
-    u.  A factor of capacity above one passes the letters of the chain, one
+    u.  A factor of positive capacity passes the letters of the chain, one
     R-matrix step per letter, and is then replaced by its one-factor
-    splitting, u.splitting; a capacity-1 factor is its own splitting and a
-    capacity-0 factor drops out.  Without build, a factor of capacity above
-    one gives None for the split chain and builds none.
+    splitting, u.splitting; a capacity-0 factor drops out.  Without build,
+    the split chain is None and none is built.
 
-    Energy is a sum of local energies, one per R-step: a factor of capacity
-    above one that passes the letters of chain adds each step's h from its
-    step table, filling a missing entry by fill(u, letter), the factor's
-    step rule (col_step here, kr_row.row_step for rows), then the energy of
-    the last factor's splitting.  Capacity 1 splits and sums the chain
-    anew; capacity 0 leaves it as it is.
+    Energy is a sum of local energies, one per R-step: each step adds its
+    h from u's step table, filling a missing entry by fill(u, letter), the
+    factor's step rule (col_step here, kr_row.row_step for rows; box_step
+    for one box of either), then the energy of the last factor's
+    splitting.
     """
     if u.cap == 0:
         return chain, energy
-    if u.cap == 1:
-        chain = u.splitting + chain
-        return chain, energy_chain(chain, u.kind)
-    if not build:
-        for x in chain:
-            try:
-                _, u, h = u.steps[x]
-            except KeyError:
-                _, u, h = fill(u, x)
-            energy += h
-        return None, energy + u.split_energy
     passed = []
     for x in chain:
         try:
@@ -295,7 +293,7 @@ def split_step_energy(chain, energy, u, build=True, fill=col_step):
             c, u, h = fill(u, x)
         passed.append(c)
         energy += h
-    return tuple(passed) + u.splitting, energy + u.split_energy
+    return (tuple(passed) + u.splitting if build else None), energy + u.split_energy
 
 
 def clear_steps():

@@ -13,6 +13,7 @@ closed forms, and the level-restriction identities.
 """
 
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 
 from .crystal import (
     _OFF,
@@ -26,7 +27,7 @@ from .crystal import (
 )
 # bench/tracing.py wraps these names in this module
 from .crystal import apply_e, apply_f, eps, hw, tensor_word_e, tensor_word_f  # noqa: F401
-from .kr_column import BOX, HDOM, VDOM, KRFactor, energy_chain, split_tensor, store_step
+from .kr_column import BOX, HDOM, VDOM, KRFactor, box_step, energy_chain, split_tensor, store_step
 from .letters import EMPTY, key, sort_word, word_str
 
 ROW_KINDS = (BOX, HDOM, VDOM)
@@ -186,8 +187,6 @@ def _row_lengths(kind, s):
 
 def enumerate_row(kind, s, n):
     """All elements of B^{1,s} at classical rank n."""
-    from itertools import combinations_with_replacement
-
     letters = list(range(1, n + 1)) + ([0] if kind != HDOM else []) + [
         -i for i in range(n, 0, -1)
     ]
@@ -360,7 +359,10 @@ def row_step(u, x, rank):
     R(u (x) x) = x' (x) u', read on the held table of (kind, cap) brought to
     rank at least `rank` and at least row_rank of the pair.  A walk passes
     one rank for all its steps, at least that of every tensor it reaches,
-    so that it builds each table once."""
+    so that it builds each table once.  A one-box u steps by box_step and
+    reads no table."""
+    if u.cap == 1:
+        return box_step(u, x)
     n = max(rank, row_rank(u.word + (x,)))
     c, u2 = _table(u.kind, u.cap, n).apply(u, _box(u.kind, x))
     return store_step(u, x, c.word[0] if c.word else EMPTY, u2)

@@ -9,10 +9,10 @@ strips; weights are nonnegative integer vectors, one strip per entry.
 
 from functools import lru_cache, partial
 from itertools import accumulate, zip_longest
-from operator import gt
+from operator import add, gt
 
 from .crystal import hw, signature_left
-from .kr_column import BOX, HDOM, VDOM, ColumnKR, energy_col, split_shift, split_step_energy
+from .kr_column import BOX, HDOM, VDOM, ColumnKR, col_step, energy_col, split_shift, split_step_energy
 from .kr_row import RowKR, _zero_pair, eps0, row_rank, row_step
 from .letters import red, sort_word
 from .partitions import (
@@ -289,42 +289,20 @@ def energy_counts(kind, shape, weight, two_g):
     vac = vac(phi_c(chain, kind, weight)): Theorem C sums the counts over
     vac, Theorem B weighs each by q^{(D - vac)/2} t^{vac}.
 
-    One walk over _live's table, with no chain list, carrying the splitting
-    chain of the prefix, its energy and its vacancy: strip i adds its
-    column factor u (COL_KIND: VDOM for SSOT, BOX for GSSOT) on the left,
-    one kr_column.split_step_energy, and u.vacancy() = cap - len(u.word) to
-    the vacancy; the last position builds no chain.  Splitting shifts every
-    energy by one constant of the capacities, split_shift, subtracted once
-    at the end.
+    _energy_sums over _live's table, with kr_column's step rule: strip i
+    reads its column factor (COL_KIND: VDOM for SSOT, BOX for GSSOT) and
+    that factor's vacancy from _col_factor, and the vacancies add up.
+    Splitting shifts every energy by one constant of the capacities,
+    split_shift, subtracted once at the end.
     """
     col_kind = COL_KIND[kind]
     weight = tuple(weight)
     live = _live(kind, shape, weight, two_g)
     if live is None:
         return {}
-    if not weight:
-        return {(0, 0): 1}
-    counts = {}
-    _energy_walk(live, 0, (), (), 0, 0, weight, col_kind, counts)
+    counts = _energy_sums(live, 0, (), (), 0, 0, weight, partial(_col_factor, col_kind), add, col_step, {})
     shift = split_shift(col_kind, weight)
     return {(d - shift, v): c for (d, v), c in counts.items()}
-
-
-def _energy_walk(live, i, inner, chain, d, v, weight, col_kind, counts):
-    """Count into counts the (energy, vacancy) keys of the chains below
-    node (i, inner), whose prefix has splitting chain `chain` of energy d
-    and vacancy v."""
-    cap = weight[i]
-    last = i == len(weight) - 1
-    for strip in live[i, inner]:
-        u = _col_factor(col_kind, cap, strip)
-        split, e = split_step_energy(chain, d, u, not last)
-        vac = v + u.vacancy()
-        if last:
-            key = (e, vac)
-            counts[key] = counts.get(key, 0) + 1
-        else:
-            _energy_walk(live, i + 1, strip[2], split, e, vac, weight, col_kind, counts)
 
 
 def row_energy_counts(kind, mu, lam, two_g=None):
@@ -332,45 +310,58 @@ def row_energy_counts(kind, mu, lam, two_g=None):
     lam, two_g), where D = energy_row(t) and eps_0 = eps0(t), each eps_0
     checked against its chain's statistic as hw_row_elements checks it.
 
-    One walk over _shared_live's table, with no element listed, carrying
-    for each prefix its splitting chain and that chain's energy, the
-    (phi_0, eps_0) of its row tensor and its chain_c2: strip i adds its row
-    factor u on the left, one kr_column.split_step_energy with kr_row's
-    step rule and one signature_left, reading u, its (phi_0, eps_0) and
-    the strip's bound2 from _row_strip.  Every step reads tables of one
-    rank, at least row_rank of each element's letters: a letter of a
-    strip's row factor is a row index of its shapes, and the shapes after
-    i strips have at most i rows.
+    _energy_sums over _shared_live's table, with kr_row's step rule at one
+    rank: strip i reads its row factor, that factor's (phi_0, eps_0) and
+    the strip's bound2 from _row_strip, and the accumulator folds them into
+    the row tensor's (phi_0, eps_0), by signature_left, and the chain's
+    statistic c2, by max.  Each distinct (D, (phi_0, eps_0), c2) has its
+    eps_0 checked against c2, and the counts are merged by eps_0.  The rank
+    is row_rank of the chain's length, at least that of each element's
+    letters: a letter of a strip's row factor is a row index of its
+    shapes, and the shapes after i strips have at most i rows.
     """
     osc_kind = OSC_OF_ROW[kind]
     weight = tuple(mu)
     live = _shared_live(osc_kind, norm(lam), weight, two_g)
     if live is None:
         return {}
-    if not weight:
-        return {(0, 0): 1}
-    counts = {}
     fill = partial(row_step, rank=row_rank((len(weight),)))
-    _row_walk(live, 0, (), (), 0, (0, 0), 0, weight, osc_kind, fill, counts)
+    read = partial(_row_strip, osc_kind)
+    sums = _energy_sums(live, 0, (), (), 0, ((0, 0), 0), weight, read, _row_fold, fill, {})
+    counts = {}
+    for (d, (zero, c2)), c in sums.items():
+        key = (d, _checked_eps0(osc_kind, c2, zero[1]))
+        counts[key] = counts.get(key, 0) + c
     return counts
 
 
-def _row_walk(live, i, inner, chain, d, zero, c2, weight, kind, fill, counts):
-    """Count into counts the (energy, eps_0) keys of the chains below node
-    (i, inner), whose prefix has splitting chain `chain` of energy d, row
-    tensor (phi_0, eps_0) = zero and chain statistic c2."""
-    cap = weight[i]
-    last = i == len(weight) - 1
+def _row_fold(acc, data):
+    """((phi_0, eps_0), c2) of a prefix with a strip's row factor on its
+    left, from the prefix's and the strip's ((phi_0, eps_0), bound2)."""
+    return signature_left(data[0], acc[0]), max(acc[1], data[1])
+
+
+def _energy_sums(live, i, inner, chain, d, acc, weight, read, fold, fill, counts):
+    """Count into counts, and return it, the (D, acc) of each chain below
+    node (i, inner) of a live table for the given weight: D is the energy
+    of the split chain of the chain's tensor, and acc folds what its
+    strips give.  The prefix has split chain `chain`, of energy d, and
+    accumulator acc.
+
+    One walk, with no chain list: strip i reads (u, data) = read(weight[i],
+    strip), adds its factor u on the left, one split_step_energy with the
+    step rule fill (the last strip builds no chain), and folds data into
+    the accumulator, fold(acc, data).
+    """
+    if i == len(weight):
+        counts[d, acc] = counts.get((d, acc), 0) + 1
+        return counts
+    build = i + 1 < len(weight)
     for strip in live[i, inner]:
-        u, pair, b2 = _row_strip(kind, cap, strip)
-        split, e = split_step_energy(chain, d, u, not last, fill)
-        z = signature_left(pair, zero)
-        c = max(c2, b2)
-        if last:
-            key = (e, _checked_eps0(kind, c, z[1]))
-            counts[key] = counts.get(key, 0) + 1
-        else:
-            _row_walk(live, i + 1, strip[2], split, e, z, c, weight, kind, fill, counts)
+        u, data = read(weight[i], strip)
+        split, e = split_step_energy(chain, d, u, build, fill)
+        _energy_sums(live, i + 1, strip[2], split, e, fold(acc, data), weight, read, fold, fill, counts)
+    return counts
 
 
 def _checked_eps0(kind, c2, direct):
@@ -460,8 +451,10 @@ def gamma_inv(strip, r):
 
 @lru_cache(maxsize=None)
 def _col_factor(col_kind, cap, strip):
-    """The column factor of one strip; chains share a few hundred strips."""
-    return ColumnKR(col_kind, cap, red(cind(strip)))
+    """The column factor of one strip and its vacancy, what phi_c and the
+    Theorem C/B walk read off it; chains share a few hundred strips."""
+    u = ColumnKR(col_kind, cap, red(cind(strip)))
+    return u, u.vacancy()
 
 
 def phi_c(chain, kind=SSOT, weight=None):
@@ -469,7 +462,7 @@ def phi_c(chain, kind=SSOT, weight=None):
     factors, last strip leftmost."""
     weight = _weight(chain, weight)
     return tuple(
-        _col_factor(COL_KIND[kind], cap, strip)
+        _col_factor(COL_KIND[kind], cap, strip)[0]
         for strip, cap in zip(reversed(chain), reversed(tuple(weight)))
     )
 
@@ -483,10 +476,10 @@ def _row_factor(kind, cap, strip):
 
 @lru_cache(maxsize=None)
 def _row_strip(kind, cap, strip):
-    """What the level walk reads off one strip: its row factor, that
-    factor's (phi_0, eps_0) and the strip's bound2."""
+    """What the level walk reads off one strip: its row factor, and that
+    factor's (phi_0, eps_0) with the strip's bound2."""
     u = _row_factor(kind, cap, strip)
-    return u, _zero_pair(u), bound2(strip, kind, cap)
+    return u, (_zero_pair(u), bound2(strip, kind, cap))
 
 
 def phi_r(chain, kind, weight=None):

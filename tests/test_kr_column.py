@@ -425,8 +425,8 @@ def test_carried_energy_matches_split_chain(monkeypatch):
     # (kind, each split chain the walks build) -> a tensor that splits to it
     tensors = {(kind, ()): () for kind in (BOX, VDOM)}
 
-    def recording(chain, energy, u, build=True):
-        out = split_step_energy(chain, energy, u, build)
+    def recording(chain, energy, u, build=True, fill=kr_column.col_step):
+        out = split_step_energy(chain, energy, u, build, fill)
         seen[chain, energy, u, build] = out
         if out[0] is not None:
             tensors[u.kind, out[0]] = (u,) + tensors[u.kind, chain]
@@ -444,7 +444,7 @@ def test_carried_energy_matches_split_chain(monkeypatch):
         want = split_col((u,) + tensors[u.kind, chain])
         assert energy == energy_chain(chain, u.kind), (chain, u)
         assert carried == energy_chain(want, u.kind), (chain, u)
-        assert split == (None if u.cap > 1 and not build else want), (chain, u, build)
+        assert split == (None if u.cap > 0 and not build else want), (chain, u, build)
         kinds.add((u.kind, u.cap > 1, build))
     assert len(seen) > 900
     assert kinds == {(kind, long, build) for kind in (BOX, VDOM) for long in (False, True) for build in (False, True)}

@@ -12,7 +12,7 @@ import krlab
 from krlab import kr_column, kr_row
 from krlab.crystal import apply_e, apply_f, hw, is_hw, raise_step, signature, signature_left, word_weight
 from krlab.identities import run_task, suite_tasks
-from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, split_col
+from krlab.kr_column import BOX, HDOM, VDOM, ColumnKR, energy_chain, split_col
 from krlab.kr_row import (
     RMatrixTable,
     RowKR,
@@ -31,7 +31,7 @@ from krlab.kr_row import (
     tensor_e0,
     tensor_f0,
 )
-from krlab.letters import sort_word
+from krlab.letters import EMPTY, sort_word
 from krlab.oscillating import hw_row_elements, row_energy_counts
 from krlab.partitions import conjugate, nn, norm, partitions, partitions_upto, size
 from krlab.polynomials import Poly
@@ -556,7 +556,11 @@ def test_split_row_one_r_matrix_call_per_step(monkeypatch):
     # a factor of capacity above one passes one letter of the chain to its
     # right per step, read from its step table; a missing entry is one
     # RMatrixTable.apply call, so a split makes one call per new step-table
-    # entry, and splitting the same tensor again makes none
+    # entry of such a factor (a one-box factor steps by the identity and
+    # calls none), and splitting the same tensor again makes none
+    def entries():
+        return sum(len(u.steps) for u in kr_column._factors.values() if type(u) is RowKR and u.cap > 1)
+
     calls = []
     real_apply = RMatrixTable.apply
 
@@ -571,14 +575,44 @@ def test_split_row_one_r_matrix_call_per_step(monkeypatch):
         for caps in ((2, 2), (3, 1, 2), (1, 3), (2, 1, 3, 2), (3, 2, 3, 2, 1)):
             tensor = tuple(rows[s][(7 * i) % len(rows[s])] for i, s in enumerate(caps))
             calls.clear()
-            entries = kr_column.step_entries(RowKR)
+            before = entries()
             chain = split_row(tensor)
-            assert len(calls) == kr_column.step_entries(RowKR) - entries, (kind, caps)
+            assert len(calls) == entries() - before, (kind, caps)
             assert len(calls) <= sum(sum(caps[j + 1:]) for j, s in enumerate(caps) if s > 1)
             calls.clear()
             assert split_row(tensor) == chain
             assert not calls, (kind, caps)
-    assert kr_column.step_entries(RowKR) > 0
+    assert entries() > 0
+    krlab.clear_caches()
+
+
+def test_one_box_steps_are_the_identity_r_matrix():
+    # R on B^{1,1} (x) B^{1,1} is the identity: the row R-matrix tables of
+    # capacity 1, matched by highest weight elements, fix every pair of
+    # one-box factors of each kind at ranks 3, 4 and 5.  So a one-box
+    # factor's step entry at c holds (its letter, the one-box factor of c,
+    # h), h as store_step defines it, for rows and columns alike
+    def letter(box):
+        return box.word[0] if box.word else EMPTY
+
+    krlab.clear_caches()
+    pairs = 0
+    for n in (3, 4, 5):
+        for kind in (BOX, HDOM, VDOM):
+            table = RMatrixTable(kind, 1, n)
+            boxes = enumerate_row(kind, 1, n)
+            columns = [ColumnKR(kind, 1, b.word) for b in boxes if kind != HDOM and 0 not in b.word]
+            for u in boxes:
+                for c in boxes:
+                    assert table.apply(u, c) == (u, c), (kind, n, u, c)
+                    pairs += 1
+            for us, step in ((boxes, lambda u, x: kr_row.row_step(u, x, n)), (columns, kr_column.col_step)):
+                for u in us:
+                    for c in us:
+                        x = letter(c)
+                        h = energy_chain((letter(u),) + c.splitting, kind) - energy_chain((x,), kind) - c.split_energy
+                        assert step(u, x) == u.steps[x] == (letter(u), c, h), (kind, n, u, c)
+    assert pairs == 759
     krlab.clear_caches()
 
 

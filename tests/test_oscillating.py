@@ -231,6 +231,7 @@ def test_energy_counts_match_chain_list():
     GSSOT, zero-weight strips included."""
     weights = [
         (), (1,), (2,), (1, 1, 1), (2, 1, 2), (0, 2, 1), (3, 0, 0), (2, 0, 3, 1), (1, 3, 2), (2, 2, 2),
+        (1, 1, 1, 1), (2, 1, 1, 1),
     ]
     for kind, bounds in ((SSOT, (2, 4, 6, 8)), (GSSOT, (3, 5, 7, 9))):
         total = 0
